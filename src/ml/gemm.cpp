@@ -42,8 +42,10 @@ constexpr std::size_t kNC = 256;
 #if defined(__x86_64__) && defined(__linux__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(AIRFEDGA_NO_KERNEL_CLONES)
 #define AIRFEDGA_KERNEL_CLONES __attribute__((target_clones("default", "avx2", "avx512f")))
+constexpr bool kKernelClones = true;
 #else
 #define AIRFEDGA_KERNEL_CLONES
+constexpr bool kKernelClones = false;
 #endif
 
 // Flop target per parallel_for chunk: dispatch costs microseconds, so a
@@ -177,6 +179,8 @@ void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t ld
 }  // namespace
 
 const GemmBlocking& gemm_blocking() { return kBlocking; }
+
+bool gemm_kernel_clones() { return kKernelClones; }
 
 std::size_t gemm_coop_min_flops() { return g_coop_min_flops.load(std::memory_order_relaxed); }
 void set_gemm_coop_min_flops(std::size_t flops) {

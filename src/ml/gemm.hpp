@@ -24,6 +24,11 @@ struct GemmBlocking {
 /// The compiled-in blocking constants.
 [[nodiscard]] const GemmBlocking& gemm_blocking();
 
+/// Whether the hot kernel is built as FMA-capable ISA clones (x86-64 Linux,
+/// GCC/Clang, no sanitizer). Bit-exact golden outputs are recorded with the
+/// clones, so tests that pin them run only where this holds.
+[[nodiscard]] bool gemm_kernel_clones();
+
 /// C(m,n) = opA(A) · opB(B) + beta·C, row-major, single precision.
 ///
 /// opA(A) is A(m,k): stored (m,k) with row stride `lda` when `ta == N`,

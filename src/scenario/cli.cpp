@@ -82,8 +82,6 @@ RunArgs parse_run_args(const std::vector<std::string>& args) {
     } else if (arg.rfind("--jobs=", 0) == 0) {
       out.jobs = parse_count(arg.substr(7), "--jobs");
       if (out.jobs == 0) throw std::invalid_argument("--jobs: must be >= 1");
-    } else if (arg == "--append") {
-      out.append = true;
     } else if (arg == "--no-timing") {
       out.timing = false;
     } else if (arg == "--resume") {
@@ -133,10 +131,6 @@ RunArgs parse_run_args(const std::vector<std::string>& args) {
       out.sources.push_back(arg);
     }
   }
-  if (out.resume && out.append)
-    throw std::invalid_argument(
-        "--resume cannot be combined with --append: the crash-safe farm owns the whole output "
-        "directory, while --append accumulates onto files it does not track");
   return out;
 }
 

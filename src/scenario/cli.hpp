@@ -42,7 +42,6 @@ struct RunArgs {
   std::vector<std::size_t> threads;      ///< --threads (2+ entries = determinism sweep)
   std::vector<SweepAxis> sweeps;         ///< --sweep axes, in flag order
   std::size_t jobs = 1;                  ///< --jobs=N concurrent variants
-  bool append = false;                   ///< --append: accumulate result files
   bool timing = true;                    ///< cleared by --no-timing (byte-stable output)
   std::string out_dir = "scenario_results";  ///< --out=DIR
   /// --trace[=PATH]: collect obs spans/metrics and write a Chrome trace
@@ -62,13 +61,12 @@ struct RunArgs {
 };
 
 /// Parses run/run-dir flags: --seed, --threads, --time-budget, --jobs,
-/// --append, --no-timing, --out, --trace[=PATH], --sweep in both its
-/// one-token (--sweep=path=v1,v2) and two-token (--sweep path=v1,v2) forms,
-/// and the farm flags --resume, --retries=K, --variant-timeout=S,
-/// --shard=i/N, --no-progress, --fault=SPEC. Positional arguments land in
-/// `sources` (count is validated by the command, not here). Unknown --flags
-/// are an error, as is --resume together with --append (the farm owns the
-/// output directory; --append uses the accumulate-only legacy writer).
+/// --no-timing, --out, --trace[=PATH], --sweep in both its one-token
+/// (--sweep=path=v1,v2) and two-token (--sweep path=v1,v2) forms, and the
+/// farm flags --resume, --retries=K, --variant-timeout=S, --shard=i/N,
+/// --no-progress, --fault=SPEC. Positional arguments land in `sources`
+/// (count is validated by the command, not here). Unknown --flags are an
+/// error.
 RunArgs parse_run_args(const std::vector<std::string>& args);
 
 /// A study: one scenario spec plus the sweep axes checked in next to it.

@@ -167,82 +167,6 @@ ThreadSweepResult run_thread_sweep(const ScenarioSpec& spec,
   return sweep;
 }
 
-BatchRunResult run_scenarios(const std::vector<ScenarioSpec>& variants, const RunOverrides& ov,
-                             const BatchRunOptions& opt) {
-  BatchRunResult out;
-  const std::size_t n = variants.size();
-  if (n == 0) return out;
-
-  const bool sweep_mode = opt.threads.size() > 1;
-  RunOverrides base_ov = ov;
-  if (opt.threads.size() == 1) base_ov.threads = opt.threads.front();
-
-  // More jobs than variants would just idle threads, and more jobs than
-  // budgeted lanes would oversubscribe the machine (each in-flight variant
-  // holds a dataset + scratch-model set and at least one busy lane).
-  const std::size_t budget = opt.lane_budget != 0
-                                 ? opt.lane_budget
-                                 : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t jobs = std::min({std::max<std::size_t>(1, opt.jobs), n, budget});
-
-  // Each variant fills its own slot; flattening afterwards restores the
-  // deterministic variant order whatever the completion order was. A
-  // determinism sweep yields one result per lane count, so slots are
-  // vectors.
-  std::vector<std::vector<ScenarioResult>> slots(n);
-  std::vector<char> identical(n, 1);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> abort{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  auto run_one = [&](std::size_t i) {
-    if (sweep_mode) {
-      // A determinism sweep verifies the engine *at* the requested lane
-      // counts, so the lane budget deliberately does not clamp them.
-      ThreadSweepResult sweep = run_thread_sweep(variants[i], opt.threads, base_ov);
-      identical[i] = sweep.all_identical ? 1 : 0;
-      slots[i] = std::move(sweep.by_threads);
-    } else {
-      const std::size_t requested = base_ov.threads ? *base_ov.threads : variants[i].threads;
-      const std::size_t lanes =
-          jobs > 1 ? util::lane_budget_share(requested, jobs, opt.lane_budget) : 0;
-      slots[i].push_back(run_scenario(variants[i], base_ov, lanes));
-    }
-  };
-
-  auto worker = [&] {
-    while (!abort.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        run_one(i);
-      } catch (...) {
-        std::scoped_lock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  if (jobs == 1) {
-    worker();  // serial reference schedule: no extra thread at all
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    out.all_identical = out.all_identical && identical[i] != 0;
-    for (auto& r : slots[i]) out.results.push_back(std::move(r));
-  }
-  return out;
-}
-
 // ----------------------------------------------------------------- export --
 
 std::string git_version() {
@@ -262,8 +186,8 @@ namespace {
 // names carry '@', '=', '.', and sweep string values may carry anything
 // (including path separators), so only [A-Za-z0-9_-] passes through —
 // everything else becomes '_'. Distinct names can collide after this
-// ("a.b" and "a@b" both map to "a_b"); write_results disambiguates with a
-// deterministic counter suffix.
+// ("a.b" and "a@b" both map to "a_b"); assemble_outputs disambiguates with
+// a deterministic counter suffix.
 std::string sanitize(std::string s) {
   for (char& c : s)
     if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-' && c != '_') c = '_';
@@ -339,101 +263,6 @@ Json result_record(const ScenarioResult& scenario, const MechanismResult& run,
 
   rec.set("points_csv", points_csv);
   return rec;
-}
-
-namespace {
-
-/// Points stems handed out per output directory over the whole process.
-/// The per-call counter in write_results restarts at every invocation, so
-/// without this registry a second --append call would re-derive the same
-/// "_2" suffixes and clobber the first call's series even when the files
-/// are gone from disk (deleted, or buffered but not yet visible).
-std::mutex g_stems_mutex;
-std::unordered_map<std::string, std::unordered_set<std::string>> g_claimed_stems;
-
-}  // namespace
-
-void write_results(const std::string& out_dir, const std::vector<ScenarioResult>& results,
-                   const std::string& git, const WriteOptions& opts) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  // Fresh mode replaces the whole result set: stale points files from an
-  // earlier invocation would otherwise survive the row-file truncation and
-  // desynchronize anything that globs points/*.csv.
-  if (!opts.append) fs::remove_all(fs::path(out_dir) / "points", ec);
-  fs::create_directories(fs::path(out_dir) / "points", ec);
-  if (ec)
-    throw std::runtime_error("write_results: cannot create output directory " + out_dir + ": " +
-                             ec.message());
-
-  const std::string jsonl_path = out_dir + "/results.jsonl";
-  std::ofstream jsonl(jsonl_path, opts.append ? std::ios::app : std::ios::trunc);
-  if (!jsonl) throw std::runtime_error("write_results: cannot open " + jsonl_path);
-
-  std::vector<std::string> columns = {"schema_version", "scenario",   "mechanism", "seed",
-                                      "threads",        "config_hash", "git",      "digest",
-                                      "bit_identical",  "rounds",      "virtual_s", "final_acc",
-                                      "final_loss",     "energy_J"};
-  if (opts.timing) columns.push_back("wall_s");
-  util::Table summary(columns);
-
-  // Sanitized points stems can collide across distinct run identities
-  // (sanitize is lossy). Count identities per stem in deterministic result
-  // order and suffix repeats, so every run keeps its own series file.
-  std::unordered_map<std::string, std::size_t> stem_uses;
-
-  // Key the session registry by the physical directory, so "./out" and
-  // "out" share one claim set.
-  const fs::path canon = fs::weakly_canonical(fs::path(out_dir), ec);
-  const std::string dir_key = (ec || canon.empty()) ? out_dir : canon.string();
-  std::scoped_lock stems_lock(g_stems_mutex);
-  auto& claimed = g_claimed_stems[dir_key];
-  // Fresh mode wiped points/ above; stems from earlier invocations are free
-  // again.
-  if (!opts.append) claimed.clear();
-
-  for (const auto& scenario : results) {
-    for (const auto& run : scenario.runs) {
-      const std::string base = sanitize(scenario.spec.name) + "_" + sanitize(run.mechanism) +
-                               "_t" + std::to_string(scenario.spec.threads);
-      std::size_t uses = ++stem_uses[base];
-      std::string stem = uses > 1 ? base + "_" + std::to_string(uses) : base;
-      // Cross-invocation collisions: an earlier --append call in this
-      // session (registry) or an earlier process (files on disk) may
-      // already own this stem — the counter above only sees this call.
-      // Keep bumping the deterministic suffix so appended runs never
-      // clobber an existing points series, even one deleted from disk
-      // after being claimed.
-      while (claimed.count(stem) != 0 ||
-             (opts.append && fs::exists(fs::path(out_dir) / "points" / (stem + ".csv")))) {
-        uses = ++stem_uses[base];
-        stem = base + "_" + std::to_string(uses);
-      }
-      claimed.insert(stem);
-      // Recorded relative to out_dir, so result directories are relocatable
-      // and the JSONL is byte-identical wherever --out points.
-      const std::string points_csv = "points/" + stem + ".csv";
-      run.metrics.write_csv(out_dir + "/" + points_csv);
-      jsonl << result_record(scenario, run, git, points_csv, opts).dump() << '\n';
-
-      std::vector<std::string> row = {std::to_string(kResultsSchemaVersion), scenario.spec.name,
-                                      run.mechanism, std::to_string(scenario.spec.seed),
-                                      std::to_string(scenario.spec.threads), scenario.hash, git,
-                                      run.metrics.digest(),
-                                      run.bit_identical ? (*run.bit_identical ? "true" : "false")
-                                                        : "",
-                                      std::to_string(run.metrics.total_rounds()),
-                                      util::Table::fmt(run.metrics.total_time(), 0),
-                                      util::Table::fmt(run.metrics.final_accuracy(), 4),
-                                      util::Table::fmt(run.metrics.final_loss(), 4),
-                                      util::Table::fmt(run.metrics.obs_total_energy(), 0)};
-      if (opts.timing) row.push_back(util::Table::fmt(run.wall_seconds, 2));
-      summary.add_row(std::move(row));
-    }
-  }
-  if (!jsonl.flush())
-    throw std::runtime_error("write_results: failed writing " + jsonl_path);
-  summary.write_csv(out_dir + "/summary.csv", opts.append);
 }
 
 // ------------------------------------------------------------------- farm --
@@ -558,9 +387,10 @@ std::optional<Json> read_stash(const std::string& out_dir, std::size_t variant) 
 
 /// Assembles results.jsonl / summary.csv / points/ from stashes in variant
 /// order — the single output path shared by uninterrupted runs, resumes,
-/// and merges, which is what makes resumed output byte-identical. Mirrors
-/// write_results' fresh mode (same columns, stems, dedup, formatting).
-/// Returns the patched records in file order.
+/// and merges, which is what makes resumed output byte-identical. The
+/// directory describes exactly these stashes: the row files are replaced
+/// and points/ is cleared, so no file can describe a run the row files
+/// don't. Returns the patched records in file order.
 std::vector<Json> assemble_outputs(const std::string& out_dir, const std::vector<Json>& stashes,
                                    const std::string& git, const WriteOptions& wo) {
   std::error_code ec;
@@ -581,12 +411,12 @@ std::vector<Json> assemble_outputs(const std::string& out_dir, const std::vector
   if (wo.timing) columns.push_back("wall_s");
   util::Table summary(columns);
 
+  // Sanitized stems can collide across distinct run identities (sanitize
+  // is lossy). Count identities per stem in variant order and suffix
+  // repeats, skipping suffixes an earlier stem already took, so every run
+  // keeps its own series file.
   std::unordered_map<std::string, std::size_t> stem_uses;
-  const fs::path canon = fs::weakly_canonical(fs::path(out_dir), ec);
-  const std::string dir_key = (ec || canon.empty()) ? out_dir : canon.string();
-  std::scoped_lock stems_lock(g_stems_mutex);
-  auto& claimed = g_claimed_stems[dir_key];
-  claimed.clear();
+  std::unordered_set<std::string> claimed;
 
   std::vector<Json> records;
   bool first_line = true;
@@ -644,7 +474,7 @@ std::vector<Json> assemble_outputs(const std::string& out_dir, const std::vector
     }
   }
   if (!jsonl.flush()) throw std::runtime_error("farm: failed writing " + jsonl_path);
-  summary.write_csv(out_dir + "/summary.csv", /*append=*/false);
+  summary.write_csv(out_dir + "/summary.csv");
   return records;
 }
 
@@ -656,9 +486,6 @@ void farm_clear_stop() noexcept { g_farm_stop.store(false, std::memory_order_rel
 
 FarmResult run_farm(const std::vector<ScenarioSpec>& variants, const std::string& out_dir,
                     const RunOverrides& ov, const FarmOptions& opt, const WriteOptions& wo) {
-  if (wo.append)
-    throw std::invalid_argument("run_farm: --append is not supported; the farm owns the whole "
-                                "output directory (use the non-farm writer to accumulate)");
   if (opt.shard_count != 0 && (opt.shard_index < 1 || opt.shard_index > opt.shard_count))
     throw std::invalid_argument("run_farm: shard index must be in [1, shard count]");
 
@@ -941,8 +768,6 @@ FarmResult run_farm(const std::vector<ScenarioSpec>& variants, const std::string
 
 FarmResult merge_results(const std::string& out_dir, const std::vector<std::string>& shard_dirs,
                          const WriteOptions& wo) {
-  if (wo.append) throw std::invalid_argument("merge_results: --append is not supported");
-
   // Union the shards' stashes by variant index. The first shard to supply a
   // variant wins when a duplicate carries the same config hash; a
   // *different* hash for the same index means the shards came from

@@ -62,8 +62,8 @@ struct ScenarioResult {
 /// configured lane count and returns the per-mechanism results.
 ///
 /// `lane_override` (when nonzero) caps the *execution* lane count without
-/// touching the recorded spec: the batch runner uses it to apply the lane
-/// budget under `--jobs` (util::lane_budget_share). Because the engine is
+/// touching the recorded spec: run_farm uses it to apply the lane budget
+/// under `--jobs` (util::lane_budget_share). Because the engine is
 /// bit-deterministic for every lane count, the override never changes the
 /// metrics — only wall time — so the recorded `spec.threads` stays the
 /// configured value and result files stay byte-stable across job counts.
@@ -88,43 +88,6 @@ ThreadSweepResult run_thread_sweep(const ScenarioSpec& spec,
                                    const RunOverrides& ov = {},
                                    const std::atomic<bool>* cancel = nullptr);
 
-/// How a batch of independent variants executes (`--jobs`).
-struct BatchRunOptions {
-  /// Variants in flight at once. 1 (the default) runs the batch serially on
-  /// the calling thread — the reference schedule. N > 1 runs up to N
-  /// variants concurrently, each with its own driver (so memory holds one
-  /// dataset + model-replica set per in-flight variant, not per variant).
-  /// Clamped to the variant count and to the lane budget — every in-flight
-  /// variant occupies at least one lane, so more jobs than budgeted lanes
-  /// would oversubscribe the machine.
-  std::size_t jobs = 1;
-  /// Total training lanes across all in-flight variants; 0 = hardware
-  /// concurrency. With jobs > 1 each variant's pool is clamped to
-  /// util::lane_budget_share(requested, jobs, lane_budget). Ignored for
-  /// determinism sweeps, which must run the exact lane counts under test.
-  std::size_t lane_budget = 0;
-  /// Lane counts: empty = the spec's own `threads`; one entry = override;
-  /// more than one = per-variant determinism sweep (run_thread_sweep).
-  std::vector<std::size_t> threads;
-};
-
-/// Results of a batch run, flattened in *variant order* (and, for
-/// determinism sweeps, lane-count order within each variant) regardless of
-/// completion order — so exporting them yields byte-stable files for every
-/// `jobs` value.
-struct BatchRunResult {
-  std::vector<ScenarioResult> results;
-  bool all_identical = true;  ///< conjunction over determinism sweeps (true otherwise)
-};
-
-/// Runs every variant (each expanded spec of a sweep grid, or every study
-/// of a scenario directory) under `ov`, `opt.jobs` at a time. Work is
-/// handed to jobs as whole variants; the first failing variant's exception
-/// is rethrown after in-flight variants drain. Results come back in
-/// deterministic variant order (see BatchRunResult).
-BatchRunResult run_scenarios(const std::vector<ScenarioSpec>& variants,
-                             const RunOverrides& ov = {}, const BatchRunOptions& opt = {});
-
 /// `git describe --always --dirty --tags` of the working tree, or
 /// "unknown" when git or the repository is unavailable.
 std::string git_version();
@@ -135,38 +98,17 @@ std::string git_version();
 /// `schema_version` key).
 inline constexpr int kResultsSchemaVersion = 2;
 
-/// How write_results treats existing files and wall-clock fields.
+/// How the farm writes wall-clock fields.
 struct WriteOptions {
-  /// false (default): the directory describes exactly this call's results —
-  /// the row files are replaced and the points directory is cleared, so no
-  /// file can describe a run the row files don't. true: rows accumulate
-  /// (summary's header is written once) and points files persist, for
-  /// multi-invocation sessions.
-  bool append = false;
-  /// false: omit wall-clock fields (wall_seconds, engine_stats.*_seconds)
-  /// so the output is byte-for-byte reproducible across machines and job
-  /// counts; deterministic counters (engine_stats.barriers/evals) stay.
+  /// false: omit wall-clock fields (wall_seconds, engine_stats.*_seconds,
+  /// the metrics block) so the output is byte-identical across runs,
+  /// --jobs values and lane counts on one ISA (digests may differ across
+  /// ISAs — see src/ml/gemm.cpp); deterministic counters
+  /// (engine_stats.barriers/evals) stay.
   bool timing = true;
 };
 
-/// Writes structured results under `out_dir` (created if missing):
-///   results.jsonl  — one JSON object per (variant, mechanism) run:
-///                    schema_version, scenario, config_hash, git, mechanism,
-///                    seed, threads, digest, bit_identical, summary metrics,
-///                    EngineStats, and the path of the per-run points CSV
-///   summary.csv    — the same summary rows as CSV
-///   points/<scenario>_<mechanism>_t<threads>.csv — full metric series
-///     (scenario/mechanism sanitized to [A-Za-z0-9_-]; colliding sanitized
-///     stems get a deterministic _2, _3, ... suffix; recorded in the JSONL
-///     relative to out_dir so result directories are relocatable)
-/// Both row files are fresh by default and appended with opts.append; the
-/// points files are keyed by run and always rewritten. Serialized: one call
-/// writes everything from the calling thread in result order, so the files
-/// are byte-stable for any BatchRunOptions::jobs.
-void write_results(const std::string& out_dir, const std::vector<ScenarioResult>& results,
-                   const std::string& git, const WriteOptions& opts = {});
-
-/// The JSONL record for one run (exposed for tests and the CLI summary).
+/// The JSONL record for one run (exposed for tests).
 Json result_record(const ScenarioResult& scenario, const MechanismResult& run,
                    const std::string& git, const std::string& points_csv,
                    const WriteOptions& opts = {});
@@ -174,13 +116,22 @@ Json result_record(const ScenarioResult& scenario, const MechanismResult& run,
 // ---------------------------------------------------------------------------
 // Crash-safe scenario farm (docs/SCENARIOS.md "Crash-safe farm").
 //
-// run_farm is the durable sibling of run_scenarios + write_results: every
-// variant transition is journalled to out_dir/manifest.jsonl, every finished
-// variant's results are stashed durably under out_dir/farm/, and the final
-// results.jsonl / summary.csv / points/ are *assembled from the stashes* in
-// variant order. Because uninterrupted and resumed runs share that single
-// assembly path, a killed-and-resumed batch re-emits the output files
-// byte-identically (with WriteOptions::timing false; wall clocks vary).
+// run_farm is the only result writer: every variant transition is
+// journalled to out_dir/manifest.jsonl, every finished variant's results
+// are stashed durably under out_dir/farm/, and the output files are
+// *assembled from the stashes* in variant order:
+//   results.jsonl  — one JSON object per (variant, mechanism) run:
+//                    schema_version, scenario, config_hash, git, mechanism,
+//                    seed, threads, digest, bit_identical, summary metrics,
+//                    EngineStats, and the path of the per-run points CSV
+//   summary.csv    — the same summary rows as CSV
+//   points/<scenario>_<mechanism>_t<threads>.csv — full metric series
+//     (scenario/mechanism sanitized to [A-Za-z0-9_-]; colliding sanitized
+//     stems get a deterministic _2, _3, ... suffix; recorded in the JSONL
+//     relative to out_dir so result directories are relocatable)
+// Uninterrupted runs, resumes and merges share that single assembly path,
+// so a killed-and-resumed batch re-emits the output files byte-identically
+// (with WriteOptions::timing false; wall clocks vary).
 // ---------------------------------------------------------------------------
 
 /// Fate of one variant after a farm run.
@@ -199,11 +150,23 @@ struct VariantStatus {
   std::string error;         ///< last error text for kFailed
 };
 
-/// Knobs of a farm run, superset of BatchRunOptions.
+/// Knobs of a farm run.
 struct FarmOptions {
-  std::size_t jobs = 1;         ///< variants in flight at once (see BatchRunOptions)
-  std::size_t lane_budget = 0;  ///< total lanes across in-flight variants
-  std::vector<std::size_t> threads;  ///< lane counts (see BatchRunOptions)
+  /// Variants in flight at once (`--jobs`). 1 (the default) runs the batch
+  /// serially on the calling thread — the reference schedule. N > 1 runs up
+  /// to N variants concurrently, each with its own driver (so memory holds
+  /// one dataset + model-replica set per in-flight variant). Clamped to the
+  /// variant count and to the lane budget — every in-flight variant occupies
+  /// at least one lane. Output files are byte-stable for every value.
+  std::size_t jobs = 1;
+  /// Total training lanes across all in-flight variants; 0 = hardware
+  /// concurrency. With jobs > 1 each variant's pool is clamped to
+  /// util::lane_budget_share(requested, jobs, lane_budget). Ignored for
+  /// determinism sweeps, which must run the exact lane counts under test.
+  std::size_t lane_budget = 0;
+  /// Lane counts: empty = the spec's own `threads`; one entry = override;
+  /// more than one = per-variant determinism sweep (run_thread_sweep).
+  std::vector<std::size_t> threads;
   /// Extra attempts after a variant's first failure before it is
   /// quarantined as failed (0 = fail fast on first error).
   std::size_t retries = 0;
@@ -247,8 +210,7 @@ struct FarmResult {
 /// Runs `variants` as a crash-safe farm rooted at `out_dir` (see the block
 /// comment above). Throws only on environmental errors (unwritable out_dir,
 /// corrupt manifest interior); per-variant failures are quarantined into
-/// FarmResult instead. `wo.append` is not supported (throws) — the farm owns
-/// the whole directory.
+/// FarmResult instead. The farm owns the whole directory.
 FarmResult run_farm(const std::vector<ScenarioSpec>& variants, const std::string& out_dir,
                     const RunOverrides& ov = {}, const FarmOptions& opt = {},
                     const WriteOptions& wo = {});

@@ -46,16 +46,14 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void Table::write_csv(const std::string& path, bool append) const {
+void Table::write_csv(const std::string& path) const {
   const auto parent = std::filesystem::path(path).parent_path();
   std::error_code ec;
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
   if (ec)
     throw std::runtime_error("Table::write_csv: cannot create directory " + parent.string() +
                              ": " + ec.message());
-  const bool header = !append || !std::filesystem::exists(path) ||
-                      std::filesystem::file_size(path, ec) == 0;
-  std::ofstream f(path, append ? std::ios::app : std::ios::trunc);
+  std::ofstream f(path, std::ios::trunc);
   if (!f)
     throw std::runtime_error("Table::write_csv: cannot open " + path +
                              " for writing (check permissions and that the parent is a directory)");
@@ -69,9 +67,8 @@ void Table::write_csv(const std::string& path, bool append) const {
     quoted += '"';
     return quoted;
   };
-  if (header)
-    for (std::size_t c = 0; c < headers_.size(); ++c)
-      f << esc(headers_[c]) << (c + 1 < headers_.size() ? "," : "\n");
+  for (std::size_t c = 0; c < headers_.size(); ++c)
+    f << esc(headers_[c]) << (c + 1 < headers_.size() ? "," : "\n");
   for (const auto& row : rows_)
     for (std::size_t c = 0; c < row.size(); ++c)
       f << esc(row[c]) << (c + 1 < row.size() ? "," : "\n");

@@ -23,10 +23,8 @@ class Table {
 
   /// Writes RFC-4180-ish CSV (no quoting of embedded separators needed for
   /// our numeric tables, but commas in cells are escaped defensively).
-  /// With `append`, rows accumulate onto an existing file and the header is
-  /// only written when the file is new or empty — the caller must keep the
-  /// column set stable across appending calls.
-  void write_csv(const std::string& path, bool append = false) const;
+  /// Replaces any existing file.
+  void write_csv(const std::string& path) const;
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t cols() const { return headers_.size(); }

@@ -1,6 +1,6 @@
 // Tests for the CLI parsing layer (src/scenario/cli.*): locale-independent
 // numeric parsing via std::from_chars, run/run-dir flag parsing including
-// --jobs/--append/--no-timing and both --sweep spellings, checked-in study
+// --jobs/--no-timing and both --sweep spellings, checked-in study
 // documents with a "sweeps" object, and scenario-directory listing.
 
 #include "scenario/cli.hpp"
@@ -71,7 +71,7 @@ TEST(ParseSweepAxis, SplitsPathAndJsonValues) {
 
 TEST(ParseRunArgs, ParsesEveryFlagAndBothSweepSpellings) {
   const RunArgs ra = parse_run_args({"fig08_xi_sweep", "--seed=7", "--threads=1,2,4",
-                                     "--time-budget=150", "--jobs=4", "--append", "--no-timing",
+                                     "--time-budget=150", "--jobs=4", "--no-timing",
                                      "--out=results", "--sweep", "mechanisms.0.xi=0,0.3",
                                      "--sweep=run.seed=1,2"});
   ASSERT_EQ(ra.sources.size(), 1u);
@@ -80,7 +80,6 @@ TEST(ParseRunArgs, ParsesEveryFlagAndBothSweepSpellings) {
   EXPECT_DOUBLE_EQ(*ra.overrides.time_budget, 150.0);
   EXPECT_EQ(ra.threads, (std::vector<std::size_t>{1, 2, 4}));
   EXPECT_EQ(ra.jobs, 4u);
-  EXPECT_TRUE(ra.append);
   EXPECT_FALSE(ra.timing);
   EXPECT_EQ(ra.out_dir, "results");
   ASSERT_EQ(ra.sweeps.size(), 2u);
@@ -91,7 +90,6 @@ TEST(ParseRunArgs, ParsesEveryFlagAndBothSweepSpellings) {
 TEST(ParseRunArgs, DefaultsAndErrors) {
   const RunArgs ra = parse_run_args({"scenario.json"});
   EXPECT_EQ(ra.jobs, 1u);
-  EXPECT_FALSE(ra.append);
   EXPECT_TRUE(ra.timing);
   EXPECT_EQ(ra.out_dir, "scenario_results");
   EXPECT_TRUE(ra.threads.empty());
@@ -102,6 +100,7 @@ TEST(ParseRunArgs, DefaultsAndErrors) {
   EXPECT_THROW(parse_run_args({"--time-budget=1500x"}), std::invalid_argument);
   EXPECT_THROW(parse_run_args({"--sweep"}), std::invalid_argument);
   EXPECT_THROW(parse_run_args({"--frobnicate"}), std::invalid_argument);
+  EXPECT_THROW(parse_run_args({"--append"}), std::invalid_argument);  // removed flag
   EXPECT_THROW(parse_run_args({"--out="}), std::invalid_argument);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the scenario runner: sweep-path editing, grid expansion,
-// end-to-end scenario execution, the thread-determinism sweep, structured
-// result export (JSONL + CSV), the Metrics digest, and the CSV writers'
-// directory handling.
+// end-to-end scenario execution, the thread-determinism sweep, the JSONL
+// record, the Metrics digest, and the CSV writers' directory handling.
+// The result files themselves are tested through run_farm in farm_test.
 
 #include "scenario/runner.hpp"
 
@@ -9,8 +9,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "util/table.hpp"
 
@@ -133,279 +131,6 @@ TEST(Runner, ThreadSweepIsBitIdenticalAcrossLaneCounts) {
   other_seed.seed = 1234;
   const ScenarioResult r = run_scenario(tiny_spec(), other_seed);
   EXPECT_NE(r.runs[0].metrics.digest(), sweep.by_threads[0].runs[0].metrics.digest());
-}
-
-std::string slurp(const fs::path& p) {
-  std::ifstream f(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
-std::size_t count_lines(const fs::path& p) {
-  std::ifstream f(p);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(f, line)) ++n;
-  return n;
-}
-
-TEST(Runner, WriteResultsEmitsJsonlSummaryAndPoints) {
-  TempDir tmp;
-  const ScenarioResult r = run_scenario(tiny_spec());
-  write_results(tmp.path.string(), {r}, "v-test");
-
-  // results.jsonl: one valid JSON object per line with the documented keys.
-  std::ifstream jsonl(tmp.path / "results.jsonl");
-  ASSERT_TRUE(jsonl.good());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(jsonl, line)) {
-    ++lines;
-    const Json rec = Json::parse(line);
-    EXPECT_EQ(rec.at("schema_version").as_number(), kResultsSchemaVersion);
-    EXPECT_EQ(rec.at("scenario").as_string(), "tiny");
-    EXPECT_EQ(rec.at("git").as_string(), "v-test");
-    EXPECT_EQ(rec.at("config_hash").as_string(), r.hash);
-    EXPECT_EQ(rec.at("digest").as_string().size(), 16u);
-    EXPECT_GT(rec.at("rounds").as_number(), 0.0);
-    EXPECT_TRUE(rec.at("engine_stats").is_object());
-    EXPECT_GT(rec.at("wall_seconds").as_number(), 0.0);  // timing on by default
-    // points_csv is out_dir-relative, so result directories are relocatable.
-    EXPECT_TRUE(fs::exists(tmp.path / rec.at("points_csv").as_string()));
-  }
-  EXPECT_EQ(lines, 1u);
-
-  EXPECT_TRUE(fs::exists(tmp.path / "summary.csv"));
-}
-
-TEST(Runner, WriteResultsIsFreshByDefaultAndAppendsOnRequest) {
-  TempDir tmp;
-  const ScenarioResult r = run_scenario(tiny_spec());
-
-  // Default: every invocation replaces both row files, so they always
-  // describe the same set of runs (the old behavior appended the JSONL but
-  // rewrote the CSV — after two runs the files disagreed).
-  write_results(tmp.path.string(), {r}, "v-test");
-  write_results(tmp.path.string(), {r}, "v-test");
-  EXPECT_EQ(count_lines(tmp.path / "results.jsonl"), 1u);
-  EXPECT_EQ(count_lines(tmp.path / "summary.csv"), 2u);  // header + row
-
-  // Fresh mode also clears stale points files: after rewriting under a new
-  // scenario name, the old name's series must not linger in points/.
-  ScenarioResult renamed = r;
-  renamed.spec.name = "tiny_renamed";
-  write_results(tmp.path.string(), {renamed}, "v-test");
-  std::size_t points_files = 0;
-  for (const auto& e : fs::directory_iterator(tmp.path / "points")) {
-    ++points_files;
-    EXPECT_NE(e.path().filename().string().find("tiny_renamed"), std::string::npos);
-  }
-  EXPECT_EQ(points_files, 1u);
-
-  // Explicit append: both files accumulate in lockstep, one header total,
-  // and points files persist.
-  WriteOptions app;
-  app.append = true;
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  EXPECT_EQ(count_lines(tmp.path / "results.jsonl"), 3u);
-  EXPECT_EQ(count_lines(tmp.path / "summary.csv"), 4u);  // header + 3 rows
-  EXPECT_TRUE(fs::exists(tmp.path / "points" / "tiny_Air-FedGA_t1.csv"));
-}
-
-TEST(Runner, AppendAcrossInvocationsKeepsEarlierPointsSeries) {
-  // Regression: the per-call stem_uses counter resets between write_results
-  // invocations, so a second --append session for the same run identity
-  // used to reuse the first session's points stem and silently overwrite
-  // its series even though results.jsonl kept both rows. Append mode must
-  // probe the points/ directory and pick a fresh suffixed stem instead.
-  TempDir tmp;
-  const ScenarioResult r = run_scenario(tiny_spec());
-  WriteOptions app;
-  app.append = true;
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  const std::string first = slurp(tmp.path / "points" / "tiny_Air-FedGA_t1.csv");
-  ASSERT_FALSE(first.empty());
-
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  // The original series is untouched...
-  EXPECT_EQ(slurp(tmp.path / "points" / "tiny_Air-FedGA_t1.csv"), first);
-  // ...and each JSONL row points at its own existing file.
-  std::ifstream jsonl(tmp.path / "results.jsonl");
-  std::string l1;
-  std::string l2;
-  ASSERT_TRUE(std::getline(jsonl, l1));
-  ASSERT_TRUE(std::getline(jsonl, l2));
-  const std::string p1 = Json::parse(l1).at("points_csv").as_string();
-  const std::string p2 = Json::parse(l2).at("points_csv").as_string();
-  EXPECT_NE(p1, p2);
-  EXPECT_TRUE(fs::exists(tmp.path / p1));
-  EXPECT_TRUE(fs::exists(tmp.path / p2));
-
-  // A third session keeps probing past both existing stems.
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  std::string l3;
-  ASSERT_TRUE(std::getline(jsonl, l3));
-  const std::string p3 = Json::parse(l3).at("points_csv").as_string();
-  EXPECT_NE(p3, p1);
-  EXPECT_NE(p3, p2);
-  EXPECT_TRUE(fs::exists(tmp.path / p3));
-}
-
-TEST(Runner, AppendStemClaimsAreSessionWideNotJustOnDisk) {
-  // Regression: the append-mode collision probe used to be a pure disk
-  // check, so a points file deleted between two --append invocations let
-  // its stem be reissued — the first session's results.jsonl row then
-  // pointed at a second session's series. Stems handed out in this process
-  // stay claimed per output directory even when the file is gone.
-  TempDir tmp;
-  const ScenarioResult r = run_scenario(tiny_spec());
-  WriteOptions app;
-  app.append = true;
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  ASSERT_TRUE(fs::exists(tmp.path / "points" / "tiny_Air-FedGA_t1.csv"));
-  fs::remove(tmp.path / "points" / "tiny_Air-FedGA_t1.csv");
-
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  // The second session takes the next suffix; the deleted stem is not
-  // resurrected with foreign data under the first row's points_csv path.
-  EXPECT_FALSE(fs::exists(tmp.path / "points" / "tiny_Air-FedGA_t1.csv"));
-  EXPECT_TRUE(fs::exists(tmp.path / "points" / "tiny_Air-FedGA_t1_2.csv"));
-}
-
-TEST(Runner, FreshWriteReleasesSessionStemClaims) {
-  // Fresh (non-append) mode wipes points/ and must also forget this
-  // session's stem claims for the directory, or every rewrite would creep
-  // further down the suffix chain.
-  TempDir tmp;
-  const ScenarioResult r = run_scenario(tiny_spec());
-  WriteOptions app;
-  app.append = true;
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  write_results(tmp.path.string(), {r}, "v-test", app);
-  ASSERT_TRUE(fs::exists(tmp.path / "points" / "tiny_Air-FedGA_t1_2.csv"));
-
-  write_results(tmp.path.string(), {r}, "v-test");
-  std::vector<std::string> stems;
-  for (const auto& e : fs::directory_iterator(tmp.path / "points"))
-    stems.push_back(e.path().filename().string());
-  ASSERT_EQ(stems.size(), 1u);
-  EXPECT_EQ(stems[0], "tiny_Air-FedGA_t1.csv");
-}
-
-TEST(Runner, WriteResultsWithoutTimingOmitsWallClockFields) {
-  TempDir tmp;
-  const ScenarioResult r = run_scenario(tiny_spec());
-  WriteOptions wo;
-  wo.timing = false;
-  write_results(tmp.path.string(), {r}, "v-test", wo);
-
-  std::ifstream jsonl(tmp.path / "results.jsonl");
-  std::string line;
-  ASSERT_TRUE(std::getline(jsonl, line));
-  const Json rec = Json::parse(line);
-  EXPECT_FALSE(rec.contains("wall_seconds"));
-  EXPECT_FALSE(rec.at("engine_stats").contains("barrier_seconds"));
-  EXPECT_FALSE(rec.at("engine_stats").contains("eval_seconds"));
-  // Deterministic engine counters stay.
-  EXPECT_TRUE(rec.at("engine_stats").contains("barriers"));
-  EXPECT_TRUE(rec.at("engine_stats").contains("evals"));
-  // The summary drops its wall_s column too.
-  const std::string header = slurp(tmp.path / "summary.csv").substr(0, 200);
-  EXPECT_EQ(header.find("wall_s"), std::string::npos);
-}
-
-TEST(Runner, SanitizedPointsStemsDisambiguateCollisions) {
-  TempDir tmp;
-  ScenarioResult a = run_scenario(tiny_spec());
-  ScenarioResult b = a;
-  // Distinct sweep-suffixed names that sanitize to the same stem.
-  a.spec.name = "s@mechanisms.0.xi=0.1";
-  b.spec.name = "s_mechanisms_0_xi_0_1";
-  write_results(tmp.path.string(), {a, b}, "v-test");
-
-  std::ifstream jsonl(tmp.path / "results.jsonl");
-  std::string l1;
-  std::string l2;
-  ASSERT_TRUE(std::getline(jsonl, l1));
-  ASSERT_TRUE(std::getline(jsonl, l2));
-  const std::string p1 = Json::parse(l1).at("points_csv").as_string();
-  const std::string p2 = Json::parse(l2).at("points_csv").as_string();
-  EXPECT_NE(p1, p2);  // the collision check kept the series apart
-  EXPECT_TRUE(fs::exists(tmp.path / p1));
-  EXPECT_TRUE(fs::exists(tmp.path / p2));
-  // No path escapes the points directory, whatever the scenario name held:
-  // the stem has no separator of its own after sanitization.
-  EXPECT_EQ(p1.rfind("points/", 0), 0u);
-  EXPECT_EQ(p2.rfind("points/", 0), 0u);
-  EXPECT_EQ(p1.find('/', 7), std::string::npos);
-  EXPECT_EQ(p2.find('/', 7), std::string::npos);
-}
-
-TEST(Runner, BatchRunMatchesSerialByteForByte) {
-  // The --jobs acceptance check, library-level: a reduced-budget sweep run
-  // with jobs=4 must export byte-identical results.jsonl and summary.csv
-  // to jobs=1 (timing off — wall clock is inherently non-deterministic).
-  const ScenarioSpec base = tiny_spec();
-  const std::vector<SweepAxis> axes = {{"run.seed", {Json(1), Json(2), Json(3), Json(4)}}};
-  const std::vector<ScenarioSpec> variants = expand_sweeps(base, axes);
-
-  WriteOptions wo;
-  wo.timing = false;
-
-  TempDir serial_tmp;
-  BatchRunOptions serial;
-  serial.jobs = 1;
-  const BatchRunResult r1 = run_scenarios(variants, {}, serial);
-  ASSERT_EQ(r1.results.size(), 4u);
-  write_results(serial_tmp.path.string(), r1.results, "v-test", wo);
-
-  TempDir jobs_tmp;
-  BatchRunOptions parallel;
-  parallel.jobs = 4;
-  // Explicit budget so all four jobs really run concurrently (one lane
-  // each) even on a single-core machine, where the default budget would
-  // clamp jobs back to 1 and the test would silently re-run serially.
-  parallel.lane_budget = 4;
-  const BatchRunResult r4 = run_scenarios(variants, {}, parallel);
-  ASSERT_EQ(r4.results.size(), 4u);
-  write_results(jobs_tmp.path.string(), r4.results, "v-test", wo);
-
-  // Variant order is deterministic regardless of completion order.
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_EQ(r1.results[i].spec.name, r4.results[i].spec.name);
-  EXPECT_EQ(slurp(serial_tmp.path / "results.jsonl"), slurp(jobs_tmp.path / "results.jsonl"));
-  EXPECT_EQ(slurp(serial_tmp.path / "summary.csv"), slurp(jobs_tmp.path / "summary.csv"));
-}
-
-TEST(Runner, BatchRunSupportsThreadSweepsAndPropagatesErrors) {
-  // Determinism-sweep mode through the batch API: two variants x two lane
-  // counts, flattened in variant-major order, all bit-identical.
-  const ScenarioSpec base = tiny_spec();
-  const std::vector<ScenarioSpec> variants =
-      expand_sweeps(base, {{"run.seed", {Json(1), Json(2)}}});
-  BatchRunOptions opt;
-  opt.jobs = 2;
-  opt.lane_budget = 2;  // keep both jobs concurrent on a single-core box
-  opt.threads = {1, 2};
-  const BatchRunResult out = run_scenarios(variants, {}, opt);
-  ASSERT_EQ(out.results.size(), 4u);
-  EXPECT_TRUE(out.all_identical);
-  EXPECT_EQ(out.results[0].spec.name, out.results[1].spec.name);
-  EXPECT_EQ(out.results[0].spec.threads, 1u);
-  EXPECT_EQ(out.results[1].spec.threads, 2u);
-  EXPECT_EQ(out.results[2].spec.name, out.results[3].spec.name);
-  for (const auto& result : out.results)
-    for (const auto& run : result.runs) EXPECT_TRUE(run.bit_identical.value_or(false));
-
-  // A failing variant surfaces as an exception, not a silent omission.
-  std::vector<ScenarioSpec> bad = variants;
-  bad[1].eval_samples = 0;  // Driver rejects an empty evaluation set
-  BatchRunOptions jobs2;
-  jobs2.jobs = 2;
-  jobs2.lane_budget = 2;
-  EXPECT_THROW(run_scenarios(bad, {}, jobs2), std::invalid_argument);
 }
 
 TEST(Runner, ResultRecordCarriesBitIdenticalWhenSet) {

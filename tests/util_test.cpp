@@ -188,7 +188,7 @@ TEST(Table, RejectsRaggedRow) {
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, CsvEscapesCommasQuotesAndAppends) {
+TEST(Table, CsvEscapesCommasAndQuotesAndReplacesTheFile) {
   // Sweep-suffixed scenario names can carry commas *and* quotes (string
   // sweep values are dumped as JSON), so cells must be RFC-4180 escaped:
   // wrapped in quotes with embedded quotes doubled.
@@ -202,17 +202,12 @@ TEST(Table, CsvEscapesCommasQuotesAndAppends) {
   std::getline(f, line);
   EXPECT_EQ(line, "\"s@partition.kind=\"\"a,b\"\"\"");
 
-  // Append mode: rows accumulate, header written once.
-  t.write_csv(path, /*append=*/true);
+  // A second write replaces the file rather than accumulating rows.
+  t.write_csv(path);
   std::ifstream again(path);
   std::size_t lines = 0;
-  std::size_t headers = 0;
-  while (std::getline(again, line)) {
-    ++lines;
-    if (line == "name") ++headers;
-  }
-  EXPECT_EQ(lines, 3u);  // header + 2 rows
-  EXPECT_EQ(headers, 1u);
+  while (std::getline(again, line)) ++lines;
+  EXPECT_EQ(lines, 2u);  // header + 1 row
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {

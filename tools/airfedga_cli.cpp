@@ -9,7 +9,7 @@
 //   airfedga_cli run <scenario.json|preset|->  [--seed=S] [--threads=T[,T2,...]]
 //                                              [--time-budget=X] [--jobs=N]
 //                                              [--sweep path=v1,v2,...]...
-//                                              [--out=DIR] [--append] [--no-timing]
+//                                              [--out=DIR] [--no-timing]
 //                                              [--trace[=PATH]]
 //   airfedga_cli run-dir <directory>           [same options]
 //   airfedga_cli list
@@ -68,16 +68,15 @@ run / run-dir options:
                          e.g. --sweep mechanisms.0.xi=0,0.1,0.3 --sweep run.seed=1,2
   --out=DIR              results directory (default: scenario_results); writes
                          results.jsonl, summary.csv, points/*.csv
-  --append               accumulate onto existing result files instead of
-                         replacing them (default: fresh files per invocation)
   --no-timing            omit wall-clock fields from results, making the output
-                         byte-for-byte comparable across runs and machines
+                         byte-identical across runs, --jobs values and lane
+                         counts on one ISA (digests may differ across ISAs)
   --trace[=PATH]         collect execution spans/metrics and write a Chrome
                          trace-event JSON (default: <out-dir>/trace.json) plus a
                          per-phase wall-time report; tracing is read-only, so
                          digests match the untraced run bit for bit
 
-crash-safe farm options (run / run-dir without --append):
+crash-safe farm options (run / run-dir):
   --resume               skip variants the out-dir's manifest records as done
                          (with an intact stash); everything else re-runs. A
                          resumed batch re-emits results.jsonl / summary.csv /
@@ -115,24 +114,8 @@ int fail(const std::string& message) {
   return 2;
 }
 
-void print_summary(const std::vector<scenario::ScenarioResult>& results) {
-  util::Table t({"scenario", "mechanism", "threads", "rounds", "virtual_s", "final_acc",
-                 "digest", "bit_identical", "wall_s"});
-  for (const auto& scenario : results) {
-    for (const auto& run : scenario.runs) {
-      t.add_row({scenario.spec.name, run.mechanism, std::to_string(scenario.spec.threads),
-                 std::to_string(run.metrics.total_rounds()),
-                 util::Table::fmt(run.metrics.total_time(), 0),
-                 util::Table::fmt(run.metrics.final_accuracy(), 4), run.metrics.digest(),
-                 run.bit_identical ? (*run.bit_identical ? "yes" : "NO") : "-",
-                 util::Table::fmt(run.wall_seconds, 2)});
-    }
-  }
-  t.print(std::cout);
-}
-
-/// Summary table from assembled farm records (the same rows print_summary
-/// derives from in-memory results; wall_s is absent under --no-timing).
+/// Summary table from assembled farm records (wall_s is "-" under
+/// --no-timing).
 void print_record_summary(const std::vector<scenario::Json>& records) {
   util::Table t({"scenario", "mechanism", "threads", "rounds", "virtual_s", "final_acc",
                  "digest", "bit_identical", "wall_s"});
@@ -179,13 +162,11 @@ int report_farm(const scenario::cli::RunArgs& ra, const scenario::FarmResult& ou
   return outcome.failed > 0 ? 3 : 0;
 }
 
-/// Expands `sources` (scenario files/presets for run, directory studies for
-/// run-dir) into the full variant list, runs it (possibly --jobs-parallel),
-/// exports, and reports. Shared tail of cmd_run / cmd_run_dir.
-///
-/// Default path is the crash-safe farm (durable manifest + per-variant
-/// stashes, resumable); --append keeps the legacy accumulate-onto-existing
-/// writer, which the farm deliberately does not support.
+/// Runs the full variant list (expanded from scenario files/presets for
+/// run, directory studies for run-dir) through the crash-safe farm
+/// (durable manifest + per-variant stashes, resumable; possibly
+/// --jobs-parallel), exports, and reports. Shared tail of cmd_run /
+/// cmd_run_dir.
 int run_variants(const scenario::cli::RunArgs& ra,
                  const std::vector<scenario::ScenarioSpec>& variants) {
   // Execution-only switch: obs::enable() changes what is *observed*, never
@@ -194,39 +175,17 @@ int run_variants(const scenario::cli::RunArgs& ra,
   if (ra.trace) obs::enable();
 
   scenario::WriteOptions wo;
-  wo.append = ra.append;
   wo.timing = ra.timing;
-
-  int rc = 0;
-  if (ra.append) {
-    scenario::BatchRunOptions batch;
-    batch.jobs = ra.jobs;
-    batch.threads = ra.threads;
-    const scenario::BatchRunResult outcome =
-        scenario::run_scenarios(variants, ra.overrides, batch);
-    const std::string git = scenario::git_version();
-    scenario::write_results(ra.out_dir, outcome.results, git, wo);
-    print_summary(outcome.results);
-    std::printf("\nwrote %s/results.jsonl, %s/summary.csv (git %s, schema v%d)\n",
-                ra.out_dir.c_str(), ra.out_dir.c_str(), git.c_str(),
-                scenario::kResultsSchemaVersion);
-    if (!outcome.all_identical) {
-      std::fprintf(stderr,
-                   "airfedga_cli: determinism violation — metrics diverged across lane counts\n");
-      rc = 1;
-    }
-  } else {
-    scenario::FarmOptions fo;
-    fo.jobs = ra.jobs;
-    fo.threads = ra.threads;
-    fo.retries = ra.retries;
-    fo.variant_timeout = ra.variant_timeout;
-    fo.resume = ra.resume;
-    fo.shard_index = ra.shard_index;
-    fo.shard_count = ra.shard_count;
-    fo.progress = ra.progress && variants.size() > 1;
-    rc = report_farm(ra, scenario::run_farm(variants, ra.out_dir, ra.overrides, fo, wo));
-  }
+  scenario::FarmOptions fo;
+  fo.jobs = ra.jobs;
+  fo.threads = ra.threads;
+  fo.retries = ra.retries;
+  fo.variant_timeout = ra.variant_timeout;
+  fo.resume = ra.resume;
+  fo.shard_index = ra.shard_index;
+  fo.shard_count = ra.shard_count;
+  fo.progress = ra.progress && variants.size() > 1;
+  const int rc = report_farm(ra, scenario::run_farm(variants, ra.out_dir, ra.overrides, fo, wo));
 
   // Trace flush: every Driver has joined its lane pool by now and the
   // global pool is idle, so the ring buffers are quiescent.
