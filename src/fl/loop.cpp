@@ -1,6 +1,7 @@
 #include "fl/loop.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -72,7 +73,6 @@ SchedulingLoop::SchedulingLoop(Driver& driver, Mechanism& policy)
   active_.resize(cohorts_.size());
   substrate_ = &driver_.substrate();
   realism_ = substrate_->time_varying();
-  idle_.assign(cohorts_.size(), 0);
   dropouts_ = &driver_.registry().counter("substrate.dropouts");
 
   // Both histograms hold virtual-time quantities, so their contents are a
@@ -94,14 +94,13 @@ std::vector<std::size_t> SchedulingLoop::filter_selectable(std::vector<std::size
 }
 
 void SchedulingLoop::seed_queue() {
-  // Availability traces drive themselves: each worker's next transition is
-  // scheduled on pop, so the queue holds at most one substrate event per
-  // worker. A static substrate has no transitions and schedules nothing.
+  // Availability queues nothing: each worker's cursor starts at its first
+  // transition, and park() replays the chain only when a cohort finds
+  // nobody selectable. A static substrate never parks.
   if (realism_) {
-    for (std::size_t i = 0; i < driver_.num_workers(); ++i) {
-      const double t = substrate_->next_transition(i, 0.0);
-      if (t >= 0.0) queue_.schedule(t, kEvSubstrate, i);
-    }
+    toggle_.resize(driver_.num_workers());
+    for (std::size_t i = 0; i < toggle_.size(); ++i)
+      toggle_[i] = substrate_->next_transition(i, 0.0);
   }
   switch (trigger_) {
     case TriggerKind::kRoundBarrier:
@@ -115,12 +114,11 @@ void SchedulingLoop::seed_queue() {
       // its own aggregation deadline) but schedules the READY events in
       // global worker order — the seed schedule of Alg. 1 lines 5-8.
       // Time-varying substrate: only workers selectable at t = 0 join the
-      // first cycle; a cohort with nobody online waits for an availability
-      // event instead.
+      // first cycle; a cohort with nobody online parks instead.
       for (std::size_t j = 0; j < cohorts_.size(); ++j) {
         active_[j] = filter_selectable(cohorts_[j], 0.0);
         if (realism_ && active_[j].empty()) {
-          idle_[j] = 1;
+          park(j, 0.0);
           continue;
         }
         driver_.begin_training(active_[j], server_->global_model(),
@@ -197,7 +195,7 @@ void SchedulingLoop::start_sync_cycle() {
       if (members.empty()) {
         // Nobody online: retry this same round once availability returns.
         --cycle_;
-        idle_[0] = 1;
+        park(0, queue_.now());
         return;
       }
     }
@@ -218,8 +216,8 @@ void SchedulingLoop::start_timer_cycle(std::size_t cohort, double start) {
   if (members.empty()) return;  // cohort retires: no further events for it
   if (realism_) {
     members = filter_selectable(std::move(members), start);
-    if (members.empty()) {  // cohort waits for an availability event
-      idle_[cohort] = 1;
+    if (members.empty()) {
+      park(cohort, start);
       return;
     }
   }
@@ -232,8 +230,8 @@ void SchedulingLoop::start_timer_cycle(std::size_t cohort, double start) {
 
 void SchedulingLoop::start_ready_cycle(std::size_t cohort, double start) {
   active_[cohort] = filter_selectable(cohorts_[cohort], start);
-  if (realism_ && active_[cohort].empty()) {  // wait for an availability event
-    idle_[cohort] = 1;
+  if (realism_ && active_[cohort].empty()) {
+    park(cohort, start);
     return;
   }
   const double t_agg = policy_.aggregate_time(*this, cohort, active_[cohort], start);
@@ -245,9 +243,9 @@ void SchedulingLoop::start_ready_cycle(std::size_t cohort, double start) {
 void SchedulingLoop::start_buffer_cycle(const std::vector<std::size_t>& members, double start) {
   for (auto m : members) {
     if (realism_ && !substrate_->selectable(m, start)) {
-      // The worker sits out until its availability event restarts it
-      // (buffer cohorts are singletons, so the idle slot is the worker's).
-      idle_[cohort_of_[m]] = 1;
+      // The worker sits out until it comes back online (buffer cohorts
+      // are singletons, so parking its cohort parks just the worker).
+      park(cohort_of_[m], start);
       continue;
     }
     const std::vector<std::size_t> solo{m};
@@ -310,24 +308,10 @@ bool SchedulingLoop::on_aggregate(const sim::Event& ev) {
     agg = &kept;
     if (kept.empty()) {
       // Everyone dropped: abandon the aggregation (no commit, no record)
-      // and restart the cycle — offline members idle until their
-      // availability event.
+      // and restart the cycle — if nobody is back online, the cohort parks.
       if (trigger_ == TriggerKind::kGroupReady) server_->reset_ready(ev.actor);
       driver_.release_workers(members);
-      switch (trigger_) {
-        case TriggerKind::kRoundBarrier:
-          start_sync_cycle();
-          break;
-        case TriggerKind::kCohortTimer:
-          start_timer_cycle(ev.actor, ev.time);
-          break;
-        case TriggerKind::kGroupReady:
-          start_ready_cycle(ev.actor, ev.time);
-          break;
-        case TriggerKind::kReadyBuffer:
-          start_buffer_cycle(members, ev.time);
-          break;
-      }
+      restart_cycle(ev.actor, members, ev.time);
       return true;
     }
   }
@@ -368,47 +352,58 @@ bool SchedulingLoop::on_aggregate(const sim::Event& ev) {
 
   // The cohort(s) just received w_t; their next local cycle starts now and
   // overlaps with everyone else's in-flight training.
-  switch (trigger_) {
-    case TriggerKind::kRoundBarrier:
-      start_sync_cycle();
-      break;
-    case TriggerKind::kCohortTimer:
-      start_timer_cycle(ev.actor, ev.time);
-      break;
-    case TriggerKind::kGroupReady:
-      start_ready_cycle(ev.actor, ev.time);
-      break;
-    case TriggerKind::kReadyBuffer:
-      start_buffer_cycle(members, ev.time);
-      break;
-  }
+  restart_cycle(ev.actor, members, ev.time);
   return true;
 }
 
 void SchedulingLoop::on_substrate(const sim::Event& ev) {
-  // Self-perpetuating trace: schedule this worker's next toggle, so the
-  // queue carries at most one substrate event per worker at a time.
-  const double next = substrate_->next_transition(ev.actor, ev.time);
-  if (next >= 0.0) queue_.schedule(next, kEvSubstrate, ev.actor);
-  if (!substrate_->selectable(ev.actor, ev.time)) return;
-  // The worker just came online; wake its cohort if it was stranded with
-  // no selectable member at its last cycle start.
-  const std::size_t j =
-      trigger_ == TriggerKind::kRoundBarrier ? 0 : cohort_of_[ev.actor];
-  if (!idle_[j]) return;
-  idle_[j] = 0;
+  // A parked cohort's wake-up: one of the workers park() scanned just came
+  // online, so the cohort's cycle restarts (a buffer cohort is a singleton,
+  // so its worker restarts).
+  restart_cycle(ev.actor, cohorts_[ev.actor], ev.time);
+}
+
+void SchedulingLoop::park(std::size_t cohort, double time) {
+  obs::Span span("loop", "loop.park");
+  // Whose coming online ends the wait: any worker for a round barrier, the
+  // cohort's members otherwise. Depletion cannot change while the cohort
+  // is parked (charges hit only aggregated members, and cohorts partition
+  // the workers), so a depleted worker never wakes it.
+  double wake = std::numeric_limits<double>::infinity();
+  const auto scan = [&](std::size_t m) {
+    double& cursor = toggle_[m];
+    if (cursor < 0.0 || substrate_->depleted(m)) return;
+    // Replay the chain from the cursor instead of asking for
+    // next_transition(m, time): a fresh query can land an ulp away from
+    // the chain's transition times.
+    while (cursor <= time) cursor = substrate_->next_transition(m, cursor);
+    double t = cursor;
+    while (!substrate_->available(m, t)) t = substrate_->next_transition(m, t);
+    wake = std::min(wake, t);
+  };
+  if (trigger_ == TriggerKind::kRoundBarrier) {
+    for (std::size_t m = 0; m < toggle_.size(); ++m) scan(m);
+  } else {
+    for (auto m : cohorts_[cohort]) scan(m);
+  }
+  // No wake-up when nobody can come back: the cohort stays parked.
+  if (wake < std::numeric_limits<double>::infinity()) queue_.schedule(wake, kEvSubstrate, cohort);
+}
+
+void SchedulingLoop::restart_cycle(std::size_t cohort, const std::vector<std::size_t>& workers,
+                                   double time) {
   switch (trigger_) {
     case TriggerKind::kRoundBarrier:
       start_sync_cycle();
       break;
     case TriggerKind::kCohortTimer:
-      start_timer_cycle(j, ev.time);
+      start_timer_cycle(cohort, time);
       break;
     case TriggerKind::kGroupReady:
-      start_ready_cycle(j, ev.time);
+      start_ready_cycle(cohort, time);
       break;
     case TriggerKind::kReadyBuffer:
-      start_buffer_cycle({ev.actor}, ev.time);
+      start_buffer_cycle(workers, time);
       break;
   }
 }

@@ -171,7 +171,7 @@ class SchedulingLoop {
  private:
   static constexpr int kEvReady = 0;      ///< a worker finished local training
   static constexpr int kEvAggregate = 1;  ///< an aggregation upload completes
-  static constexpr int kEvSubstrate = 2;  ///< a worker's availability toggles
+  static constexpr int kEvSubstrate = 2;  ///< a parked cohort wakes (actor = cohort)
 
   void seed_queue();
   // Deterministic per-(round, cohort) subsampling down to
@@ -185,9 +185,16 @@ class SchedulingLoop {
   void start_timer_cycle(std::size_t cohort, double start);
   void start_ready_cycle(std::size_t cohort, double start);
   void start_buffer_cycle(const std::vector<std::size_t>& members, double start);
+  // Starts `cohort`'s next cycle at `time` per the trigger kind;
+  // kReadyBuffer restarts `workers` (a flushed buffer or a parked worker).
+  void restart_cycle(std::size_t cohort, const std::vector<std::size_t>& workers, double time);
   void on_ready(const sim::Event& ev);
   bool on_aggregate(const sim::Event& ev);  ///< false = stop the run
   void on_substrate(const sim::Event& ev);
+  // Parks `cohort`, whose cycle start at virtual `time` found nobody
+  // selectable, and schedules its wake-up at the first availability
+  // transition after `time` that brings one of its workers online.
+  void park(std::size_t cohort, double time);
   // Members of `candidates` that are online and not energy-depleted at
   // virtual `time`; returns `candidates` untouched on a static substrate.
   std::vector<std::size_t> filter_selectable(std::vector<std::size_t> candidates,
@@ -217,10 +224,10 @@ class SchedulingLoop {
   /// classic event sequence exactly.
   sim::Substrate* substrate_ = nullptr;
   bool realism_ = false;
-  /// Cohorts whose last cycle start found no selectable member: they wait
-  /// for a kEvSubstrate availability event instead of spinning or retiring
-  /// (kRoundBarrier uses slot 0; kReadyBuffer's cohorts are singletons).
-  std::vector<char> idle_;
+  /// Per-worker availability cursor: the latest point of the worker's
+  /// transition chain next_transition(i, 0), next_transition(i, that), ...
+  /// that park() has replayed (negative: the worker never transitions).
+  std::vector<double> toggle_;
   /// Observability instruments, resolved once from the driver's registry
   /// (updates are then lock-free). Both record *virtual*-time quantities,
   /// so their contents are deterministic for a given scenario.

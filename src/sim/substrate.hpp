@@ -21,8 +21,8 @@ struct SubstrateOptions {
   /// Diurnal availability generator: each worker follows a seeded on/off
   /// square wave (period `churn_period`, on for `churn_on_fraction` of it,
   /// random phase). Workers that go offline mid-round drop out of the
-  /// aggregation; cohorts emptied at cycle start wait for an availability
-  /// event instead of burning rounds.
+  /// aggregation; cohorts emptied at cycle start park until one of their
+  /// workers comes back online instead of burning rounds.
   bool churn = false;
   double churn_period = 400.0;     ///< seconds per on/off cycle
   double churn_on_fraction = 0.7;  ///< fraction of the period a worker is on
@@ -134,9 +134,10 @@ class Substrate {
   [[nodiscard]] virtual std::size_t depleted_count() const = 0;
 
   // -- scheduling-loop guards -------------------------------------------
-  /// True when the scheduling loop must filter membership and process
-  /// availability events (any time-varying generator active). The static
-  /// substrate returns false, keeping the loop on its classic path.
+  /// True when the scheduling loop must filter membership and park cohorts
+  /// that find nobody selectable until availability brings one back (any
+  /// time-varying generator active). The static substrate returns false,
+  /// keeping the loop on its classic path.
   [[nodiscard]] virtual bool time_varying() const = 0;
 
   /// Online and not depleted: may join a cohort cycle starting at `time`.

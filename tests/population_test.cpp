@@ -66,11 +66,13 @@ scenario::ScenarioSpec pop_spec(std::size_t workers, std::size_t shards,
   return spec;
 }
 
-std::string run_digest(const scenario::ScenarioSpec& spec) {
+fl::Metrics run_metrics(const scenario::ScenarioSpec& spec) {
   spec.validate();
   auto built = scenario::build(spec);
-  return built.mechanisms.at(0)->run(built.cfg).digest();
+  return built.mechanisms.at(0)->run(built.cfg);
 }
+
+std::string run_digest(const scenario::ScenarioSpec& spec) { return run_metrics(spec).digest(); }
 
 // ---- must stay first: VmHWM ceiling at N = 1e5 on the lazy layout ------
 
@@ -83,6 +85,35 @@ TEST(Population, LazyRunAt100kStaysUnderRssCeiling) {
   // Lazy state keeps live replicas at O(pool) regardless of N; 1e5 eager
   // workers would hold ~100k private RNG engines (~2.5 KiB each) alone.
   EXPECT_LT(peak, 200.0) << "peak RSS " << peak << " MiB at N=1e5 (lazy pool should bound this)";
+}
+
+// ---- churn at scale: the queue stays cohort-deep ------------------------
+
+TEST(Population, ChurnAt100kQueuesNoPerWorkerAvailabilityEvents) {
+  // Availability only matters while a cohort is parked with nobody
+  // selectable, so a churn run must not keep one pending transition event
+  // per worker: the queue holds the cohort's own events. The digest is the
+  // x86-64 golden captured on the event-per-worker protocol.
+  std::string reference;
+  for (const char* queue : {"heap", "calendar"}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      scenario::ScenarioSpec spec = pop_spec(100000, 100, "lazy", queue, threads, 32, "airfedavg");
+      spec.substrate.kind = "churn";
+      const fl::Metrics m = run_metrics(spec);
+      if (reference.empty()) reference = m.digest();
+      EXPECT_EQ(m.digest(), reference) << queue << ", threads=" << threads;
+#if defined(__x86_64__)
+      EXPECT_EQ(m.digest(), "0f5e98bfc0ea619e") << queue << ", threads=" << threads;
+#endif
+      const obs::MetricsSnapshot::HistogramData* pending = nullptr;
+      for (const auto& h : m.obs_snapshot().histograms)
+        if (h.name == "eventq.pending") pending = &h;
+      ASSERT_NE(pending, nullptr);
+      ASSERT_GT(pending->count, 0u);
+      EXPECT_LE(pending->sum / static_cast<double>(pending->count), 2.0)
+          << queue << ", threads=" << threads;
+    }
+  }
 }
 
 // ---- digest identity: eager vs lazy, backends, lane counts -------------

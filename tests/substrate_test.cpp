@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -329,9 +330,18 @@ std::vector<EngineKnobs> engine_grid() {
   return grid;
 }
 
+/// Run shape on top of the fixture's defaults.
+struct Shape {
+  std::size_t workers = 12;
+  double base_seconds = 6.0;  ///< sim::ClusterModel base local time (x kappa in [1, 10])
+  std::size_t max_rounds = 25;
+};
+
 std::string run_digest(const MechanismCase& mc, const SubstrateOptions& opts,
-                       const EngineKnobs& k) {
-  Fixture f;
+                       const EngineKnobs& k, const Shape& shape = {}) {
+  Fixture f(7, shape.workers);
+  f.cfg.cluster.base_seconds = shape.base_seconds;
+  f.cfg.max_rounds = shape.max_rounds;
   f.cfg.substrate = opts;
   f.cfg.threads = k.threads;
   f.cfg.lazy_workers = k.lazy;
@@ -362,8 +372,10 @@ TEST(SubstrateDigests, StaticSubstrateReproducesPreRefactorGoldens) {
 
 // Realism generators must be deterministic per seed: whatever the lane
 // count, worker-state backend, or event-queue backend, the digest depends
-// only on (scenario, seed). No pinned hex here — realism digests are new
-// in this PR and ISA-dependent; the contract is invariance.
+// only on (scenario, seed). The churn and all kinds are also pinned to
+// x86-64 goldens captured while availability still ran as one queued
+// transition event per worker: they prove that waking parked cohorts from
+// the availability trace replays that schedule bit for bit.
 TEST(SubstrateDigests, RealismDigestsAreEngineKnobInvariant) {
   SubstrateOptions churn;
   churn.churn = true;
@@ -388,16 +400,81 @@ TEST(SubstrateDigests, RealismDigestsAreEngineKnobInvariant) {
 
   const std::vector<std::pair<const char*, SubstrateOptions>> kinds = {
       {"churn", churn}, {"energy", energy}, {"csi_error", csi}, {"all", all}};
+  const std::map<std::string, std::string> goldens = {
+      {"fedavg/churn", "a61b0a24242ec204"},    {"fedavg/all", "a61b0a24242ec204"},
+      {"airfedavg/churn", "277ea0d28939c290"}, {"airfedavg/all", "341b4aebb93554e3"},
+      {"dynamic/churn", "02e745386dc147b4"},   {"dynamic/all", "ee57585331fa63ac"},
+      {"tifl/churn", "022d02344b092db3"},      {"tifl/all", "022d02344b092db3"},
+      {"fedasync/churn", "97936b2679dc1393"},  {"fedasync/all", "97936b2679dc1393"},
+      {"airfedga/churn", "baf66c4425971751"},  {"airfedga/all", "5063ebe919091902"},
+  };
 
   for (const auto& mc : mechanism_cases()) {
     for (const auto& [kind, opts] : kinds) {
+      const std::string key = std::string(mc.label) + "/" + kind;
       std::string reference;
       for (const auto& k : engine_grid()) {
         const std::string digest = run_digest(mc, opts, k);
         if (reference.empty()) reference = digest;
-        EXPECT_EQ(digest, reference) << mc.label << " / " << kind << " @" << k.threads
-                                     << " lanes, lazy=" << k.lazy;
+        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes, lazy=" << k.lazy;
       }
+#if defined(__x86_64__)
+      const auto golden = goldens.find(key);
+      if (golden != goldens.end()) {
+        EXPECT_EQ(reference, golden->second) << key;
+      }
+#endif
+    }
+  }
+}
+
+// Wake-heavy churn: 24 fast workers (1-10 s local times), each online for
+// 6 s of every 60 s, so cohorts find nobody selectable at cycle start and
+// park many times per run, and every trigger family (semi-async's buffer
+// included) exercises its park/wake path. The churn+energy kind adds a
+// budget small enough that whole cohorts deplete and park with no wake-up
+// left. Goldens as above (x86-64, event-per-worker protocol).
+TEST(SubstrateDigests, WakeHeavyChurnIsPinnedAndEngineKnobInvariant) {
+  SubstrateOptions churn;
+  churn.churn = true;
+  churn.churn_period = 60.0;
+  churn.churn_on_fraction = 0.1;
+
+  SubstrateOptions churn_energy = churn;
+  churn_energy.energy = true;
+  churn_energy.energy_budget = 1.5;
+  churn_energy.energy_oma_upload = 1.0;
+
+  const Shape wake_heavy{.workers = 24, .base_seconds = 1.0, .max_rounds = 100};
+  const auto semiasync = [](const fl::FLConfig& c) {
+    return fl::SemiAsync(fl::MechanismConfig{.aggregate_count = 3}).run(c);
+  };
+  std::vector<MechanismCase> cases = mechanism_cases();
+  cases.push_back({"semiasync", "", semiasync});
+  const std::map<std::string, std::string> goldens = {
+      {"fedavg/churn", "31f65aad9ebd92e6"},    {"fedavg/churn+energy", "6c71398aafa97c5c"},
+      {"airfedavg/churn", "a577c9e1d5d542a1"}, {"airfedavg/churn+energy", "fdf548855d30dea3"},
+      {"dynamic/churn", "a0b55fee817d3c4b"},   {"dynamic/churn+energy", "cd5f0156343613d0"},
+      {"tifl/churn", "21feaff400abf474"},      {"tifl/churn+energy", "71f21fdfde2fe6d2"},
+      {"fedasync/churn", "1495d398cc8ed3a5"},  {"fedasync/churn+energy", "1495d398cc8ed3a5"},
+      {"airfedga/churn", "8b084c505f829a91"},  {"airfedga/churn+energy", "e13b6a228f38fa8f"},
+      {"semiasync/churn", "899353cbd34b2065"}, {"semiasync/churn+energy", "238a5fad669d3bc6"},
+  };
+  const std::vector<std::pair<const char*, SubstrateOptions>> kinds = {
+      {"churn", churn}, {"churn+energy", churn_energy}};
+
+  for (const auto& mc : cases) {
+    for (const auto& [kind, opts] : kinds) {
+      const std::string key = std::string(mc.label) + "/" + kind;
+      std::string reference;
+      for (const auto& k : engine_grid()) {
+        const std::string digest = run_digest(mc, opts, k, wake_heavy);
+        if (reference.empty()) reference = digest;
+        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes, lazy=" << k.lazy;
+      }
+#if defined(__x86_64__)
+      EXPECT_EQ(reference, goldens.at(key)) << key;
+#endif
     }
   }
 }
