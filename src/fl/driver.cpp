@@ -79,20 +79,10 @@ Driver::Driver(const FLConfig& cfg)
   csi_hist_ = &registry_.histogram(
       "substrate.csi_err", {0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 4.0});
   model_dim_ = scratch_.num_parameters();
-  lazy_ = cfg.lazy_workers;
-
-  if (lazy_) {
-    // Unselected workers are pure descriptors: a slot binding and a replay
-    // counter. Worker instances materialize on lease from the pool below.
-    bound_.assign(population_, kNoSlot);
-    cycles_.assign(population_, 0);
-  } else {
-    util::Rng root(cfg.seed);
-    workers_.reserve(population_);
-    const std::size_t n_shards = shards_.num_shards();
-    for (std::size_t i = 0; i < population_; ++i)
-      workers_.emplace_back(i, *cfg.train, shards_.shard(i % n_shards), root.fork(1000 + i));
-  }
+  // Every worker starts as a pure descriptor: a slot binding and a replay
+  // counter. Worker instances materialize on lease from the pool.
+  bound_.assign(population_, kNoSlot);
+  cycles_.assign(population_, 0);
 
   // Execution engine: lanes_ concurrent training slots. A single lane runs
   // tasks inline on the simulation thread (no pool threads), which is the
@@ -100,7 +90,7 @@ Driver::Driver(const FLConfig& cfg)
   // pool. At most one leased scratch model is live per lane, so memory
   // stays O(lanes), not O(workers).
   lanes_ = resolve_lanes(cfg.threads);
-  // The lazy pool recycles down to this many slots: enough that warm
+  // The pool recycles down to this many slots: enough that warm
   // reuse covers back-to-back cohorts (RNG replay makes the recycling
   // pattern digest-neutral, so a machine-dependent lane count here is
   // safe).
@@ -109,7 +99,6 @@ Driver::Driver(const FLConfig& cfg)
   scratch_free_.reserve(n_scratch);
   for (std::size_t i = 0; i < n_scratch; ++i)
     scratch_free_.push_back(std::make_unique<ml::Model>(cfg.model_factory()));
-  pending_.resize(population_);
   pool_ = std::make_unique<util::ThreadPool>(lanes_ > 1 ? lanes_ : 0);
 
   // Fixed evaluation subset: the first eval_samples test points (the test
@@ -125,10 +114,10 @@ Driver::Driver(const FLConfig& cfg)
 Driver::~Driver() {
   // Collect any jobs a mechanism left in flight when it stopped early, so
   // no task outlives the state it references (the pool joins right after).
-  for (auto& f : pending_) {
-    if (f.valid()) {
+  for (auto& s : slots_) {
+    if (s.pending.valid()) {
       try {
-        f.get();
+        s.pending.get();
       } catch (...) {  // mechanism already returned; nothing to rethrow into
       }
     }
@@ -154,88 +143,78 @@ void Driver::release_scratch(std::unique_ptr<ml::Model> m) {
 }
 
 const Worker& Driver::worker(std::size_t i) const {
-  if (!lazy_) return workers_.at(i);
   if (i >= population_) throw std::out_of_range("Driver::worker: id out of range");
   const std::size_t slot = bound_[i];
-  if (slot == kNoSlot)
-    throw std::logic_error("Driver::worker: worker not materialized (lazy worker state)");
-  return *pool_slots_[slot];
+  if (slot == kNoSlot) throw std::logic_error("Driver::worker: worker not materialized");
+  return *slots_[slot].worker;
 }
 
 Worker& Driver::worker(std::size_t i) {
   return const_cast<Worker&>(std::as_const(*this).worker(i));
 }
 
-std::size_t Driver::worker_pool_size() const {
-  return lazy_ ? pool_slots_.size() : workers_.size();
-}
-
 bool Driver::worker_materialized(std::size_t i) const {
   if (i >= population_) throw std::out_of_range("Driver::worker_materialized: id out of range");
-  return !lazy_ || bound_[i] != kNoSlot;
+  return bound_[i] != kNoSlot;
 }
 
 util::Rng Driver::worker_rng(std::size_t i) const {
-  // Identical to the eager construction loop: fork() is const on the
-  // parent, so Rng(seed).fork(1000 + i) reproduces worker i's private
-  // stream at any time without the other workers existing.
+  // fork() is const on the parent, so Rng(seed).fork(1000 + i) reproduces
+  // worker i's private stream at any time without the other workers
+  // existing.
   return util::Rng(cfg_->seed).fork(1000 + i);
 }
 
-Worker& Driver::lease_worker(std::size_t i) {
+Driver::Slot& Driver::lease_slot(std::size_t i) {
   std::size_t slot = bound_.at(i);
   if (slot != kNoSlot) {
     // Warm: state survived since the last release (or the worker is still
     // leased in an ongoing cycle); no replay — the engine state is live.
-    if (!slot_leased_[slot]) {
+    if (!slots_[slot].leased) {
       const auto it = std::find(released_.begin(), released_.end(), slot);
       if (it == released_.end())
-        throw std::logic_error("Driver::lease_worker: bound slot missing from release list");
+        throw std::logic_error("Driver::lease_slot: bound slot missing from release list");
       released_.erase(it);
-      slot_leased_[slot] = 1;
+      slots_[slot].leased = true;
     }
     warm_hits_->add();
-    return *pool_slots_[slot];
+    return slots_[slot];
   }
-  if (pool_slots_.size() >= pool_target_ && !released_.empty()) {
+  const auto shard = shards_.shard(i % shards_.num_shards());
+  if (slots_.size() >= pool_target_ && !released_.empty()) {
     // Recycle the oldest released slot; its previous owner goes cold and
     // will replay its RNG stream if selected again.
     slot = released_.front();
     released_.erase(released_.begin());
-    bound_[slot_owner_[slot]] = kNoSlot;
+    Slot& s = slots_[slot];
+    bound_[s.owner] = kNoSlot;
+    s.worker->rebind(i, shard, worker_rng(i));
+    s.owner = i;
+    s.leased = true;
   } else {
     // Below target, or every slot is leased (a cohort larger than the
-    // pool): grow. Leased Worker addresses stay stable (unique_ptr slots).
-    slot = pool_slots_.size();
-    pool_slots_.emplace_back();
-    slot_leased_.push_back(0);
-    slot_owner_.push_back(kNoSlot);
+    // pool): grow.
+    slot = slots_.size();
+    slots_.push_back({std::make_unique<Worker>(i, *cfg_->train, shard, worker_rng(i)), i});
   }
-  const auto shard = shards_.shard(i % shards_.num_shards());
-  if (pool_slots_[slot] == nullptr) {
-    pool_slots_[slot] = std::make_unique<Worker>(i, *cfg_->train, shard, worker_rng(i));
-  } else {
-    pool_slots_[slot]->rebind(i, shard, worker_rng(i));
-  }
-  // Reconstruct the exact RNG engine state of the eager layout: each of
-  // the worker's completed local updates consumed local_steps batch draws.
-  pool_slots_[slot]->replay_rng(cycles_[i] * cfg_->local_steps, cfg_->batch_size);
+  // Each of the worker's completed local updates consumed local_steps batch
+  // draws: replay them to reach the engine state its stream would have had
+  // if it had never lost its slot.
+  slots_[slot].worker->replay_rng(cycles_[i] * cfg_->local_steps, cfg_->batch_size);
   cold_replays_->add();
-  slot_owner_[slot] = i;
-  slot_leased_[slot] = 1;
   bound_[i] = slot;
-  return *pool_slots_[slot];
+  return slots_[slot];
 }
 
 void Driver::release_workers(const std::vector<std::size_t>& members) {
-  if (!lazy_) return;
   for (auto m : members) {
     const std::size_t slot = bound_.at(m);
     if (slot == kNoSlot)
       throw std::logic_error("Driver::release_workers: worker was never materialized");
-    if (!slot_leased_[slot]) continue;  // already released (repeat member)
-    if (pending_[m].valid()) continue;  // retraining already; keep the lease
-    slot_leased_[slot] = 0;
+    Slot& s = slots_[slot];
+    if (!s.leased) continue;          // already released (repeat member)
+    if (s.pending.valid()) continue;  // retraining already; keep the lease
+    s.leased = false;
     released_.push_back(slot);
   }
 }
@@ -250,17 +229,19 @@ void Driver::begin_training(const std::vector<std::size_t>& members,
   const std::size_t steps = cfg_->local_steps;
   const std::size_t batch = cfg_->batch_size;
   for (auto m : members) {
-    if (pending_.at(m).valid())
+    const std::size_t bound = bound_.at(m);
+    if (bound != kNoSlot && slots_[bound].pending.valid())
       throw std::logic_error("Driver::begin_training: worker already has a job in flight");
-    // Lazy mode: materialize (or warm-reuse) the worker now, on the
-    // simulation thread, and count the update it is about to run so a
-    // future rematerialization replays the right number of batch draws.
-    Worker& w = lazy_ ? lease_worker(m) : workers_.at(m);
-    if (lazy_) ++cycles_[m];
+    // Materialize (or warm-reuse) the worker now, on the simulation thread,
+    // and count the update it is about to run so a future
+    // rematerialization replays the right number of batch draws.
+    Slot& s = lease_slot(m);
+    ++cycles_[m];
+    Worker& w = *s.worker;
     // The batch's virtual aggregation deadline is the scheduling key:
     // pending jobs start earliest-deadline-first, so lanes go to the group
     // whose barrier the simulation will reach next.
-    pending_[m] = pool_->submit_prioritized(deadline, [this, &w, snapshot, lr, steps, batch] {
+    s.pending = pool_->submit_prioritized(deadline, [this, &w, snapshot, lr, steps, batch] {
       // On a pool lane, the worker-thread flag already pins the ML kernels
       // underneath to their serial fallback (nesting rule: no deadlock, no
       // oversubscription). Inline 1-lane training instead keeps the global
@@ -286,8 +267,8 @@ void Driver::finish_training(const std::vector<std::size_t>& members) {
   obs::Span span("driver", "driver.barrier");
   const auto t0 = std::chrono::steady_clock::now();
   for (auto m : members) {
-    auto& f = pending_.at(m);
-    if (f.valid()) f.get();
+    const std::size_t slot = bound_.at(m);
+    if (slot != kNoSlot && slots_[slot].pending.valid()) slots_[slot].pending.get();
   }
   engine_stats_.barrier_seconds += util::wall_seconds_since(t0);
   ++engine_stats_.barriers;

@@ -35,7 +35,7 @@
 namespace airfedga::fl {
 
 /// Everything a federated training run needs (paper §VI-A system setup).
-/// The same config drives all five mechanisms so comparisons differ only
+/// The same config drives all seven mechanisms so comparisons differ only
 /// in the mechanism itself.
 struct FLConfig {
   // Problem
@@ -56,15 +56,6 @@ struct FLConfig {
   /// workers share a bounded set of shard views. Must be 0 or >=
   /// partition.size().
   std::size_t population = 0;
-
-  /// Lazy worker state: model replicas and batch buffers are materialized
-  /// only while a worker is selected into a cohort, drawn from a pool
-  /// sized by the lane budget; unselected workers are compact descriptors
-  /// (pending slot, RNG replay counter, shard handle). Selection and
-  /// results are bit-identical to the eager layout — a rematerialized
-  /// worker replays its private RNG stream to the exact engine state it
-  /// would have had. Required shape for populations of 10^5 and beyond.
-  bool lazy_workers = false;
 
   /// Per-round cohort size for round-barrier and timer mechanisms: each
   /// cycle trains a deterministic random subset of this size instead of
@@ -136,8 +127,17 @@ class RunCancelled : public std::runtime_error {
 };
 
 /// Shared runtime for one mechanism run: workers, scratch models, channel
-/// instances, the evaluation subset, and the common bookkeeping all five
+/// instances, the evaluation subset, and the common bookkeeping all seven
 /// mechanisms need. Mechanisms own a Driver for the duration of `run`.
+///
+/// Worker state: a Worker (local model, batch buffers, RNG engine) exists
+/// only while it is bound to a slot of a recycled pool; every other worker
+/// is a compact descriptor (slot binding, completed-update counter, shard
+/// handle). Training leases a slot, and a worker that lost its slot to
+/// recycling replays its private RNG stream on the next lease, so results
+/// never depend on the recycling pattern. A cohort larger than the pool
+/// grows it, so a train-all run holds its whole population after the
+/// first cycle.
 ///
 /// Execution engine: the driver owns a private thread pool with
 /// `training_lanes()` lanes. Mechanisms hand it batches of workers to train
@@ -179,37 +179,32 @@ class Driver {
   /// Resolved lane count (cfg.threads with 0 mapped to the hardware).
   [[nodiscard]] std::size_t training_lanes() const { return lanes_; }
 
-  /// Worker `i` (bounds-checked; simulation-thread access only). With
-  /// lazy worker state, only materialized workers are addressable: the
-  /// call throws std::logic_error for an unmaterialized id, which turns a
-  /// would-be silent misuse (touching state that does not exist) into an
-  /// immediate failure. Mechanisms only ever touch cohort members between
-  /// training and release, which are materialized by construction.
+  /// Worker `i` (bounds-checked; simulation-thread access only). Only
+  /// materialized workers are addressable: the call throws
+  /// std::logic_error for an unmaterialized id, which turns a would-be
+  /// silent misuse (touching state that does not exist) into an immediate
+  /// failure. Mechanisms only ever touch cohort members between training
+  /// and release, which are materialized by construction.
   Worker& worker(std::size_t i);
 
   /// Const counterpart of worker(i), same materialization contract.
   [[nodiscard]] const Worker& worker(std::size_t i) const;
 
-  /// True when FLConfig::lazy_workers is on for this run.
-  [[nodiscard]] bool lazy_workers() const { return lazy_; }
+  /// Materialized Worker instances currently allocated: pool slots,
+  /// bounded by the pool target unless a single cohort exceeds it.
+  [[nodiscard]] std::size_t worker_pool_size() const { return slots_.size(); }
 
-  /// Materialized Worker instances currently allocated (lazy mode: pool
-  /// slots, bounded by the pool target unless a single cohort exceeds it;
-  /// eager mode: the whole population).
-  [[nodiscard]] std::size_t worker_pool_size() const;
-
-  /// Slot count the lazy pool recycles down to (max of twice the lane
-  /// budget, twice the configured cohort size, and a small floor).
+  /// Slot count the pool recycles down to (max of twice the lane budget,
+  /// twice the configured cohort size, and a small floor).
   [[nodiscard]] std::size_t worker_pool_target() const { return pool_target_; }
 
-  /// True when worker `i` currently has materialized state (always true
-  /// in eager mode).
+  /// True when worker `i` is currently bound to a pool slot.
   [[nodiscard]] bool worker_materialized(std::size_t i) const;
 
   /// Returns cohort members' pool slots to the recycle list after an
-  /// aggregation consumed their local models (no-op in eager mode).
-  /// Released state stays bound — re-selecting the same worker before its
-  /// slot is recycled reuses it warm, with no RNG replay.
+  /// aggregation consumed their local models. Released state stays bound —
+  /// re-selecting the same worker before its slot is recycled reuses it
+  /// warm, with no RNG replay.
   void release_workers(const std::vector<std::size_t>& members);
 
   /// The evaluation scratch model (simulation-thread access only).
@@ -320,13 +315,27 @@ class Driver {
   void release_scratch(std::unique_ptr<ml::Model> m);
   ml::EvalResult evaluate_sharded(std::span<const float> model, std::size_t n,
                                   std::size_t n_batches);
-  Worker& lease_worker(std::size_t i);
   util::Rng worker_rng(std::size_t i) const;
+
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// One pool slot: the Worker bound to it, its owner, whether a cohort
+  /// currently holds it, and the owner's in-flight training job. The
+  /// Worker lives behind a unique_ptr so its address stays stable while
+  /// the slot vector grows (in-flight jobs reference it, and async
+  /// mechanisms hold leases across later cohort starts).
+  struct Slot {
+    std::unique_ptr<Worker> worker;
+    std::size_t owner = kNoSlot;
+    bool leased = true;
+    std::future<void> pending;
+  };
+
+  Slot& lease_slot(std::size_t i);
 
   const FLConfig* cfg_;
   std::size_t population_ = 0;
   data::ShardIndex shards_;          ///< shared immutable views; workers hold spans
-  std::vector<Worker> workers_;      ///< eager mode: the whole population
   ml::Model scratch_;                ///< evaluation scratch (simulation thread only)
   std::size_t model_dim_ = 0;
   data::DataStats stats_;
@@ -336,27 +345,20 @@ class Driver {
   ml::Tensor eval_xs_;
   std::vector<int> eval_ys_;
 
-  // Lazy worker pool. Workers not currently selected exist only as
-  // descriptors: a bound_[] slot reference (npos when cold), a completed-
-  // update counter for RNG replay, and the shared shard views above.
-  // unique_ptr slots keep leased Worker addresses stable while the pool
-  // grows (async mechanisms hold leases across later cohort starts).
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  bool lazy_ = false;
+  // Worker pool. Workers not bound to a slot exist only as descriptors: a
+  // bound_[] slot reference (kNoSlot when cold), a completed-update counter
+  // for RNG replay, and the shared shard views above.
   std::size_t pool_target_ = 0;
-  std::vector<std::unique_ptr<Worker>> pool_slots_;
-  std::vector<char> slot_leased_;        ///< [slot] worker is in an active cohort
-  std::vector<std::size_t> slot_owner_;  ///< [slot] bound worker id
+  std::vector<Slot> slots_;
   std::vector<std::size_t> bound_;       ///< [worker] slot or kNoSlot
   std::vector<std::size_t> released_;    ///< FIFO of recyclable (bound, unleased) slots
   std::vector<std::size_t> cycles_;      ///< [worker] completed local updates (RNG replay)
 
   // Execution engine state. One pre-allocated scratch model per lane,
-  // leased to training tasks; `pending_[i]` is worker i's in-flight job.
+  // leased to training tasks.
   std::size_t lanes_ = 1;
   std::mutex scratch_mutex_;
   std::vector<std::unique_ptr<ml::Model>> scratch_free_;
-  std::vector<std::future<void>> pending_;
   EngineStats engine_stats_;
   obs::Registry registry_;
   obs::Counter* warm_hits_ = nullptr;     ///< cached &registry_["pool.warm_hits"]

@@ -345,8 +345,7 @@ bool SchedulingLoop::on_aggregate(const sim::Event& ev) {
 
   driver_.maybe_record(metrics_, round, ev.time, energy_, tau, server_->global_model());
   // The members' local models are consumed; hand their pool slots back for
-  // recycling (no-op for eager worker state). Restart paths below may
-  // re-lease the same workers warm.
+  // recycling. Restart paths below may re-lease the same workers warm.
   driver_.release_workers(members);
   if (server_->round() >= cfg.max_rounds || driver_.should_stop(metrics_)) return false;
 

@@ -68,11 +68,11 @@ class Worker {
   void rebind(std::size_t id, std::span<const std::size_t> shard, util::Rng rng);
 
   /// Replays `draws` batch samplings without training, advancing the RNG
-  /// engine exactly as `draws` SGD steps at this batch size would. Lazy
-  /// rematerialization uses this to reconstruct the precise engine state a
-  /// previously-released worker had, keeping lazy runs bit-identical to
-  /// eager ones. No-op when sampling is degenerate (full-shard batches
-  /// consume no randomness).
+  /// engine exactly as `draws` SGD steps at this batch size would. The
+  /// Driver's worker pool uses this to reconstruct the precise engine
+  /// state a recycled worker had, so results never depend on which
+  /// workers kept their slots. No-op when sampling is degenerate
+  /// (full-shard batches consume no randomness).
   void replay_rng(std::size_t draws, std::size_t batch_size);
 
  private:

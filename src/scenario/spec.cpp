@@ -737,7 +737,6 @@ BuiltScenario build(const ScenarioSpec& spec) {
   cfg.seed = spec.seed;
   cfg.threads = spec.threads;
   cfg.cooperative_gemm = spec.cooperative_gemm;
-  cfg.lazy_workers = spec.worker_state == "lazy";
   cfg.event_queue =
       spec.event_queue == "calendar" ? sim::QueueBackend::kCalendar : sim::QueueBackend::kBinaryHeap;
   cfg.cohort_size = spec.cohort_size;

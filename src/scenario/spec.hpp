@@ -135,7 +135,9 @@ struct ScenarioSpec {
   std::uint64_t seed = 42;
   std::size_t threads = 0;       ///< training lanes (0 = hardware concurrency)
   bool cooperative_gemm = true;  ///< idle lanes donate themselves to large GEMMs
-  std::string worker_state = "eager";  ///< "eager" | "lazy" (pooled, for huge populations)
+  /// "eager" | "lazy". Selects nothing: every run uses the pooled worker
+  /// layout. Kept so existing specs parse and their config_hash holds.
+  std::string worker_state = "eager";
   std::string event_queue = "heap";    ///< "heap" | "calendar" event-queue backend
   std::size_t cohort_size = 0;  ///< per-round training-cohort subsample (0 = all selected)
   bool trace = false;           ///< collect obs spans/metrics (read-only: digests unchanged)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "fl/driver.hpp"
@@ -64,8 +65,7 @@ TEST(Driver, PowerForGroupRequiresTrainedMembers) {
   EXPECT_THROW(d.power_for_group({0, 1}, 1), std::logic_error);
 
   const auto w = d.initial_model();
-  d.worker(0).local_update(d.scratch(), w, 0.1f, 1, 0);
-  d.worker(1).local_update(d.scratch(), w, 0.1f, 1, 0);
+  d.train_workers({0, 1}, w);
   const auto pc = d.power_for_group({0, 1}, 1);
   EXPECT_GT(pc.sigma, 0.0);
   EXPECT_GT(pc.eta, 0.0);
@@ -76,7 +76,7 @@ TEST(Driver, AircompAggregateAccumulatesEnergyWithinCaps) {
   Driver d(env.cfg);
   const auto w = d.initial_model();
   std::vector<std::size_t> members = {0, 1, 2};
-  for (auto m : members) d.worker(m).local_update(d.scratch(), w, 0.1f, 1, 0);
+  d.train_workers(members, w);
 
   double energy = 0.0;
   const auto w_next = d.aircomp_aggregate(members, w, 1, energy);
@@ -91,7 +91,7 @@ TEST(Driver, OmaAggregateIsExactWeightedAverage) {
   const auto w = d.initial_model();
   std::vector<std::size_t> everyone(d.num_workers());
   std::iota(everyone.begin(), everyone.end(), std::size_t{0});
-  for (auto m : everyone) d.worker(m).local_update(d.scratch(), w, 0.1f, 1, 0);
+  d.train_workers(everyone, w);
 
   const auto agg = d.oma_aggregate(everyone, w);
   // Full participation: result = sum_i alpha_i w_i exactly.
@@ -102,6 +102,39 @@ TEST(Driver, OmaAggregateIsExactWeightedAverage) {
     for (std::size_t i = 0; i < wm.size(); ++i) expect[i] += alpha * wm[i];
   }
   for (std::size_t i = 0; i < agg.size(); ++i) EXPECT_NEAR(agg[i], expect[i], 1e-5);
+}
+
+TEST(Driver, RecycledWorkerReplaysItsRngStream) {
+  // Worker 0 trains three cycles, loses its pool slot to 20 other workers,
+  // and trains once more: the rematerialized worker must continue its
+  // private RNG stream exactly where a never-recycled worker would be.
+  Env env;
+  env.cfg.population = 40;
+  env.cfg.batch_size = 8;  // < the 50-sample shards, so every step draws from the RNG
+  env.cfg.local_steps = 2;
+  env.cfg.threads = 2;
+  Driver d(env.cfg);
+  const auto w0 = d.initial_model();
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    d.train_workers({0}, w0);
+    d.release_workers({0});
+  }
+  std::vector<std::size_t> others(20);
+  std::iota(others.begin(), others.end(), std::size_t{1});
+  d.train_workers(others, w0);
+  d.release_workers(others);
+  ASSERT_FALSE(d.worker_materialized(0));
+  d.train_workers({0}, w0);
+
+  Worker reference(0, env.train, env.cfg.partition[0], util::Rng(env.cfg.seed).fork(1000));
+  ml::Model scratch = env.cfg.model_factory();
+  for (int cycle = 0; cycle < 4; ++cycle)
+    reference.local_update(scratch, w0, env.cfg.learning_rate, env.cfg.local_steps,
+                           env.cfg.batch_size);
+  const auto got = d.worker(0).local_model();
+  const auto want = reference.local_model();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0);
 }
 
 TEST(Driver, MaybeRecordFollowsCadence) {

@@ -1,10 +1,10 @@
 // Tests for the time-varying substrate layer: the generator kinds
 // (churn / energy / csi_error) in isolation, the static substrate's
 // bit-identity acceptance check — every mechanism's pre-refactor golden
-// digest reproduced across lane counts x worker-state backends x
-// event-queue backends — the realism generators' per-seed determinism
-// (engine-knob-invariant digests), the substrate observability counters,
-// and the scenario-layer substrate section (round-trip + validation).
+// digest reproduced across lane counts x event-queue backends — the
+// realism generators' per-seed determinism (engine-knob-invariant
+// digests), the substrate observability counters, and the scenario-layer
+// substrate section (round-trip + validation).
 
 #include "sim/substrate.hpp"
 
@@ -317,16 +317,14 @@ const std::vector<MechanismCase>& mechanism_cases() {
 /// Every engine-knob combination a digest must be invariant to.
 struct EngineKnobs {
   std::size_t threads;
-  bool lazy;
   sim::QueueBackend queue;
 };
 
 std::vector<EngineKnobs> engine_grid() {
   std::vector<EngineKnobs> grid;
   for (std::size_t threads : {1UL, 2UL, 4UL})
-    for (bool lazy : {false, true})
-      for (auto queue : {sim::QueueBackend::kBinaryHeap, sim::QueueBackend::kCalendar})
-        grid.push_back({threads, lazy, queue});
+    for (auto queue : {sim::QueueBackend::kBinaryHeap, sim::QueueBackend::kCalendar})
+      grid.push_back({threads, queue});
   return grid;
 }
 
@@ -344,7 +342,6 @@ std::string run_digest(const MechanismCase& mc, const SubstrateOptions& opts,
   f.cfg.max_rounds = shape.max_rounds;
   f.cfg.substrate = opts;
   f.cfg.threads = k.threads;
-  f.cfg.lazy_workers = k.lazy;
   f.cfg.event_queue = k.queue;
   return mc.run(f.cfg).digest();
 }
@@ -362,7 +359,7 @@ TEST(SubstrateDigests, StaticSubstrateReproducesPreRefactorGoldens) {
       const std::string digest = run_digest(mc, SubstrateOptions{}, k);
       if (reference.empty()) reference = digest;
       EXPECT_EQ(digest, reference)
-          << mc.label << " @" << k.threads << " lanes, lazy=" << k.lazy;
+          << mc.label << " @" << k.threads << " lanes";
 #if defined(__x86_64__)
       EXPECT_EQ(digest, mc.digest) << mc.label << " @" << k.threads << " lanes";
 #endif
@@ -371,7 +368,7 @@ TEST(SubstrateDigests, StaticSubstrateReproducesPreRefactorGoldens) {
 }
 
 // Realism generators must be deterministic per seed: whatever the lane
-// count, worker-state backend, or event-queue backend, the digest depends
+// count or event-queue backend, the digest depends
 // only on (scenario, seed). The churn and all kinds are also pinned to
 // x86-64 goldens captured while availability still ran as one queued
 // transition event per worker: they prove that waking parked cohorts from
@@ -416,7 +413,7 @@ TEST(SubstrateDigests, RealismDigestsAreEngineKnobInvariant) {
       for (const auto& k : engine_grid()) {
         const std::string digest = run_digest(mc, opts, k);
         if (reference.empty()) reference = digest;
-        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes, lazy=" << k.lazy;
+        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes";
       }
 #if defined(__x86_64__)
       const auto golden = goldens.find(key);
@@ -470,7 +467,7 @@ TEST(SubstrateDigests, WakeHeavyChurnIsPinnedAndEngineKnobInvariant) {
       for (const auto& k : engine_grid()) {
         const std::string digest = run_digest(mc, opts, k, wake_heavy);
         if (reference.empty()) reference = digest;
-        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes, lazy=" << k.lazy;
+        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes";
       }
 #if defined(__x86_64__)
       EXPECT_EQ(reference, goldens.at(key)) << key;
@@ -486,7 +483,7 @@ TEST(SubstrateDigests, RealismChangesTheTraceStaticDoesNot) {
   stress.churn_on_fraction = 0.6;
   stress.energy = true;
   stress.energy_budget = 30.0;
-  const EngineKnobs serial{1, false, sim::QueueBackend::kBinaryHeap};
+  const EngineKnobs serial{1, sim::QueueBackend::kBinaryHeap};
   const auto& mc = mechanism_cases().front();  // fedavg
   EXPECT_NE(run_digest(mc, stress, serial), run_digest(mc, SubstrateOptions{}, serial));
 }

@@ -1,12 +1,11 @@
 // Cross-module validation of the paper's analytical quantities against the
 // simulator: the aggregation-error proxy C_t (Eq. 30) against measured
-// over-the-air MSE, the EMD gradient-divergence bound (Eq. 24) against
-// actual gradients, and checkpoint round-trips.
+// over-the-air MSE, and the EMD gradient-divergence bound (Eq. 24)
+// against actual gradients.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 
 #include "channel/aircomp.hpp"
 #include "core/convergence.hpp"
@@ -175,42 +174,6 @@ TEST(TheoryValidation, SmallerEmdGivesSmallerGradientDivergence) {
   const std::vector<std::size_t> mixed = {0, 2, 4, 6, 8, 10};   // six classes
   EXPECT_GT(stats.emd(skewed), stats.emd(mixed));
   EXPECT_GT(divergence(skewed), divergence(mixed));
-}
-
-TEST(Checkpoint, RoundTripPreservesParameters) {
-  ml::Model m = ml::make_mlp(16, 4, 8);
-  util::Rng rng(7);
-  m.init(rng);
-  const auto params = m.parameters();
-  const std::string path = testing::TempDir() + "/airfedga_ckpt.bin";
-  ml::save_parameters(path, params);
-  const auto loaded = ml::load_parameters(path);
-  EXPECT_EQ(loaded, params);
-
-  ml::Model fresh = ml::make_mlp(16, 4, 8);
-  fresh.set_parameters(loaded);
-  EXPECT_EQ(fresh.parameters(), params);
-}
-
-TEST(Checkpoint, RejectsForeignAndTruncatedFiles) {
-  const std::string path = testing::TempDir() + "/airfedga_ckpt_bad.bin";
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << "this is not a checkpoint";
-  }
-  EXPECT_THROW(ml::load_parameters(path), std::runtime_error);
-
-  // Truncated: valid header claiming more floats than present.
-  ml::save_parameters(path, std::vector<float>(64, 1.0f));
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::in);
-    f.seekp(4);  // after the magic
-    const std::uint64_t count = 1000;
-    f.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  }
-  EXPECT_THROW(ml::load_parameters(path), std::runtime_error);
-  EXPECT_THROW(ml::load_parameters(testing::TempDir() + "/nonexistent_ckpt.bin"),
-               std::runtime_error);
 }
 
 }  // namespace
