@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -46,6 +47,15 @@ class FadingChannel {
   /// (seed, round): repeated calls return identical vectors.
   [[nodiscard]] std::vector<double> gains(std::size_t round) const;
 
+  /// Gains of `members` (strictly increasing worker ids) at `round`, into
+  /// `out` (resized to members.size()): out[j] is bitwise gains(round)[members[j]].
+  /// Every gain is one word of the round's stream, so this walks the stream
+  /// once and skips the words of non-members: O(members) draws plus an
+  /// untempered skip, instead of N draws. Throws std::invalid_argument on
+  /// unsorted or repeated ids and std::out_of_range on an id >= N.
+  void gains_of(std::span<const std::size_t> members, std::size_t round,
+                std::vector<double>& out) const;
+
   /// Gain of a single worker at a round.
   [[nodiscard]] double gain(std::size_t worker, std::size_t round) const;
 
@@ -53,6 +63,11 @@ class FadingChannel {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  /// The round's stream: word i draws worker i's small-scale fade.
+  [[nodiscard]] util::Rng round_stream(std::size_t round) const;
+  /// Worker i's gain from the stream's next word, its Rayleigh draw.
+  [[nodiscard]] double gain_from(std::size_t worker, util::Rng& stream) const;
+
   std::size_t n_;
   Config cfg_;
   std::vector<double> large_scale_;

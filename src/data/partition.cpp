@@ -1,6 +1,7 @@
 #include "data/partition.hpp"
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 
 namespace airfedga::data {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -422,12 +423,36 @@ obs::MetricsSnapshot Driver::metrics_snapshot() {
   return registry_.snapshot();
 }
 
+void Driver::member_gains(const std::vector<std::size_t>& members, std::size_t round,
+                          std::vector<double>& out) {
+  const obs::Span span("substrate", "substrate.member_gains");
+  if (std::adjacent_find(members.begin(), members.end(), std::greater_equal<>()) ==
+      members.end()) {
+    substrate_->member_gains(members, round, out);
+    return;
+  }
+  gain_ids_.assign(members.begin(), members.end());
+  std::sort(gain_ids_.begin(), gain_ids_.end());
+  gain_ids_.erase(std::unique(gain_ids_.begin(), gain_ids_.end()), gain_ids_.end());
+  substrate_->member_gains(gain_ids_, round, gain_vals_);
+  out.resize(members.size());
+  for (std::size_t j = 0; j < members.size(); ++j)
+    out[j] = gain_vals_[static_cast<std::size_t>(
+        std::lower_bound(gain_ids_.begin(), gain_ids_.end(), members[j]) - gain_ids_.begin())];
+}
+
 core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>& members,
                                                  std::size_t round) {
+  member_gains(members, round, member_gains_);
+  return power_for_group(members, member_gains_);
+}
+
+core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>& members,
+                                                 std::span<const double> gains) {
   if (members.empty()) throw std::invalid_argument("power_for_group: empty group");
-  const auto& gains = substrate_->gains(round);
   core::PowerControlInput in;
   in.sigma0_sq = cfg_->aircomp.sigma0_sq;
+  in.gains.assign(gains.begin(), gains.end());
   double w_sq = 0.0;
   double group_data = 0.0;
   for (auto m : members) {
@@ -436,7 +461,6 @@ core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>&
       throw std::logic_error("power_for_group: member has no trained local model");
     w_sq = std::max(w_sq, w.model_norm_sq());
     group_data += static_cast<double>(w.data_size());
-    in.gains.push_back(gains.at(m));
     in.data_sizes.push_back(static_cast<double>(w.data_size()));
     in.energy_caps.push_back(cfg_->energy_cap);
   }
@@ -448,8 +472,9 @@ core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>&
 std::vector<float> Driver::aircomp_aggregate(const std::vector<std::size_t>& members,
                                              std::span<const float> w_prev, std::size_t round,
                                              double& energy_joules) {
-  const auto pc = power_for_group(members, round);
-  const auto& gains = substrate_->gains(round);
+  const obs::Span span("aircomp", "aircomp.aggregate");
+  member_gains(members, round, member_gains_);
+  const auto pc = power_for_group(members, member_gains_);
   const auto csi = substrate_->csi_scales(round);
 
   channel::AirCompChannel::Input in;
@@ -457,11 +482,11 @@ std::vector<float> Driver::aircomp_aggregate(const std::vector<std::size_t>& mem
   in.sigma = pc.sigma;
   in.eta = pc.eta;
   in.total_data = static_cast<double>(stats_.total_size());
+  in.gains = member_gains_;
   for (auto m : members) {
     const Worker& w = worker(m);
     in.local_models.push_back(w.local_model());
     in.data_sizes.push_back(static_cast<double>(w.data_size()));
-    in.gains.push_back(gains.at(m));
     if (!csi.empty()) {
       in.csi_scale.push_back(csi[m]);
       csi_hist_->record(csi[m]);

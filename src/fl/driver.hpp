@@ -282,13 +282,15 @@ class Driver {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot();
 
   /// Per-round power control (Alg. 2) for a group about to aggregate:
-  /// gathers this round's gains and member model-norm bound W_t, and
+  /// gathers the members' gains this round and model-norm bound W_t, and
   /// returns (sigma*, eta*, C).
   core::PowerControlResult power_for_group(const std::vector<std::size_t>& members,
                                            std::size_t round);
 
   /// Runs Eq. (9)-(10) over the air for `members` and returns the new
   /// global model; accumulates per-round energy into `energy_joules`.
+  /// Fetches the members' gains once (Substrate::member_gains), for power
+  /// control and the MAC alike.
   std::vector<float> aircomp_aggregate(const std::vector<std::size_t>& members,
                                        std::span<const float> w_prev, std::size_t round,
                                        double& energy_joules);
@@ -310,6 +312,13 @@ class Driver {
 
  private:
   class ScratchLease;
+
+  /// Substrate::member_gains for `members` in any order, repeats allowed:
+  /// out[j] is the gain of members[j] at `round`.
+  void member_gains(const std::vector<std::size_t>& members, std::size_t round,
+                    std::vector<double>& out);
+  core::PowerControlResult power_for_group(const std::vector<std::size_t>& members,
+                                           std::span<const double> gains);
 
   std::unique_ptr<ml::Model> acquire_scratch();
   void release_scratch(std::unique_ptr<ml::Model> m);
@@ -365,6 +374,11 @@ class Driver {
   obs::Counter* cold_replays_ = nullptr;  ///< cached &registry_["pool.cold_replays"]
   obs::Histogram* energy_hist_ = nullptr; ///< "substrate.energy_j" (AirComp Eq. 7)
   obs::Histogram* csi_hist_ = nullptr;    ///< "substrate.csi_err" (h / h_hat factors)
+
+  // member_gains scratch (simulation thread only).
+  std::vector<std::size_t> gain_ids_;  ///< sorted distinct members
+  std::vector<double> gain_vals_;      ///< their gains
+  std::vector<double> member_gains_;   ///< gains in the caller's member order
   // Destroyed first (declared last): joining the pool drains outstanding
   // tasks before any state they reference goes away.
   std::unique_ptr<util::ThreadPool> pool_;

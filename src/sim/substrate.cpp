@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace airfedga::sim {
@@ -18,6 +19,17 @@ namespace {
 constexpr std::uint64_t kSubstrateTag = 0x5B57247E;  // "SUBSTRATE"
 constexpr std::uint64_t kChurnTag = 1;
 constexpr std::uint64_t kCsiTag = 2;
+
+// out[j] = g[members[j]] under member_gains' input contract.
+void gather(const std::vector<double>& g, std::span<const std::size_t> members,
+            std::vector<double>& out) {
+  out.resize(members.size());
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    if (j > 0 && members[j] <= members[j - 1])
+      throw std::invalid_argument("member_gains: members not strictly increasing");
+    out[j] = g.at(members[j]);
+  }
+}
 
 }  // namespace
 
@@ -72,6 +84,11 @@ std::string substrate_kind(const SubstrateOptions& opts) {
   return out.empty() ? "static" : out;
 }
 
+void Substrate::member_gains(std::span<const std::size_t> members, std::size_t round,
+                             std::vector<double>& out) {
+  gather(gains(round), members, out);
+}
+
 // ---------------------------------------------------------------------------
 // StaticSubstrate
 
@@ -82,10 +99,19 @@ StaticSubstrate::StaticSubstrate(std::size_t num_workers,
 
 const std::vector<double>& StaticSubstrate::true_gains(std::size_t round) {
   if (gains_round_ != round || gains_cache_.empty()) {
+    const obs::Span span("substrate", "substrate.gains");
     gains_cache_ = fading_.gains(round);
     gains_round_ = round;
   }
   return gains_cache_;
+}
+
+void StaticSubstrate::member_gains(std::span<const std::size_t> members, std::size_t round,
+                                   std::vector<double>& out) {
+  if (gains_round_ == round && !gains_cache_.empty())
+    gather(gains_cache_, members, out);
+  else
+    fading_.gains_of(members, round, out);
 }
 
 double StaticSubstrate::aircomp_upload_seconds(std::size_t q, double /*time*/) const {
@@ -123,6 +149,7 @@ RealismSubstrate::RealismSubstrate(std::size_t num_workers,
 void RealismSubstrate::ensure_csi(std::size_t round) {
   if (csi_round_ == round && !reported_.empty()) return;
   const std::vector<double>& truth = true_gains(round);
+  const obs::Span span("substrate", "substrate.gains");  // the estimate layer
   reported_.resize(truth.size());
   scales_.resize(truth.size());
   // One substrate-owned stream per (csi seed, round); worker order fixed, so
@@ -143,6 +170,17 @@ const std::vector<double>& RealismSubstrate::gains(std::size_t round) {
   if (!opts_.csi_error) return true_gains(round);
   ensure_csi(round);
   return reported_;
+}
+
+void RealismSubstrate::member_gains(std::span<const std::size_t> members, std::size_t round,
+                                    std::vector<double>& out) {
+  // The CSI estimate error comes from normal(), which consumes a variable
+  // number of engine words per draw, so a member's error cannot be reached
+  // by skipping ahead: with CSI error on, gather from the full vector.
+  if (opts_.csi_error)
+    Substrate::member_gains(members, round, out);
+  else
+    StaticSubstrate::member_gains(members, round, out);
 }
 
 std::span<const double> RealismSubstrate::csi_scales(std::size_t round) {

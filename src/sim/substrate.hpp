@@ -93,6 +93,22 @@ class Substrate {
   /// per round; the reference is valid until the next gains() call.
   virtual const std::vector<double>& gains(std::size_t round) = 0;
 
+  /// The gains of `members` alone — strictly increasing worker ids — for
+  /// `round`, into `out` (resized to members.size()). Contract:
+  ///  - out[j] is bitwise gains(round)[members[j]]: the same values from
+  ///    the same fading-stream positions (invariant #8), so a caller may
+  ///    use either query;
+  ///  - gains(round) returns the same vector before and after the call;
+  ///  - cost follows the members, not N, wherever the stream allows: a
+  ///    member-only walk of the fading stream, which leaves the gains()
+  ///    cache alone, or an index into the round's cache when gains()
+  ///    already filled it.
+  /// This default gathers from gains(round), and so counts as a gains()
+  /// call for reference validity. Throws std::invalid_argument on unsorted
+  /// or repeated ids and std::out_of_range on an id >= N.
+  virtual void member_gains(std::span<const std::size_t> members, std::size_t round,
+                            std::vector<double>& out);
+
   /// Per-worker multiplicative MAC factors h / h_hat for `round`; an empty
   /// span means perfect CSI (the AirComp channel then skips the mismatch
   /// term entirely). Valid until the next csi_scales() call.
@@ -158,6 +174,8 @@ class StaticSubstrate : public Substrate {
 
   [[nodiscard]] std::size_t num_workers() const override { return n_; }
   const std::vector<double>& gains(std::size_t round) override { return true_gains(round); }
+  void member_gains(std::span<const std::size_t> members, std::size_t round,
+                    std::vector<double>& out) override;
   std::span<const double> csi_scales(std::size_t /*round*/) override { return {}; }
   [[nodiscard]] double aircomp_upload_seconds(std::size_t q, double time) const override;
   [[nodiscard]] double oma_upload_seconds(std::size_t q, std::size_t uploaders,
@@ -205,6 +223,8 @@ class RealismSubstrate : public StaticSubstrate {
                    std::uint64_t run_seed);
 
   const std::vector<double>& gains(std::size_t round) override;
+  void member_gains(std::span<const std::size_t> members, std::size_t round,
+                    std::vector<double>& out) override;
   std::span<const double> csi_scales(std::size_t round) override;
   [[nodiscard]] bool available(std::size_t worker, double time) const override;
   [[nodiscard]] double next_transition(std::size_t worker, double time) const override;

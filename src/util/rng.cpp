@@ -1,10 +1,34 @@
 #include "util/rng.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace airfedga::util {
+
+Mt19937_64::Mt19937_64(result_type seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < state_size; ++i)
+    state_[i] = 6364136223846793005ULL * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
+}
+
+void Mt19937_64::twist() {
+  constexpr std::size_t n = state_size;
+  constexpr std::size_t m = 156;
+  constexpr result_type upper = ~result_type{0} << 31;
+  constexpr result_type lower = ~upper;
+  constexpr result_type matrix_a = 0xB5026F5AA96619E9ULL;
+  const auto step = [&](std::size_t k, std::size_t next, std::size_t far) {
+    const result_type y = (state_[k] & upper) | (state_[next] & lower);
+    state_[k] = state_[far] ^ (y >> 1) ^ ((result_type{0} - (y & 1)) & matrix_a);
+  };
+  for (std::size_t k = 0; k < n - m; ++k) step(k, k + 1, k + m);
+  for (std::size_t k = n - m; k < n - 1; ++k) step(k, k + 1, k + m - n);
+  step(n - 1, 0, m - 1);
+  pos_ = 0;
+}
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;

@@ -1,10 +1,57 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace airfedga::util {
+
+/// The standard 64-bit Mersenne Twister, MT19937-64: the engine the C++
+/// standard names `mt19937_64` ([rand.predef]), with the same seeding
+/// recurrence, constants and tempering, so it emits the same words for
+/// every seed on every standard library. Owning it pins every stream in the
+/// repo to one specified sequence and lets the twist be branch-free: the
+/// conditional `(y & 1) ? a : 0` of the reference algorithm becomes the
+/// mask `(0 - (y & 1)) & a`, which does not mispredict on the random low
+/// bit. Satisfies UniformRandomBitGenerator, so `std::*_distribution` run
+/// on it unchanged.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t state_size = 312;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit Mt19937_64(result_type seed = default_seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= state_size) twist();
+    result_type z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Advances the stream by `z` words without tempering them; equivalent
+  /// to `z` calls of operator().
+  void discard(unsigned long long z) {
+    while (z > state_size - pos_) {
+      z -= state_size - pos_;
+      twist();
+    }
+    pos_ += static_cast<std::size_t>(z);
+  }
+
+ private:
+  void twist();
+
+  std::array<result_type, state_size> state_{};
+  std::size_t pos_ = state_size;
+};
 
 /// Seeded pseudo-random number generator used everywhere in the library.
 ///
@@ -60,12 +107,17 @@ class Rng {
   /// Seed this generator was constructed with.
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// Access to the underlying engine for std distributions.
-  std::mt19937_64& engine() { return engine_; }
+  /// The underlying engine, for std distributions and for skipping ahead
+  /// with `discard`. Its words are standard-specified; what a distribution
+  /// makes of them is the standard library's. `uniform()` (and so
+  /// `rayleigh()`) consumes exactly one word per draw, which lets a caller
+  /// skip to the i-th draw of a stream with `discard(i)`; `normal()` may
+  /// consume a variable number of words.
+  Mt19937_64& engine() { return engine_; }
 
  private:
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// SplitMix64 mixing step; used for seed derivation.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "fl/driver.hpp"
 #include "ml/zoo.hpp"
@@ -69,6 +71,35 @@ TEST(Driver, PowerForGroupRequiresTrainedMembers) {
   const auto pc = d.power_for_group({0, 1}, 1);
   EXPECT_GT(pc.sigma, 0.0);
   EXPECT_GT(pc.eta, 0.0);
+}
+
+TEST(Driver, AircompAggregatePairsEachMemberWithItsOwnGainInAnyOrder) {
+  // aircomp_aggregate fetches gains through one sorted member-only query
+  // and maps them back to the caller's member order. Each member's Eq. (7)
+  // transmit energy depends on its own gain, so the per-worker charges
+  // must not depend on the order (or repeats) the members arrive in.
+  const std::vector<std::vector<std::size_t>> orders = {{1, 3, 5}, {5, 1, 3}, {3, 5, 1, 3}};
+  std::vector<std::vector<double>> spent;
+  for (const auto& members : orders) {
+    Env env;
+    env.cfg.substrate.energy = true;
+    env.cfg.substrate.energy_budget = 1000.0;
+    Driver d(env.cfg);
+    const auto w = d.initial_model();
+    d.train_workers({1, 3, 5}, w);
+    double energy = 0.0;
+    static_cast<void>(d.aircomp_aggregate(members, w, 3, energy));
+    std::vector<double> per_worker;
+    for (std::size_t m : {1, 3, 5}) {
+      const double charged = env.cfg.substrate.energy_budget - d.substrate().remaining_joules(m);
+      const auto uploads = std::count(members.begin(), members.end(), m);
+      per_worker.push_back(charged / static_cast<double>(uploads));
+    }
+    spent.push_back(per_worker);
+  }
+  EXPECT_NE(spent[0][0], spent[0][1]);  // the gains differ, so the charges do
+  EXPECT_EQ(spent[1], spent[0]);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(spent[2][i], spent[0][i], 1e-9 * spent[0][i]);
 }
 
 TEST(Driver, AircompAggregateAccumulatesEnergyWithinCaps) {

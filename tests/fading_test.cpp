@@ -1,12 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <stdexcept>
+#include <vector>
 
 #include "channel/fading.hpp"
 #include "util/stats.hpp"
 
 namespace airfedga::channel {
 namespace {
+
+// gains_of(members, round) must equal gains(round)[members] bit for bit.
+void expect_member_gains_match(const FadingChannel& ch, const std::vector<std::size_t>& members,
+                               std::size_t round) {
+  const auto all = ch.gains(round);
+  std::vector<double> out{-1.0};  // stale content must be overwritten
+  ch.gains_of(members, round, out);
+  ASSERT_EQ(out.size(), members.size());
+  for (std::size_t j = 0; j < members.size(); ++j)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(out[j]), std::bit_cast<std::uint64_t>(all[members[j]]))
+        << "worker " << members[j] << " round " << round;
+}
+
+std::vector<std::size_t> sorted_sample(util::Rng& rng, std::size_t n, std::size_t k) {
+  auto m = rng.sample_without_replacement(n, k);
+  std::sort(m.begin(), m.end());
+  return m;
+}
 
 TEST(Fading, DeterministicPerRound) {
   FadingChannel ch(10, {});
@@ -57,6 +81,62 @@ TEST(Fading, SingleGainMatchesVector) {
   FadingChannel ch(7, {});
   const auto v = ch.gains(3);
   for (std::size_t i = 0; i < 7; ++i) EXPECT_DOUBLE_EQ(ch.gain(i, 3), v[i]);
+}
+
+TEST(Fading, MemberGainsAreBitwiseTheFullVectorsEntries) {
+  constexpr std::size_t n = 1000;
+  FadingChannel ch(n, {});
+  std::vector<std::size_t> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  util::Rng rng(17);
+  for (std::size_t round : {0, 1, 2, 311, 312, 9999}) {
+    expect_member_gains_match(ch, {0}, round);
+    expect_member_gains_match(ch, {n - 1}, round);
+    expect_member_gains_match(ch, {310, 311, 312, 313, 623, 624}, round);  // twist edges
+    expect_member_gains_match(ch, everyone, round);
+    for (std::size_t k : {1, 2, 32, 500, 999})
+      expect_member_gains_match(ch, sorted_sample(rng, n, k), round);
+  }
+}
+
+TEST(Fading, MemberGainsOfA32MemberCohortAmong100k) {
+  constexpr std::size_t n = 100000;
+  FadingChannel ch(n, {});
+  util::Rng rng(23);
+  for (std::size_t round : {0, 7, 20})
+    expect_member_gains_match(ch, sorted_sample(rng, n, 32), round);
+}
+
+TEST(Fading, MemberGainsMatchUnderPathLossAndAClampingFloor) {
+  constexpr std::size_t n = 400;
+  FadingChannel::Config cfg;
+  cfg.pathloss_exponent = 3.0;
+  cfg.min_gain = 0.6;  // clamps a good share of the draws
+  FadingChannel ch(n, cfg);
+  util::Rng rng(29);
+  std::size_t clamped = 0;
+  for (std::size_t round = 0; round < 6; ++round) {
+    const auto m = sorted_sample(rng, n, 60);
+    expect_member_gains_match(ch, m, round);
+    std::vector<double> out;
+    ch.gains_of(m, round, out);
+    clamped += static_cast<std::size_t>(std::count(out.begin(), out.end(), cfg.min_gain));
+  }
+  EXPECT_GT(clamped, 0u);
+  EXPECT_LT(clamped, 6u * 60u);
+}
+
+TEST(Fading, MemberGainsRejectUnsortedRepeatedAndOutOfRangeIds) {
+  FadingChannel ch(10, {});
+  std::vector<double> out{1.0};
+  ch.gains_of({}, 0, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_THROW(ch.gains_of(std::vector<std::size_t>{3, 1}, 0, out), std::invalid_argument);
+  EXPECT_THROW(ch.gains_of(std::vector<std::size_t>{2, 2}, 0, out), std::invalid_argument);
+  EXPECT_THROW(ch.gains_of(std::vector<std::size_t>{10}, 0, out), std::out_of_range);
+  EXPECT_THROW(ch.gains_of(std::vector<std::size_t>{1, 10}, 0, out), std::out_of_range);
+  // Range is checked before the stream walks past the last worker.
+  EXPECT_THROW(ch.gains_of(std::vector<std::size_t>{12, 3}, 0, out), std::out_of_range);
 }
 
 TEST(Fading, PathLossDisabledByDefault) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "fl/mechanisms.hpp"
+#include "ml/gemm.hpp"
 #include "ml/zoo.hpp"
 #include "util/stats.hpp"
 
@@ -300,14 +301,14 @@ TEST(LoopPolicy, CheckRejectsBadSemiAsyncKnobsBeforeAnyRunState) {
 // per-mechanism loops on this fixture (x86-64). The unified loop must
 // reproduce every one of them at every lane count: the digest covers the
 // full metric series and the final model bits, so a match means the
-// refactor changed no observable behaviour. Digests depend on the FP
-// contraction behaviour of the ISA (see the PR-5 cross-ISA caveat), so the
-// assertion is x86-64-only; the thread-invariance half runs everywhere via
-// parallel_determinism_test.
+// refactor changed no observable behaviour. Digests depend on how the GEMM
+// kernel rounds, so the assertion runs only on the x86-64 kernel clones
+// (sanitizer builds and other ISAs skip it, as farm_test does); the
+// thread-invariance half runs everywhere via parallel_determinism_test.
 TEST(LoopDigests, EveryPortedMechanismMatchesItsPreRefactorDigest) {
-#if !defined(__x86_64__)
-  GTEST_SKIP() << "golden digests are x86-64-specific (FP contraction)";
-#else
+  if (!ml::gemm_kernel_clones())
+    GTEST_SKIP() << "golden digests are pinned on the x86-64 GEMM kernel clones; this build "
+                    "rounds differently";
   struct Golden {
     const char* label;
     const char* digest;
@@ -339,7 +340,6 @@ TEST(LoopDigests, EveryPortedMechanismMatchesItsPreRefactorDigest) {
       const Metrics m = g.run(f.cfg);
       EXPECT_EQ(m.digest(), g.digest) << g.label << " @" << threads << " lanes";
     }
-#endif
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <future>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -107,6 +109,91 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
 TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(11);
   EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ Mt19937_64 --
+
+const std::uint64_t kEngineSeeds[] = {0, 1, 5489, ~std::uint64_t{0}, splitmix64(42)};
+
+TEST(Mt19937_64, MatchesTheStandardEngineWordForWord) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 100000; ++i)
+      if (ours() != ref()) ++mismatches;
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64, TenThousandthOutputOfTheDefaultSeedIsTheStandardValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a default-constructed
+  // mt19937_64 produces 9981545732273789042.
+  Mt19937_64 e;
+  EXPECT_EQ(Mt19937_64::default_seed, 5489u);
+  e.discard(9999);
+  EXPECT_EQ(e(), 9981545732273789042ULL);
+}
+
+TEST(Mt19937_64, DiscardEqualsThatManyCalls) {
+  for (const unsigned long long z : {0ULL, 1ULL, 311ULL, 312ULL, 313ULL, 1000000ULL}) {
+    // From a fresh state and from mid-block (7 words already drawn).
+    for (const int drawn : {0, 7}) {
+      Mt19937_64 skipped(splitmix64(z)), stepped(splitmix64(z));
+      for (int i = 0; i < drawn; ++i) {
+        skipped();
+        stepped();
+      }
+      skipped.discard(z);
+      for (unsigned long long i = 0; i < z; ++i) stepped();
+      for (int i = 0; i < 3; ++i) EXPECT_EQ(skipped(), stepped()) << "z " << z;
+    }
+  }
+}
+
+// Draws `count` values of `dist` on each engine, comparing bit patterns.
+template <typename Dist>
+void expect_same_draws(Dist dist, std::uint64_t seed, int count = 20000) {
+  Mt19937_64 ours(seed);
+  std::mt19937_64 ref(seed);
+  Dist dist_ref = dist;
+  std::size_t mismatches = 0;
+  for (int i = 0; i < count; ++i) {
+    const auto a = dist(ours);
+    const auto b = dist_ref(ref);
+    if constexpr (std::is_floating_point_v<decltype(a)>) {
+      if (std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b)) ++mismatches;
+    } else {
+      if (a != b) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  EXPECT_EQ(ours(), ref()) << "engines left at different positions, seed " << seed;
+}
+
+TEST(Mt19937_64, StdDistributionsDrawIdenticallyOnBothEngines) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    expect_same_draws(std::uniform_real_distribution<double>(0.0, 1.0), seed);
+    expect_same_draws(
+        std::uniform_real_distribution<double>(std::numeric_limits<double>::min(), 1.0), seed);
+    expect_same_draws(std::normal_distribution<double>(0.0, 1.0), seed);
+    expect_same_draws(std::normal_distribution<double>(1.0, 0.15), seed);
+    expect_same_draws(std::uniform_int_distribution<std::int64_t>(5, 5), seed);
+    expect_same_draws(std::uniform_int_distribution<std::int64_t>(0, (std::int64_t{1} << 32) - 1),
+                      seed);
+    expect_same_draws(std::uniform_int_distribution<std::int64_t>(0, 999999), seed);
+    expect_same_draws(std::gamma_distribution<double>(0.5, 1.0), seed);
+    expect_same_draws(std::gamma_distribution<double>(2.0, 1.0), seed);
+  }
+}
+
+TEST(Mt19937_64, RngDrawsOneWordPerUniform) {
+  // FadingChannel::gains_of skips to a worker's gain with discard(i):
+  // that relies on uniform() (and so rayleigh()) consuming one word.
+  Rng a(3), b(3);
+  for (int i = 0; i < 1000; ++i) static_cast<void>(a.rayleigh());
+  b.engine().discard(1000);
+  EXPECT_EQ(a.engine()(), b.engine()());
 }
 
 TEST(RunningStat, KnownSequence) {
