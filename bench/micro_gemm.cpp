@@ -157,14 +157,21 @@ StepResult bench_train_step(const std::string& preset_name, double budget_ms) {
   std::vector<int> y(batch);
   for (std::size_t i = 0; i < batch; ++i) y[i] = built.data->train.ys[i];
 
-  for (int warm = 0; warm < 3; ++warm) model.train_step(x, y, 0.01f);
-
-  const std::size_t count0 = alloc_hook::count.load();
-  const std::size_t bytes0 = alloc_hook::bytes.load();
+  // Heap traffic is counted on the serial schedule a simulated worker
+  // trains on (a pool lane, where the nesting rule serializes parallel_for),
+  // as gemm_test does. The timed steps below fan out on the global pool,
+  // whose parallel_for allocates a latch and one closure per chunk.
+  std::size_t count0 = 0, bytes0 = 0, count1 = 0, bytes1 = 0;
   constexpr int kCountedSteps = 5;
-  for (int s = 0; s < kCountedSteps; ++s) model.train_step(x, y, 0.01f);
-  const std::size_t count1 = alloc_hook::count.load();
-  const std::size_t bytes1 = alloc_hook::bytes.load();
+  {
+    util::ThreadPool::SerialRegion serial;
+    for (int warm = 0; warm < 3; ++warm) model.train_step(x, y, 0.01f);
+    count0 = alloc_hook::count.load();
+    bytes0 = alloc_hook::bytes.load();
+    for (int s = 0; s < kCountedSteps; ++s) model.train_step(x, y, 0.01f);
+    count1 = alloc_hook::count.load();
+    bytes1 = alloc_hook::bytes.load();
+  }
 
   StepResult r;
   r.preset = preset_name;
@@ -254,7 +261,10 @@ int main(int argc, char** argv) {
     records.push_back(std::move(rec));
   }
   ts.print(std::cout);
-  std::printf("(allocs/step and bytes/step must be 0 in steady state — gemm_test enforces it)\n");
+  std::printf(
+      "(allocs/step and bytes/step count a serial, lane-style step and must be 0 in steady state "
+      "— gemm_test enforces it;\n ms/step fans out on the global pool, whose parallel_for "
+      "dispatch allocates per call)\n");
 
   if (const std::string* path = flags.get("json")) {
     std::ofstream out(*path, std::ios::trunc);

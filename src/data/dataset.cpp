@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
-
-#include "ml/model.hpp"
+#include <utility>
 
 namespace airfedga::data {
 
@@ -20,12 +20,8 @@ namespace {
 /// Unit-norm random direction scaled by `margin`.
 std::vector<float> random_prototype_flat(std::size_t dim, double margin, util::Rng& rng) {
   std::vector<float> p(dim);
-  double norm2 = 0.0;
-  for (auto& v : p) {
-    v = static_cast<float>(rng.normal());
-    norm2 += static_cast<double>(v) * v;
-  }
-  const double scale = margin / std::max(1e-12, std::sqrt(norm2));
+  ml::fill_normal(p, rng, 1.0);
+  const double scale = margin / std::max(1e-12, std::sqrt(ml::squared_norm(p)));
   for (auto& v : p) v = static_cast<float>(v * scale);
   return p;
 }
@@ -38,7 +34,7 @@ std::vector<float> random_prototype_image(std::size_t channels, std::size_t heig
   const std::size_t gh = std::max<std::size_t>(2, height / 4);
   const std::size_t gw = std::max<std::size_t>(2, width / 4);
   std::vector<float> grid(channels * gh * gw);
-  for (auto& v : grid) v = static_cast<float>(rng.normal());
+  ml::fill_normal(grid, rng, 1.0);
 
   std::vector<float> img(channels * height * width);
   for (std::size_t c = 0; c < channels; ++c) {
@@ -70,21 +66,20 @@ std::vector<float> random_prototype_image(std::size_t channels, std::size_t heig
   return img;
 }
 
-Dataset fill_dataset(std::vector<std::size_t> shape, std::size_t num_samples,
-                     const std::vector<std::vector<float>>& prototypes, double noise,
-                     util::Rng& rng) {
+/// Draws cfg.num_samples samples from one stream and writes each straight
+/// into its part: the first sizes[0] samples form parts[0], the next
+/// sizes[1] parts[1], and so on (the sizes sum to cfg.num_samples).
+std::vector<Dataset> fill_dataset(std::vector<std::size_t> shape, const SyntheticConfig& cfg,
+                                  std::span<const std::size_t> sizes,
+                                  const std::vector<std::vector<float>>& prototypes,
+                                  util::Rng& rng) {
   const std::size_t num_classes = prototypes.size();
   const std::size_t dim = prototypes[0].size();
-  shape[0] = num_samples;
-  Dataset ds;
-  ds.num_classes = num_classes;
-  ds.xs = ml::Tensor(shape);
-  ds.ys.resize(num_samples);
 
   // Round-robin class order, then a label-preserving shuffle of positions,
   // so class sizes differ by at most 1 and ordering carries no signal.
-  std::vector<int> labels(num_samples);
-  for (std::size_t i = 0; i < num_samples; ++i)
+  std::vector<int> labels(cfg.num_samples);
+  for (std::size_t i = 0; i < cfg.num_samples; ++i)
     labels[i] = static_cast<int>(i % num_classes);
   rng.shuffle(labels);
 
@@ -93,20 +88,28 @@ Dataset fill_dataset(std::vector<std::size_t> shape, std::size_t num_samples,
   // which for isotropic noise equals the per-dimension sigma: the optimal
   // (nearest-prototype) error rate between two classes is
   // Q(margin * sqrt(2) / (2 * noise)), independent of the dimension.
-  const double sigma = noise;
-  float* px = ds.xs.data().data();
-  for (std::size_t i = 0; i < num_samples; ++i) {
-    const auto& proto = prototypes[static_cast<std::size_t>(labels[i])];
-    for (std::size_t d = 0; d < dim; ++d)
-      px[i * dim + d] = proto[d] + static_cast<float>(rng.normal(0.0, sigma));
-    ds.ys[i] = labels[i];
+  const double sigma = cfg.noise;
+  std::vector<Dataset> parts(sizes.size());
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    Dataset& ds = parts[k];
+    shape[0] = sizes[k];
+    ds.num_classes = num_classes;
+    ds.xs = ml::Tensor::uninitialized(shape);
+    ds.ys.resize(sizes[k]);
+    for (std::size_t r = 0; r < sizes[k]; ++r, ++i) {
+      const auto& proto = prototypes[static_cast<std::size_t>(labels[i])];
+      const std::span<float> row = ds.xs.data().subspan(r * dim, dim);
+      ml::fill_normal(row, rng, sigma);
+      for (std::size_t d = 0; d < dim; ++d) row[d] += proto[d];
+      ds.ys[r] = labels[i];
+    }
   }
-  return ds;
+  return parts;
 }
 
-}  // namespace
-
-Dataset make_synthetic_flat(std::size_t dim, const SyntheticConfig& cfg) {
+std::vector<Dataset> synthesize_flat(std::size_t dim, const SyntheticConfig& cfg,
+                                     std::span<const std::size_t> sizes) {
   if (dim == 0 || cfg.num_classes == 0 || cfg.num_samples == 0)
     throw std::invalid_argument("make_synthetic_flat: empty configuration");
   util::Rng rng(cfg.seed);
@@ -116,11 +119,12 @@ Dataset make_synthetic_flat(std::size_t dim, const SyntheticConfig& cfg) {
   prototypes.reserve(cfg.num_classes);
   for (std::size_t k = 0; k < cfg.num_classes; ++k)
     prototypes.push_back(random_prototype_flat(dim, cfg.margin, proto_rng));
-  return fill_dataset({0, dim}, cfg.num_samples, prototypes, cfg.noise, sample_rng);
+  return fill_dataset({0, dim}, cfg, sizes, prototypes, sample_rng);
 }
 
-Dataset make_synthetic_image(std::size_t channels, std::size_t height, std::size_t width,
-                             const SyntheticConfig& cfg) {
+std::vector<Dataset> synthesize_image(std::size_t channels, std::size_t height, std::size_t width,
+                                      const SyntheticConfig& cfg,
+                                      std::span<const std::size_t> sizes) {
   if (channels == 0 || height < 2 || width < 2 || cfg.num_classes == 0 || cfg.num_samples == 0)
     throw std::invalid_argument("make_synthetic_image: empty configuration");
   util::Rng rng(cfg.seed);
@@ -130,42 +134,53 @@ Dataset make_synthetic_image(std::size_t channels, std::size_t height, std::size
   prototypes.reserve(cfg.num_classes);
   for (std::size_t k = 0; k < cfg.num_classes; ++k)
     prototypes.push_back(random_prototype_image(channels, height, width, cfg.margin, proto_rng));
-  Dataset ds = fill_dataset({0, channels, height, width}, cfg.num_samples, prototypes,
-                            cfg.noise, sample_rng);
-  // Standardize to unit per-pixel variance (a global scale), mirroring the
-  // input normalization of real image pipelines. Without it the per-pixel
-  // magnitudes are ~noise (<0.3) and deep ReLU stacks start with vanishing
-  // activations. A global scale leaves the Bayes geometry untouched.
+  std::vector<Dataset> parts =
+      fill_dataset({0, channels, height, width}, cfg, sizes, prototypes, sample_rng);
+  // Standardize to unit per-pixel variance (a global scale over all parts),
+  // mirroring the input normalization of real image pipelines. Without it
+  // the per-pixel magnitudes are ~noise (<0.3) and deep ReLU stacks start
+  // with vanishing activations. A global scale leaves the Bayes geometry
+  // untouched.
   double sq = 0.0;
-  for (float v : ds.xs.data()) sq += static_cast<double>(v) * v;
-  const double std_all = std::sqrt(sq / static_cast<double>(ds.xs.size()));
+  std::size_t count = 0;
+  for (const Dataset& ds : parts) {
+    for (float v : ds.xs.data()) sq += static_cast<double>(v) * v;
+    count += ds.xs.size();
+  }
+  const double std_all = std::sqrt(sq / static_cast<double>(count));
   if (std_all > 1e-12) {
     const auto inv = static_cast<float>(1.0 / std_all);
-    for (auto& v : ds.xs.data()) v *= inv;
+    for (Dataset& ds : parts)
+      for (auto& v : ds.xs.data()) v *= inv;
   }
-  return ds;
+  return parts;
+}
+
+}  // namespace
+
+Dataset make_synthetic_flat(std::size_t dim, const SyntheticConfig& cfg) {
+  const std::size_t sizes[] = {cfg.num_samples};
+  return std::move(synthesize_flat(dim, cfg, sizes)[0]);
+}
+
+Dataset make_synthetic_image(std::size_t channels, std::size_t height, std::size_t width,
+                             const SyntheticConfig& cfg) {
+  const std::size_t sizes[] = {cfg.num_samples};
+  return std::move(synthesize_image(channels, height, width, cfg, sizes)[0]);
 }
 
 namespace {
-/// Generates train+test from one stream (same prototypes) and splits.
+/// Generates train+test from one stream (same prototypes): the first
+/// `train_samples` samples are the training set, the rest the test set.
 TrainTest split_pair(std::size_t dim_or_zero, std::size_t channels, std::size_t height,
                      std::size_t width, std::size_t train_samples, std::size_t test_samples,
                      std::size_t num_classes, double margin, double noise, std::uint64_t seed) {
   const SyntheticConfig cfg{train_samples + test_samples, num_classes, margin, noise, seed};
-  Dataset all = dim_or_zero > 0 ? make_synthetic_flat(dim_or_zero, cfg)
-                                : make_synthetic_image(channels, height, width, cfg);
-  std::vector<std::size_t> train_idx(train_samples), test_idx(test_samples);
-  for (std::size_t i = 0; i < train_samples; ++i) train_idx[i] = i;
-  for (std::size_t i = 0; i < test_samples; ++i) test_idx[i] = train_samples + i;
-
-  TrainTest tt;
-  tt.train.xs = ml::gather_rows(all.xs, train_idx);
-  tt.train.ys.assign(all.ys.begin(), all.ys.begin() + static_cast<std::ptrdiff_t>(train_samples));
-  tt.train.num_classes = num_classes;
-  tt.test.xs = ml::gather_rows(all.xs, test_idx);
-  tt.test.ys.assign(all.ys.begin() + static_cast<std::ptrdiff_t>(train_samples), all.ys.end());
-  tt.test.num_classes = num_classes;
-  return tt;
+  const std::size_t sizes[] = {train_samples, test_samples};
+  std::vector<Dataset> parts = dim_or_zero > 0
+                                   ? synthesize_flat(dim_or_zero, cfg, sizes)
+                                   : synthesize_image(channels, height, width, cfg, sizes);
+  return {std::move(parts[0]), std::move(parts[1])};
 }
 }  // namespace
 

@@ -1,7 +1,6 @@
 #include "data/partition.hpp"
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
 
 namespace airfedga::data {
@@ -74,7 +73,8 @@ Partition partition_dirichlet(const Dataset& ds, std::size_t num_workers, double
   if (num_workers == 0) throw std::invalid_argument("partition_dirichlet: zero workers");
   if (alpha <= 0.0) throw std::invalid_argument("partition_dirichlet: alpha must be > 0");
   Partition p(num_workers);
-  std::gamma_distribution<double> gamma(alpha, 1.0);
+  // One Gamma for every draw: its saved polar normal carries across calls.
+  util::Gamma gamma(alpha);
   for (std::size_t c = 0; c < ds.num_classes; ++c) {
     auto idx = ds.indices_of_class(static_cast<int>(c));
     rng.shuffle(idx);

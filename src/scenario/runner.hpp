@@ -102,9 +102,11 @@ inline constexpr int kResultsSchemaVersion = 2;
 struct WriteOptions {
   /// false: omit wall-clock fields (wall_seconds, engine_stats.*_seconds,
   /// the metrics block) so the output is byte-identical across runs,
-  /// --jobs values and lane counts on one ISA (digests may differ across
-  /// ISAs — see src/ml/gemm.cpp); deterministic counters
-  /// (engine_stats.barriers/evals) stay.
+  /// --jobs values and lane counts on one ISA. Random streams do not depend
+  /// on the standard library (src/util/rng.hpp), but digests may still
+  /// differ across libm implementations and across ISAs (see
+  /// src/ml/gemm.cpp); deterministic counters (engine_stats.barriers/evals)
+  /// stay.
   bool timing = true;
 };
 

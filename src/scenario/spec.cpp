@@ -9,6 +9,7 @@
 #include "ml/activation.hpp"
 #include "ml/dense.hpp"
 #include "ml/zoo.hpp"
+#include "obs/trace.hpp"
 #include "sim/substrate.hpp"
 
 namespace airfedga::scenario {
@@ -694,7 +695,10 @@ BuiltScenario build(const ScenarioSpec& spec) {
   spec.validate();
 
   BuiltScenario out;
-  out.data = std::make_unique<data::TrainTest>(make_dataset(spec.dataset));
+  {
+    const obs::Span span("setup", "setup.dataset");
+    out.data = std::make_unique<data::TrainTest>(make_dataset(spec.dataset));
+  }
 
   fl::FLConfig& cfg = out.cfg;
   cfg.train = &out.data->train;
@@ -704,7 +708,10 @@ BuiltScenario build(const ScenarioSpec& spec) {
   // worker count becomes the (possibly much larger) population axis.
   PartitionSpec pspec = spec.partition;
   if (spec.partition.shards > 0) pspec.workers = spec.partition.shards;
-  cfg.partition = make_partition(pspec, out.data->train, rng);
+  {
+    const obs::Span span("setup", "setup.partition");
+    cfg.partition = make_partition(pspec, out.data->train, rng);
+  }
   if (spec.partition.shards > 0) cfg.population = spec.partition.workers;
   cfg.model_factory = make_model_factory(spec.model);
 
@@ -743,6 +750,7 @@ BuiltScenario build(const ScenarioSpec& spec) {
   cfg.trace = spec.trace;
   cfg.validate();
 
+  const obs::Span span("setup", "setup.mechanisms");
   for (const auto& m : spec.mechanisms) {
     out.mechanism_names.push_back(m.display_name());
     out.mechanisms.push_back(m.make());

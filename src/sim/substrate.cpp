@@ -155,10 +155,11 @@ void RealismSubstrate::ensure_csi(std::size_t round) {
   // One substrate-owned stream per (csi seed, round); worker order fixed, so
   // the draw sequence is independent of which workers end up participating.
   util::Rng rng(util::splitmix64(csi_seed_ ^ (round * 0x9E3779B97F4A7C15ULL)));
+  rng.normal_fill(reported_, 0.0, opts_.csi_error_std);  // eps, overwritten below
   for (std::size_t i = 0; i < truth.size(); ++i) {
     // Clamp the relative error so a wild draw cannot flip the estimate's
     // sign or drive the pre-equalization divisor towards zero.
-    double factor = 1.0 + rng.normal(0.0, opts_.csi_error_std);
+    double factor = 1.0 + reported_[i];
     if (factor < 0.1) factor = 0.1;
     reported_[i] = truth[i] * factor;
     scales_[i] = truth[i] / reported_[i];

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <random>
 #include <stdexcept>
 
 namespace airfedga::util {
@@ -43,25 +42,10 @@ Rng Rng::fork(std::uint64_t tag) const {
   return Rng(splitmix64(seed_ ^ splitmix64(tag + 0x517cc1b727220a95ull)));
 }
 
-double Rng::uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
-}
-
-double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
 double Rng::rayleigh(double scale) {
   // Inverse-CDF sampling: F(x) = 1 - exp(-x^2 / (2 scale^2)).
   const double u = uniform(std::numeric_limits<double>::min(), 1.0);
   return scale * std::sqrt(-2.0 * std::log(u));
-}
-
-std::int64_t Rng::randint(std::int64_t lo, std::int64_t hi) {
-  std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-  return dist(engine_);
 }
 
 bool Rng::coin(double p_true) { return uniform() < p_true; }

@@ -216,6 +216,7 @@ TEST(ObsTrace, DigestBitIdenticalTracingOffOrOn) {
   ASSERT_EQ(untraced[0], untraced[1]);  // engine determinism baseline
   ASSERT_EQ(untraced[1], untraced[2]);
 
+  obs::reset_for_testing();
   obs::enable();
   for (std::size_t i = 0; i < lane_counts.size(); ++i) {
     scenario::ScenarioSpec s = tiny_spec();
@@ -228,6 +229,14 @@ TEST(ObsTrace, DigestBitIdenticalTracingOffOrOn) {
     EXPECT_FALSE(r.runs[0].metrics.obs_snapshot().empty());
   }
   obs::set_enabled(false);
+
+  // The set-up spans inside scenario::build: once per traced run.
+  for (const char* name : {"setup.dataset", "setup.partition", "setup.mechanisms"}) {
+    std::size_t count = 0;
+    for (const obs::SpanStat& st : obs::aggregate_spans())
+      if (st.name == name) count = st.count;
+    EXPECT_EQ(count, lane_counts.size()) << name;
+  }
 }
 
 TEST(ObsTrace, SpecTraceKnobLowersToFLConfig) {

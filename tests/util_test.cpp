@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -151,42 +153,6 @@ TEST(Mt19937_64, DiscardEqualsThatManyCalls) {
   }
 }
 
-// Draws `count` values of `dist` on each engine, comparing bit patterns.
-template <typename Dist>
-void expect_same_draws(Dist dist, std::uint64_t seed, int count = 20000) {
-  Mt19937_64 ours(seed);
-  std::mt19937_64 ref(seed);
-  Dist dist_ref = dist;
-  std::size_t mismatches = 0;
-  for (int i = 0; i < count; ++i) {
-    const auto a = dist(ours);
-    const auto b = dist_ref(ref);
-    if constexpr (std::is_floating_point_v<decltype(a)>) {
-      if (std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b)) ++mismatches;
-    } else {
-      if (a != b) ++mismatches;
-    }
-  }
-  EXPECT_EQ(mismatches, 0u) << "seed " << seed;
-  EXPECT_EQ(ours(), ref()) << "engines left at different positions, seed " << seed;
-}
-
-TEST(Mt19937_64, StdDistributionsDrawIdenticallyOnBothEngines) {
-  for (const std::uint64_t seed : kEngineSeeds) {
-    expect_same_draws(std::uniform_real_distribution<double>(0.0, 1.0), seed);
-    expect_same_draws(
-        std::uniform_real_distribution<double>(std::numeric_limits<double>::min(), 1.0), seed);
-    expect_same_draws(std::normal_distribution<double>(0.0, 1.0), seed);
-    expect_same_draws(std::normal_distribution<double>(1.0, 0.15), seed);
-    expect_same_draws(std::uniform_int_distribution<std::int64_t>(5, 5), seed);
-    expect_same_draws(std::uniform_int_distribution<std::int64_t>(0, (std::int64_t{1} << 32) - 1),
-                      seed);
-    expect_same_draws(std::uniform_int_distribution<std::int64_t>(0, 999999), seed);
-    expect_same_draws(std::gamma_distribution<double>(0.5, 1.0), seed);
-    expect_same_draws(std::gamma_distribution<double>(2.0, 1.0), seed);
-  }
-}
-
 TEST(Mt19937_64, RngDrawsOneWordPerUniform) {
   // FadingChannel::gains_of skips to a worker's gain with discard(i):
   // that relies on uniform() (and so rayleigh()) consuming one word.
@@ -194,6 +160,238 @@ TEST(Mt19937_64, RngDrawsOneWordPerUniform) {
   for (int i = 0; i < 1000; ++i) static_cast<void>(a.rayleigh());
   b.engine().discard(1000);
   EXPECT_EQ(a.engine()(), b.engine()());
+}
+
+// ---------------------------------------------------------- distributions --
+//
+// The in-repo draws (util::dist, util::Gamma, Rng::normal_fill) in three
+// halves: an oracle half comparing them bit for bit with the libstdc++ they
+// reproduce, a scripted half driving them with chosen words into the rare
+// paths, and a pinned half of literal values that holds on every platform.
+
+/// Splits `total` draws over these seeds.
+const std::uint64_t kDrawSeeds[] = {1, 42, 0xDEADBEEF, splitmix64(7)};
+
+#if defined(_GLIBCXX_RELEASE) && _GLIBCXX_RELEASE == 12
+// The headers the draws were written from (bits/random.tcc and
+// bits/uniform_int_dist.h of GCC 12); another release may draw differently.
+
+/// Runs `ours` and `theirs` on engines of the same seed, `total` draws
+/// over kDrawSeeds, and expects bit-equal results and engine positions.
+template <typename Ours, typename Theirs>
+void expect_oracle_match(const char* what, Ours ours, Theirs theirs, int total = 1 << 20) {
+  for (const std::uint64_t seed : kDrawSeeds) {
+    Mt19937_64 a(seed), b(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < total / 4; ++i) {
+      const auto x = ours(a);
+      const auto y = theirs(b);
+      if constexpr (std::is_floating_point_v<decltype(x)>) {
+        if (std::bit_cast<std::uint64_t>(x) != std::bit_cast<std::uint64_t>(y)) ++mismatches;
+      } else {
+        if (x != y) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << what << ", seed " << seed;
+    EXPECT_EQ(a(), b()) << what << ": engines left at different positions, seed " << seed;
+  }
+}
+
+TEST(DistOracle, CanonicalAndUniformMatchLibstdcxx) {
+  expect_oracle_match(
+      "canonical", [](Mt19937_64& g) { return dist::canonical(g); },
+      [](Mt19937_64& g) { return std::generate_canonical<double, 53>(g); });
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0}, {std::numeric_limits<double>::min(), 1.0}, {1.0, 10.0}, {0.5, 2.0}, {0.0, 400.0}};
+  for (const auto& [lo, hi] : ranges) {
+    expect_oracle_match(
+        "uniform", [lo, hi](Mt19937_64& g) { return dist::uniform(g, lo, hi); },
+        [d = std::uniform_real_distribution<double>(lo, hi)](Mt19937_64& g) mutable {
+          return d(g);
+        });
+  }
+}
+
+TEST(DistOracle, NormalMatchesAFreshLibstdcxxDistribution) {
+  for (const auto& [mean, stddev] : {std::pair{0.0, 1.0}, std::pair{0.1, 0.3}}) {
+    expect_oracle_match(
+        "normal", [=](Mt19937_64& g) { return dist::normal(g, mean, stddev); },
+        [=](Mt19937_64& g) { return std::normal_distribution<double>(mean, stddev)(g); });
+  }
+}
+
+TEST(DistOracle, RandintMatchesLibstdcxx) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0},          {0, 1}, {0, 2}, {0, (std::int64_t{1} << 32) - 1}, {0, std::int64_t{1} << 32},
+      {0, 999999},     {-5, 5}, {kMin, kMax}};
+  for (const auto& [lo, hi] : ranges) {
+    expect_oracle_match(
+        "randint", [lo, hi](Mt19937_64& g) { return dist::randint(g, lo, hi); },
+        [d = std::uniform_int_distribution<std::int64_t>(lo, hi)](Mt19937_64& g) mutable {
+          return d(g);
+        });
+  }
+}
+
+TEST(DistOracle, PersistentGammaMatchesOneLibstdcxxObject) {
+  for (const double alpha : {0.1, 0.5, 1.0, 2.5}) {
+    expect_oracle_match(
+        "gamma", [g = Gamma(alpha)](Mt19937_64& e) mutable { return g(e); },
+        [d = std::gamma_distribution<double>(alpha, 1.0)](Mt19937_64& e) mutable { return d(e); });
+  }
+}
+#endif  // _GLIBCXX_RELEASE == 12
+
+TEST(Dist, NormalFillEqualsThatManyNormalCalls) {
+  for (const std::uint64_t seed : kDrawSeeds) {
+    // Sizes around the fill's internal block, and one spanning many blocks.
+    for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 100000u}) {
+      Rng filled(seed), called(seed);
+      std::vector<double> out(n);
+      filled.normal_fill(out, 0.1, 0.3);
+      std::size_t mismatches = 0;
+      for (double v : out)
+        if (std::bit_cast<std::uint64_t>(v) !=
+            std::bit_cast<std::uint64_t>(called.normal(0.1, 0.3)))
+          ++mismatches;
+      EXPECT_EQ(mismatches, 0u) << "seed " << seed << ", n " << n;
+      EXPECT_EQ(filled.engine()(), called.engine()()) << "seed " << seed << ", n " << n;
+    }
+  }
+}
+
+/// Returns a scripted word sequence, counting the words drawn.
+struct ScriptedEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  std::vector<std::uint64_t> words;
+  std::size_t drawn = 0;
+  result_type operator()() { return words.at(drawn++); }
+};
+
+constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;  // canonical 0.5: a polar x or y of 0
+constexpr std::uint64_t kTop = ~std::uint64_t{0};        // canonical just below 1
+
+TEST(DistScripted, CanonicalClampsWordsThatRoundToOne) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  // 2^64 - 2^10 ties to even, upwards, to 2^64; every word above it rounds
+  // up too. Without the clamp these would return 1.0.
+  for (const std::uint64_t w : {kTop, kTop - 1023, kTop - 1024}) {
+    ScriptedEngine g{{w}};
+    EXPECT_EQ(dist::canonical(g), below_one) << w;
+  }
+  ScriptedEngine zero{{0}};
+  EXPECT_EQ(dist::canonical(zero), 0.0);
+  ScriptedEngine half{{kHalf}};
+  EXPECT_EQ(dist::canonical(half), 0.5);
+}
+
+TEST(DistScripted, CanonicalConvertsHighWordsLikeTheCompiler) {
+  // Words with the top bit set take the conversion's slow path in the
+  // compiler's branchy unsigned-to-double; the split halves must round the
+  // same way, ties included.
+  const std::uint64_t words[] = {kHalf + 1,         kHalf + 1024,          kHalf + 1025,
+                                 kHalf + 3072,      0xFFFFFFFFFFFFF3FFull, 0x8000000000000BFFull,
+                                 0x123456789ABCDEF0, 0xFEDCBA9876543210ull, 0x00000000FFFFFFFFull};
+  for (const std::uint64_t w : words) {
+    ScriptedEngine g{{w}};
+    EXPECT_EQ(dist::canonical(g), std::min(static_cast<double>(w) * 0x1p-64,
+                                           std::nextafter(1.0, 0.0)))
+        << std::hex << w;
+  }
+}
+
+TEST(DistScripted, PolarNormalRejectsTheCentreAndPointsOutsideTheDisc) {
+  // (0, 0): r2 == 0, rejected. (~1, ~1): r2 > 1, rejected. Then a point
+  // inside the disc: x = 2 * 0.25 - 1 = -0.5, y = 2 * 0.75 - 1 = 0.5.
+  const std::uint64_t quarter = std::uint64_t{1} << 62;
+  ScriptedEngine g{{kHalf, kHalf, kTop, kTop, quarter, 3 * quarter}};
+  const double r2 = 0.5;
+  const double expected = 0.5 * std::sqrt(-2 * std::log(r2) / r2) * 2.0 + 1.0;
+  EXPECT_EQ(dist::normal(g, 1.0, 2.0), expected);
+  EXPECT_EQ(g.drawn, 6u);
+
+  ScriptedEngine filled{{kHalf, kHalf, kTop, kTop, quarter, 3 * quarter, quarter, 3 * quarter}};
+  std::vector<double> out(2);
+  dist::normal_fill(filled, out, 1.0, 2.0);
+  EXPECT_EQ(out[0], expected);
+  EXPECT_EQ(out[1], expected);
+  EXPECT_EQ(filled.drawn, 8u);
+
+  // The persistent normal inside Gamma keeps the x half for its next call:
+  // alpha = 1 accepts both draws here, so two gammas cost one polar point.
+  ScriptedEngine twice{{quarter, 3 * quarter, kHalf, kHalf}};
+  Gamma gamma(1.0);
+  EXPECT_GT(gamma(twice), 0.0);
+  EXPECT_EQ(twice.drawn, 3u);
+  EXPECT_GT(gamma(twice), 0.0);
+  EXPECT_EQ(twice.drawn, 4u);
+}
+
+TEST(DistScripted, RandintRetriesBelowTheLemireThreshold) {
+  // Range 3: threshold = 2^64 mod 3 = 1, so only a product whose low word
+  // is 0 retries; word 0 gives one. 3^-1 mod 2^64 gives low word 1 (kept,
+  // no retry) and high word 2.
+  const std::uint64_t inverse3 = 0xAAAAAAAAAAAAAAABull;
+  ScriptedEngine g{{0, inverse3}};
+  EXPECT_EQ(dist::randint(g, 0, 2), 2);
+  EXPECT_EQ(g.drawn, 2u);
+  ScriptedEngine once{{inverse3}};
+  EXPECT_EQ(dist::randint(once, 10, 12), 12);
+  EXPECT_EQ(once.drawn, 1u);
+  // A range of one needs a word but never retries; the full range returns
+  // the raw word shifted by lo.
+  ScriptedEngine single{{0}};
+  EXPECT_EQ(dist::randint(single, 5, 5), 5);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  ScriptedEngine full{{0, kTop}};
+  EXPECT_EQ(dist::randint(full, kMin, kMax), kMin);
+  EXPECT_EQ(dist::randint(full, kMin, kMax), kMax);
+}
+
+TEST(DistPinned, FirstEightDrawsAtSeed42) {
+  // Literal values, so a platform without the oracle still checks them.
+  const double uniform[] = {0x1.1e0c5b02ab5d4p-3, 0x1.f04ac971d9e1ep-1, 0x1.f0bd856c1255cp-1,
+                            0x1.fd4e08fee9014p-3, 0x1.65026487c08e4p-1, 0x1.3fdeed0f6b3e2p-1,
+                            0x1.92e6b92e6cd8p-2,  0x1.e69d96bcb13afp-2};
+  const double uniform_1_10[] = {0x1.20e6f33180647p+1, 0x1.372a11500a8f1p+3, 0x1.376a9b0cca504p+3,
+                                 0x1.9e7be50f6310bp+1, 0x1.d1a2b118b8ap+2,   0x1.a7dacab158a5ep+2,
+                                 0x1.22a1c82a1d398p+2, 0x1.51b8a4ca23b12p+2};
+  const double normal[] = {0x1.dda8fe97b98d1p-1,  -0x1.1e1317eddb868p-1, -0x1.28f4f2691ff79p+1,
+                           0x1.2e7e9dd54409ep+0,  -0x1.575b732c6aabcp-3, -0x1.111147bd83046p-1,
+                           -0x1.9ced92fb2408p+0,  0x1.0a0c05bdbafdcp+0};
+  const double normal_01_03[] = {
+      0x1.84feff27d5bbp-2,  -0x1.14fa9fd47542cp-4, -0x1.3125efb1598f8p-1, 0x1.d164bd6651a58p-2,
+      0x1.972bdc3119986p-5, -0x1.eb86252741ae8p-5, -0x1.891d16c6f809ap-2, 0x1.a5a806e3ad308p-2};
+  const std::int64_t randint[] = {139672, 969320, 970195, 248683, 697283, 624747, 393458, 475210};
+  const double gamma_05[] = {0x1.202aae053745ap-1, 0x1.fd5904537c0cap-5, 0x1.1d15c3bb22c13p-7,
+                             0x1.3bc36974fa727p-4, 0x1.759be69531416p-5, 0x1.8380b6d012491p+0,
+                             0x1.7204b2270880bp-7, 0x1.7dcb889a1d8b7p-2};
+  const double gamma_25[] = {0x1.ecdba2438da04p+1, 0x1.494453368731ap+2, 0x1.da71b20f97d77p-3,
+                             0x1.fd3ff61bcf2dp-1,  0x1.eddbddfdc18e5p+0, 0x1.b8af79271b871p-1,
+                             0x1.1bad42b1d153p-1,  0x1.6d99947419a1p+1};
+  const double rayleigh[] = {0x1.fbf256ac5ea38p+0, 0x1.ff42e22417ec3p-3, 0x1.f7cd3865e73e7p-3,
+                             0x1.ab1421857c97ap+0, 0x1.b2c9291a336f7p-1, 0x1.f09e16f7ae3f8p-1,
+                             0x1.5da8b08231852p+0, 0x1.38470897d4c7bp+0};
+  Rng u(42), u2(42), n(42), n2(42), r(42), ga(42), gb(42), ray(42), filled(42);
+  Gamma g05(0.5), g25(2.5);
+  std::vector<double> fill(8);
+  filled.normal_fill(fill);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(u.uniform(), uniform[i]) << i;
+    EXPECT_EQ(u2.uniform(1.0, 10.0), uniform_1_10[i]) << i;
+    EXPECT_EQ(n.normal(), normal[i]) << i;
+    EXPECT_EQ(fill[static_cast<std::size_t>(i)], normal[i]) << i;
+    EXPECT_EQ(n2.normal(0.1, 0.3), normal_01_03[i]) << i;
+    EXPECT_EQ(r.randint(0, 999999), randint[i]) << i;
+    EXPECT_EQ(g05(ga.engine()), gamma_05[i]) << i;
+    EXPECT_EQ(g25(gb.engine()), gamma_25[i]) << i;
+    EXPECT_EQ(ray.rayleigh(), rayleigh[i]) << i;
+  }
 }
 
 TEST(RunningStat, KnownSequence) {
