@@ -133,8 +133,9 @@ struct StepResult {
   std::size_t batch = 0;
   double ms_per_step = 0;
   double gflops = 0;  ///< analytic forward GEMM flops / step time (lower bound)
-  std::size_t allocs_per_step = 0;
+  std::size_t allocs_per_step = 0;  ///< on a pool lane: parallel_for runs serially
   std::size_t bytes_per_step = 0;
+  std::size_t fanout_allocs_per_step = 0;  ///< on the global pool, as inline 1-lane training
 };
 
 /// Builds the preset's model on a shrunken copy of its dataset and times a
@@ -157,29 +158,39 @@ StepResult bench_train_step(const std::string& preset_name, double budget_ms) {
   std::vector<int> y(batch);
   for (std::size_t i = 0; i < batch; ++i) y[i] = built.data->train.ys[i];
 
-  // Heap traffic is counted on the serial schedule a simulated worker
-  // trains on (a pool lane, where the nesting rule serializes parallel_for),
-  // as gemm_test does. The timed steps below fan out on the global pool,
-  // whose parallel_for allocates a latch and one closure per chunk.
-  std::size_t count0 = 0, bytes0 = 0, count1 = 0, bytes1 = 0;
-  constexpr int kCountedSteps = 5;
+  // Heap traffic per steady-state step, on both schedules a step runs on.
+  // On a pool lane, where multi-lane runs train, the nesting rule runs
+  // parallel_for serially; gemm_test checks that this allocates nothing.
+  // Inline 1-lane training (threads = 1) and the timed steps below fan out
+  // on the global pool instead, whose parallel_for allocates a latch and
+  // one closure per chunk.
+  struct Traffic {
+    std::size_t allocs, bytes;
+  };
+  const auto traffic_per_step = [&] {
+    for (int warm = 0; warm < 3; ++warm) model.train_step(x, y, 0.01f);
+    const std::size_t count0 = alloc_hook::count.load();
+    const std::size_t bytes0 = alloc_hook::bytes.load();
+    constexpr int kCountedSteps = 5;
+    for (int s = 0; s < kCountedSteps; ++s) model.train_step(x, y, 0.01f);
+    return Traffic{(alloc_hook::count.load() - count0) / kCountedSteps,
+                   (alloc_hook::bytes.load() - bytes0) / kCountedSteps};
+  };
+  Traffic lane{};
   {
     util::ThreadPool::SerialRegion serial;
-    for (int warm = 0; warm < 3; ++warm) model.train_step(x, y, 0.01f);
-    count0 = alloc_hook::count.load();
-    bytes0 = alloc_hook::bytes.load();
-    for (int s = 0; s < kCountedSteps; ++s) model.train_step(x, y, 0.01f);
-    count1 = alloc_hook::count.load();
-    bytes1 = alloc_hook::bytes.load();
+    lane = traffic_per_step();
   }
+  const Traffic fanout = traffic_per_step();
 
   StepResult r;
   r.preset = preset_name;
   r.model = spec.model.kind;
   r.batch = batch;
   r.ms_per_step = 1000.0 * time_per_call(budget_ms, [&] { model.train_step(x, y, 0.01f); });
-  r.allocs_per_step = (count1 - count0) / kCountedSteps;
-  r.bytes_per_step = (bytes1 - bytes0) / kCountedSteps;
+  r.allocs_per_step = lane.allocs;
+  r.bytes_per_step = lane.bytes;
+  r.fanout_allocs_per_step = fanout.allocs;
 
   // Analytic GEMM flops of one step (forward + both backward GEMMs ~ 3x
   // forward) for a rough GFLOP/s figure; exact per-layer flops are what
@@ -242,14 +253,16 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   std::printf("\n=== Training step: wall time and heap traffic (steady state) ===\n");
-  util::Table ts({"preset", "model", "batch", "ms/step", "~GF/s", "allocs/step", "bytes/step"});
+  util::Table ts({"preset", "model", "batch", "ms/step", "~GF/s", "allocs/step", "bytes/step",
+                  "fan-out allocs/step"});
   for (const char* preset :
        {"fig03_lr_mnist", "fig04_cnn_mnist", "fig05_cnn_cifar", "fig06_vgg_imagenet"}) {
     const auto r = bench_train_step(preset, budget_ms);
     ts.add_row({r.preset, r.model, util::Table::fmt_int(static_cast<long long>(r.batch)),
                 util::Table::fmt(r.ms_per_step, 3), util::Table::fmt(r.gflops, 2),
                 util::Table::fmt_int(static_cast<long long>(r.allocs_per_step)),
-                util::Table::fmt_int(static_cast<long long>(r.bytes_per_step))});
+                util::Table::fmt_int(static_cast<long long>(r.bytes_per_step)),
+                util::Table::fmt_int(static_cast<long long>(r.fanout_allocs_per_step))});
     scenario::Json rec = scenario::Json::object();
     rec.set("kind", "train_step");
     rec.set("preset", r.preset);
@@ -258,13 +271,15 @@ int main(int argc, char** argv) {
     rec.set("ms_per_step", r.ms_per_step);
     rec.set("allocs_per_step", r.allocs_per_step);
     rec.set("bytes_per_step", r.bytes_per_step);
+    rec.set("fanout_allocs_per_step", r.fanout_allocs_per_step);
     records.push_back(std::move(rec));
   }
   ts.print(std::cout);
   std::printf(
-      "(allocs/step and bytes/step count a serial, lane-style step and must be 0 in steady state "
-      "— gemm_test enforces it;\n ms/step fans out on the global pool, whose parallel_for "
-      "dispatch allocates per call)\n");
+      "(allocs/step and bytes/step: a step on a pool lane, where parallel_for runs serially; "
+      "must be 0 in steady state — gemm_test enforces it.\n fan-out allocs/step: a step on the "
+      "global pool, as inline 1-lane training and ms/step run it; parallel_for dispatch still "
+      "allocates there)\n");
 
   if (const std::string* path = flags.get("json")) {
     std::ofstream out(*path, std::ios::trunc);

@@ -1,9 +1,6 @@
 #include "channel/aircomp.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 
 #include "ml/tensor.hpp"
@@ -64,15 +61,10 @@ AirCompChannel::Output AirCompChannel::aggregate(const Input& in) {
   const double noise_std = q > 0 ? std::sqrt(cfg_.sigma0_sq / static_cast<double>(q)) : 0.0;
   double noise_energy = 0.0;
   if (noise_std > 0.0) {
-    std::array<double, 256> z{};
-    for (std::size_t base = 0; base < q; base += z.size()) {
-      const std::span<double> block(z.data(), std::min(z.size(), q - base));
-      rng_.normal_fill(block, 0.0, noise_std);
-      for (std::size_t k = 0; k < block.size(); ++k) {
-        noise_energy += block[k] * block[k];
-        y[base + k] += block[k];
-      }
-    }
+    util::dist::normal_fill(rng_.engine(), q, 0.0, noise_std, [&](std::size_t d, double z) {
+      noise_energy += z * z;
+      y[d] += z;
+    });
   }
   out.noise_energy = noise_energy;
 

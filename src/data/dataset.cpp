@@ -20,7 +20,7 @@ namespace {
 /// Unit-norm random direction scaled by `margin`.
 std::vector<float> random_prototype_flat(std::size_t dim, double margin, util::Rng& rng) {
   std::vector<float> p(dim);
-  ml::fill_normal(p, rng, 1.0);
+  rng.normal_fill(p);
   const double scale = margin / std::max(1e-12, std::sqrt(ml::squared_norm(p)));
   for (auto& v : p) v = static_cast<float>(v * scale);
   return p;
@@ -34,7 +34,7 @@ std::vector<float> random_prototype_image(std::size_t channels, std::size_t heig
   const std::size_t gh = std::max<std::size_t>(2, height / 4);
   const std::size_t gw = std::max<std::size_t>(2, width / 4);
   std::vector<float> grid(channels * gh * gw);
-  ml::fill_normal(grid, rng, 1.0);
+  rng.normal_fill(grid);
 
   std::vector<float> img(channels * height * width);
   for (std::size_t c = 0; c < channels; ++c) {
@@ -100,7 +100,7 @@ std::vector<Dataset> fill_dataset(std::vector<std::size_t> shape, const Syntheti
     for (std::size_t r = 0; r < sizes[k]; ++r, ++i) {
       const auto& proto = prototypes[static_cast<std::size_t>(labels[i])];
       const std::span<float> row = ds.xs.data().subspan(r * dim, dim);
-      ml::fill_normal(row, rng, sigma);
+      rng.normal_fill(row, 0.0, sigma);
       for (std::size_t d = 0; d < dim; ++d) row[d] += proto[d];
       ds.ys[r] = labels[i];
     }

@@ -27,7 +27,7 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t ke
 void Conv2D::init(util::Rng& rng) {
   const float fan_in = static_cast<float>(cin_ * k_ * k_);
   const float stddev = std::sqrt(2.0f / fan_in);
-  fill_normal(weight_.data(), rng, stddev);
+  rng.normal_fill(weight_.data(), 0.0, stddev);
   bias_.fill(0.0f);
 }
 

@@ -18,7 +18,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features)
 
 void Dense::init(util::Rng& rng) {
   const float stddev = std::sqrt(2.0f / static_cast<float>(in_));
-  fill_normal(weight_.data(), rng, stddev);
+  rng.normal_fill(weight_.data(), 0.0, stddev);
   bias_.fill(0.0f);
 }
 

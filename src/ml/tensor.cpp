@@ -1,7 +1,6 @@
 #include "ml/tensor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -105,7 +104,7 @@ Tensor Tensor::uninitialized(std::initializer_list<std::size_t> shape) {
 
 Tensor Tensor::randn(std::vector<std::size_t> shape, util::Rng& rng, float stddev) {
   Tensor t = uninitialized(shape);
-  fill_normal(t.data(), rng, stddev);
+  rng.normal_fill(t.data(), 0.0, stddev);
   return t;
 }
 
@@ -255,15 +254,6 @@ double squared_norm(std::span<const float> x) {
   double acc = 0.0;
   for (float v : x) acc += static_cast<double>(v) * v;
   return acc;
-}
-
-void fill_normal(std::span<float> out, util::Rng& rng, double stddev) {
-  std::array<double, 256> z{};
-  for (std::size_t base = 0; base < out.size(); base += z.size()) {
-    const std::span<double> block(z.data(), std::min(z.size(), out.size() - base));
-    rng.normal_fill(block, 0.0, stddev);
-    for (std::size_t i = 0; i < block.size(); ++i) out[base + i] = static_cast<float>(block[i]);
-  }
 }
 
 }  // namespace airfedga::ml

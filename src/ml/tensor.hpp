@@ -129,8 +129,4 @@ double dot(std::span<const float> x, std::span<const float> y);
 /// Squared L2 norm of a flat vector (accumulated in double).
 double squared_norm(std::span<const float> x);
 
-/// Fills `out` with N(0, stddev) draws narrowed to float: the values of
-/// `out.size()` calls of `rng.normal(0.0, stddev)`, drawn in batches.
-void fill_normal(std::span<float> out, util::Rng& rng, double stddev);
-
 }  // namespace airfedga::ml

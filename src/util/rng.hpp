@@ -8,6 +8,17 @@
 #include <span>
 #include <vector>
 
+// The draws below round every product and sum on its own, as libstdc++'s
+// do; a fused multiply-add would change their last bits. The build turns
+// contraction off outside x86-64, whose baseline ISA has no FMA to fuse
+// into (CMakeLists.txt); under clang each draw also turns it off for its
+// own body, whatever the flags.
+#if defined(__clang__)
+#define AIRFEDGA_NO_FP_CONTRACT _Pragma("clang fp contract(off)")
+#else
+#define AIRFEDGA_NO_FP_CONTRACT
+#endif
+
 namespace airfedga::util {
 
 /// The standard 64-bit Mersenne Twister, MT19937-64: the engine the C++
@@ -82,6 +93,7 @@ double canonical(G& g) {
 /// `uniform_real_distribution<double>(lo, hi)`: one word.
 template <typename G>
 double uniform(G& g, double lo, double hi) {
+  AIRFEDGA_NO_FP_CONTRACT
   return canonical(g) * (hi - lo) + lo;
 }
 
@@ -94,6 +106,7 @@ struct PolarPoint {
 /// disc, minus its centre.
 template <typename G>
 PolarPoint polar_point(G& g) {
+  AIRFEDGA_NO_FP_CONTRACT
   double x = 0.0, y = 0.0, r2 = 0.0;
   do {
     x = 2.0 * canonical(g) - 1.0;
@@ -111,24 +124,26 @@ inline double polar_multiplier(double r2) { return std::sqrt(-2 * std::log(r2) /
 /// for a single call drops its saved value.
 template <typename G>
 double normal(G& g, double mean, double stddev) {
+  AIRFEDGA_NO_FP_CONTRACT
   const PolarPoint p = polar_point(g);
   const double ret = p.y * polar_multiplier(p.r2);
   return ret * stddev + mean;
 }
 
-/// `out.size()` calls of `normal(g, mean, stddev)`: the same words, values
-/// and final stream position. Runs the rejection loop over a block first
-/// and the log/sqrt/divide pass after it, so the math no longer waits on
-/// the rejection branch. The loop writes every point and advances past it
-/// only if accepted, so the ~21% rejections cost no mispredicted branches.
-template <typename G>
-void normal_fill(G& g, std::span<double> out, double mean, double stddev) {
+/// `n` calls of `normal(g, mean, stddev)`, handing the i-th value to
+/// `sink(i, value)` in order: the same words, values and final stream
+/// position. Runs the rejection loop over a block first and the
+/// log/sqrt/divide pass after it, so the math no longer waits on the
+/// rejection branch. The loop writes every point and advances past it only
+/// if accepted, so the ~21% rejections cost no mispredicted branches.
+template <typename G, typename Sink>
+void normal_fill(G& g, std::size_t n, double mean, double stddev, Sink&& sink) {
+  AIRFEDGA_NO_FP_CONTRACT
   constexpr std::size_t kBlock = 256;
-  std::array<double, kBlock> r2{};
-  for (std::size_t base = 0; base < out.size(); base += kBlock) {
-    double* y = out.data() + base;
-    const std::size_t n = std::min(kBlock, out.size() - base);
-    for (std::size_t i = 0; i < n;) {
+  std::array<double, kBlock> y{}, r2{};
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t len = std::min(kBlock, n - base);
+    for (std::size_t i = 0; i < len;) {
       const double px = 2.0 * canonical(g) - 1.0;
       const double py = 2.0 * canonical(g) - 1.0;
       const double pr2 = px * px + py * py;
@@ -136,7 +151,8 @@ void normal_fill(G& g, std::span<double> out, double mean, double stddev) {
       r2[i] = pr2;
       i += static_cast<std::size_t>(!(pr2 > 1.0) & !(pr2 == 0.0));
     }
-    for (std::size_t i = 0; i < n; ++i) y[i] = y[i] * polar_multiplier(r2[i]) * stddev + mean;
+    for (std::size_t i = 0; i < len; ++i)
+      sink(base + i, y[i] * polar_multiplier(r2[i]) * stddev + mean);
   }
 }
 
@@ -179,6 +195,7 @@ class Gamma {
 
   template <typename G>
   double operator()(G& g) {
+    AIRFEDGA_NO_FP_CONTRACT
     double u = 0.0, v = 0.0, n = 0.0;
     do {
       do {
@@ -242,7 +259,14 @@ class Rng {
   /// Fills `out` with `out.size()` calls' worth of `normal(mean, stddev)`:
   /// the same values and the same stream position afterwards, faster.
   void normal_fill(std::span<double> out, double mean = 0.0, double stddev = 1.0) {
-    dist::normal_fill(engine_, out, mean, stddev);
+    dist::normal_fill(engine_, out.size(), mean, stddev,
+                      [out](std::size_t i, double v) { out[i] = v; });
+  }
+
+  /// `normal_fill` narrowed to float, value by value.
+  void normal_fill(std::span<float> out, double mean = 0.0, double stddev = 1.0) {
+    dist::normal_fill(engine_, out.size(), mean, stddev,
+                      [out](std::size_t i, double v) { out[i] = static_cast<float>(v); });
   }
 
   /// Rayleigh-distributed magnitude with the given scale parameter.

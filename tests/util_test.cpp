@@ -153,6 +153,42 @@ TEST(Mt19937_64, DiscardEqualsThatManyCalls) {
   }
 }
 
+// Draws `count` values of `dist` on each engine, comparing bit patterns.
+template <typename Dist>
+void expect_same_draws(Dist dist, std::uint64_t seed, int count = 20000) {
+  Mt19937_64 ours(seed);
+  std::mt19937_64 ref(seed);
+  Dist dist_ref = dist;
+  std::size_t mismatches = 0;
+  for (int i = 0; i < count; ++i) {
+    const auto a = dist(ours);
+    const auto b = dist_ref(ref);
+    if constexpr (std::is_floating_point_v<decltype(a)>) {
+      if (std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b)) ++mismatches;
+    } else {
+      if (a != b) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  EXPECT_EQ(ours(), ref()) << "engines left at different positions, seed " << seed;
+}
+
+TEST(Mt19937_64, StdDistributionsDrawIdenticallyOnBothEngines) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    expect_same_draws(std::uniform_real_distribution<double>(0.0, 1.0), seed);
+    expect_same_draws(
+        std::uniform_real_distribution<double>(std::numeric_limits<double>::min(), 1.0), seed);
+    expect_same_draws(std::normal_distribution<double>(0.0, 1.0), seed);
+    expect_same_draws(std::normal_distribution<double>(1.0, 0.15), seed);
+    expect_same_draws(std::uniform_int_distribution<std::int64_t>(5, 5), seed);
+    expect_same_draws(std::uniform_int_distribution<std::int64_t>(0, (std::int64_t{1} << 32) - 1),
+                      seed);
+    expect_same_draws(std::uniform_int_distribution<std::int64_t>(0, 999999), seed);
+    expect_same_draws(std::gamma_distribution<double>(0.5, 1.0), seed);
+    expect_same_draws(std::gamma_distribution<double>(2.0, 1.0), seed);
+  }
+}
+
 TEST(Mt19937_64, RngDrawsOneWordPerUniform) {
   // FadingChannel::gains_of skips to a worker's gain with discard(i):
   // that relies on uniform() (and so rayleigh()) consuming one word.
@@ -258,6 +294,14 @@ TEST(Dist, NormalFillEqualsThatManyNormalCalls) {
           ++mismatches;
       EXPECT_EQ(mismatches, 0u) << "seed " << seed << ", n " << n;
       EXPECT_EQ(filled.engine()(), called.engine()()) << "seed " << seed << ", n " << n;
+
+      // The float overload narrows the same values.
+      Rng narrowed(seed), wide(seed);
+      std::vector<float> f(n);
+      narrowed.normal_fill(f, 0.1, 0.3);
+      wide.normal_fill(out, 0.1, 0.3);
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(f[i], static_cast<float>(out[i])) << i;
+      EXPECT_EQ(narrowed.engine()(), wide.engine()()) << "seed " << seed << ", n " << n;
     }
   }
 }
@@ -316,7 +360,7 @@ TEST(DistScripted, PolarNormalRejectsTheCentreAndPointsOutsideTheDisc) {
 
   ScriptedEngine filled{{kHalf, kHalf, kTop, kTop, quarter, 3 * quarter, quarter, 3 * quarter}};
   std::vector<double> out(2);
-  dist::normal_fill(filled, out, 1.0, 2.0);
+  dist::normal_fill(filled, out.size(), 1.0, 2.0, [&](std::size_t i, double v) { out[i] = v; });
   EXPECT_EQ(out[0], expected);
   EXPECT_EQ(out[1], expected);
   EXPECT_EQ(filled.drawn, 8u);
