@@ -40,20 +40,32 @@ double now_seconds() {
 
 /// One GEMM workload: the batched lowering of a figure-model layer.
 /// `samples` > 1 additionally times the seed's *per-sample* decomposition
-/// (the pre-kernel-layer Conv2D did one naive GEMM per sample).
+/// (the pre-kernel-layer Conv2D did one naive GEMM per sample). `ta`/`tb`
+/// are the operand orientations; a transposed operand is stored as its
+/// layer stores it (A as (k, m), B as (n, k)).
 struct GemmShape {
   const char* figure;
   const char* layer;
   std::size_t m, n, k;
   std::size_t samples;
+  ml::Trans ta = ml::Trans::N;
+  ml::Trans tb = ml::Trans::N;
 };
+
+constexpr ml::Trans N = ml::Trans::N;
+constexpr ml::Trans T = ml::Trans::T;
 
 // Layer lowerings at the preset scales (scenario/presets.cpp):
 //   fig03  MLP-128, full-shard batch ~100 rows
 //   fig04  CNN width 0.15 on 28x28 (c1=4, c2=8, fc=75), batch 16
 //   fig05  CNN width 0.2 on 16x16 (c1=6, c2=13, fc=102), batch 16
 //   fig06  1-hidden MLP-128 on 768 inputs, 100 classes, batch 16
-// Conv forward lowers to (cout, cin*k*k) x (cin*k*k, batch*oh*ow).
+// Conv forward lowers to (cout, cin*k*k) x (cin*k*k, batch*oh*ow). The
+// rows without an orientation suffix all run N.N; the suffixed rows are the
+// backward (and Dense forward) calls in the orientation the layers make:
+// conv dW = gy . cols^T (N.T), conv dcols = W^T . gy (T.N, not run for a
+// model's first layer), Dense forward x . W^T (N.T) and Dense dW = gy^T . x
+// (T.N).
 const GemmShape kShapes[] = {
     {"fig03", "dense1", 100, 128, 784, 1},
     {"fig03", "dense2", 100, 128, 128, 1},
@@ -66,6 +78,16 @@ const GemmShape kShapes[] = {
     {"fig05", "fc", 16, 102, 208, 1},
     {"fig06", "dense1", 16, 128, 768, 1},
     {"fig06", "head", 16, 100, 128, 1},
+    {"fig04", "conv1-dW-nt", 4, 25, 12544, 1, N, T},
+    {"fig04", "conv2-dW-nt", 8, 100, 3136, 1, N, T},
+    {"fig04", "conv2-dcols-tn", 100, 3136, 8, 1, T, N},
+    {"fig04", "fc-fwd-nt", 16, 75, 392, 1, N, T},
+    {"fig04", "fc-dW-tn", 75, 392, 16, 1, T, N},
+    {"fig05", "conv1-dW-nt", 6, 75, 4096, 1, N, T},
+    {"fig05", "conv2-dW-nt", 13, 150, 1024, 1, N, T},
+    {"fig05", "conv2-dcols-tn", 150, 1024, 13, 1, T, N},
+    {"fig05", "fc-fwd-nt", 16, 102, 208, 1, N, T},
+    {"fig05", "fc-dW-tn", 102, 208, 16, 1, T, N},
 };
 
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
@@ -102,17 +124,18 @@ ShapeResult bench_shape(const GemmShape& s, double budget_ms) {
   const auto b = random_floats(s.k * s.n, 2);
   std::vector<float> c(s.m * s.n, 0.0f);
   const double flops = 2.0 * static_cast<double>(s.m) * s.n * s.k;
+  const std::size_t lda = s.ta == N ? s.k : s.m;
+  const std::size_t ldb = s.tb == N ? s.n : s.k;
 
   ShapeResult r{s, 0, 0, 0};
   r.blocked_gflops =
       flops / time_per_call(budget_ms, [&] {
-        ml::sgemm(ml::Trans::N, ml::Trans::N, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, 0.0f,
-                  c.data(), s.n);
+        ml::sgemm(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f, c.data(), s.n);
       }) / 1e9;
   r.naive_gflops =
       flops / time_per_call(budget_ms, [&] {
-        ml::sgemm_reference(ml::Trans::N, ml::Trans::N, s.m, s.n, s.k, a.data(), s.k, b.data(),
-                            s.n, 0.0f, c.data(), s.n);
+        ml::sgemm_reference(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f,
+                            c.data(), s.n);
       }) / 1e9;
   if (s.samples > 1) {
     // The seed path: one naive GEMM per sample over an n/samples slice.
@@ -197,7 +220,7 @@ StepResult bench_train_step(const std::string& preset_name, double budget_ms) {
   // the shape table above measures.
   double fwd_flops = 0;
   for (const auto& s : kShapes)
-    if (preset_name.rfind(s.figure, 0) == 0)
+    if (preset_name.rfind(s.figure, 0) == 0 && s.ta == N && s.tb == N)
       fwd_flops += 2.0 * static_cast<double>(s.m) * s.n * s.k;
   r.gflops = 3.0 * fwd_flops / (r.ms_per_step / 1000.0) / 1e9;
   return r;
@@ -223,14 +246,15 @@ int main(int argc, char** argv) {
   std::vector<scenario::Json> records;
 
   std::printf("=== Blocked GEMM vs seed kernels (single thread) ===\n");
-  util::Table t({"figure", "layer", "m", "n", "k", "blocked GF/s", "naive GF/s", "per-sample GF/s",
-                 "speedup"});
+  util::Table t({"figure", "layer", "op", "m", "n", "k", "blocked GF/s", "naive GF/s",
+                 "per-sample GF/s", "speedup"});
   {
     util::ThreadPool::SerialRegion serial;  // single-thread kernel numbers
     for (const auto& s : kShapes) {
       const auto r = bench_shape(s, budget_ms);
       const double baseline = r.per_sample_gflops > 0 ? r.per_sample_gflops : r.naive_gflops;
-      t.add_row({s.figure, s.layer, util::Table::fmt_int(static_cast<long long>(s.m)),
+      const std::string op = std::string(s.ta == N ? "N" : "T") + (s.tb == N ? "N" : "T");
+      t.add_row({s.figure, s.layer, op, util::Table::fmt_int(static_cast<long long>(s.m)),
                  util::Table::fmt_int(static_cast<long long>(s.n)),
                  util::Table::fmt_int(static_cast<long long>(s.k)),
                  util::Table::fmt(r.blocked_gflops, 2), util::Table::fmt(r.naive_gflops, 2),
@@ -240,6 +264,7 @@ int main(int argc, char** argv) {
       rec.set("kind", "gemm_shape");
       rec.set("figure", s.figure);
       rec.set("layer", s.layer);
+      rec.set("op", op);
       rec.set("m", s.m);
       rec.set("n", s.n);
       rec.set("k", s.k);

@@ -38,28 +38,54 @@ void Conv2D::im2col_batched(const Tensor& x, std::size_t s0, std::size_t s1,
   const std::size_t np = oh * ow;             // patches per sample
   const std::size_t ncols = (s1 - s0) * np;   // patch-matrix width
   const float* px = x.data().data();
+  // With "same" padding (ow == w, every preset conv) output pixel t of a
+  // (ki, kj) row reads input pixel t + (ki - pad) * w + (kj - pad) of its
+  // plane, so the valid rows of a (c, ki, kj, sample) block are one shifted
+  // span of the input. Other widths copy row by row.
+  const bool one_span = ow == w;
   for (std::size_t c = 0; c < cin_; ++c) {
     for (std::size_t ki = 0; ki < k_; ++ki) {
+      // Output rows [oi_lo, oi_hi) read input rows inside the image.
+      const std::size_t oi_lo = pad_ > ki ? pad_ - ki : 0;
+      const std::size_t oi_hi = std::min(oh, h + pad_ > ki ? h + pad_ - ki : 0);
       for (std::size_t kj = 0; kj < k_; ++kj) {
         const std::size_t row = (c * k_ + ki) * k_ + kj;
         // For fixed (ki, kj) the valid output columns map to a contiguous
-        // input span, so each output row is a memcpy plus zeroed borders.
+        // input span, so each output row is a copy plus zeroed borders.
         const std::size_t oj_lo = pad_ > kj ? pad_ - kj : 0;
         const std::size_t oj_hi = std::min(ow, w + pad_ > kj ? w + pad_ - kj : 0);
         for (std::size_t n = s0; n < s1; ++n) {
           float* dst0 = cols + row * ncols + (n - s0) * np;
           const float* src_plane = px + (n * cin_ + c) * h * w;
+          if (oi_lo >= oi_hi || oj_lo >= oj_hi) {
+            std::memset(dst0, 0, np * sizeof(float));
+            continue;
+          }
+          if (one_span) {
+            // Copy from the first valid pixel to the last, then re-zero the
+            // border columns the span wrapped into. The span starts and
+            // ends on valid pixels, so it never reads outside the plane.
+            const std::size_t first = oi_lo * ow + oj_lo;
+            const std::size_t last = (oi_hi - 1) * ow + oj_hi;
+            std::memset(dst0, 0, first * sizeof(float));
+            std::memcpy(dst0 + first, src_plane + (oi_lo + ki - pad_) * w + (oj_lo + kj - pad_),
+                        (last - first) * sizeof(float));
+            std::memset(dst0 + last, 0, (np - last) * sizeof(float));
+            for (std::size_t oi = oi_lo; oi < oi_hi; ++oi) {
+              float* dst = dst0 + oi * ow;
+              for (std::size_t oj = 0; oj < oj_lo; ++oj) dst[oj] = 0.0f;
+              for (std::size_t oj = oj_hi; oj < ow; ++oj) dst[oj] = 0.0f;
+            }
+            continue;
+          }
           for (std::size_t oi = 0; oi < oh; ++oi) {
             float* dst = dst0 + oi * ow;
-            const std::ptrdiff_t ii = static_cast<std::ptrdiff_t>(oi + ki) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(h) || oj_lo >= oj_hi) {
+            if (oi < oi_lo || oi >= oi_hi) {
               std::memset(dst, 0, ow * sizeof(float));
               continue;
             }
             if (oj_lo > 0) std::memset(dst, 0, oj_lo * sizeof(float));
-            std::memcpy(dst + oj_lo,
-                        src_plane + static_cast<std::size_t>(ii) * w + (oj_lo + kj - pad_),
+            std::memcpy(dst + oj_lo, src_plane + (oi + ki - pad_) * w + (oj_lo + kj - pad_),
                         (oj_hi - oj_lo) * sizeof(float));
             if (oj_hi < ow) std::memset(dst + oj_hi, 0, (ow - oj_hi) * sizeof(float));
           }
@@ -173,8 +199,11 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
     for (std::size_t c = 0; c < cout_; ++c)
       std::memcpy(gy + c * ncols + n * np, pg + (n * cout_ + c) * np, np * sizeof(float));
 
-  // Recompute the patch matrix (cheap next to the GEMMs; caching it across
-  // forward/backward would cost rows*ncols floats per layer per lane).
+  // Recompute the patch matrix. It is not cheap: for fig05's conv layers at
+  // batch 16 it measured 80-105 us per call, 40-85% of the dW GEMM (shared
+  // 4-core x86-64 AVX-512 box, Release, one lane). Caching it from forward
+  // would cost rows*ncols floats per layer per model instead: ~1.8 MB for
+  // fig05, ~180 MiB across 100 materialized workers.
   float* cols = ws.floats(rows * ncols);
   im2col_batched(x, 0, batch, cols);
 
@@ -189,6 +218,9 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
     for (std::size_t i = 0; i < ncols; ++i) acc += row[i];
     pbg[c] += acc;
   }
+
+  // A model's first layer stops here: nothing reads its input gradient.
+  if (!input_grad_) return no_input_grad();
 
   // dcols = W^T gy, then scatter-add back to input layout.
   float* dcols = ws.floats(rows * ncols);

@@ -27,7 +27,10 @@ class Conv2D : public Layer {
 
  private:
   /// Lowers samples [s0, s1) to a (C*k*k, (s1-s0)*OH*OW) patch matrix at
-  /// `cols` (columns ordered sample-major, then row-major spatial).
+  /// `cols` (columns ordered sample-major, then row-major spatial). With
+  /// "same" padding each (channel, ki, kj, sample) block is one shifted
+  /// span of the input plane plus re-zeroed borders; other shapes copy per
+  /// output row.
   void im2col_batched(const Tensor& x, std::size_t s0, std::size_t s1, float* cols) const;
   /// Scatters a patch-matrix gradient for samples [s0, s1) back onto `dx`
   /// (+=).

@@ -47,6 +47,7 @@ const Tensor& Dense::backward(const Tensor& grad_out) {
   float* pbg = bias_grad_.data().data();
   for (std::size_t i = 0; i < batch; ++i)
     for (std::size_t j = 0; j < out_; ++j) pbg[j] += grad_out.at2(i, j);
+  if (!input_grad_) return no_input_grad();
   matmul_into(dx_, grad_out, weight_);  // (B, in)
   return dx_;
 }

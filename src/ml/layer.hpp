@@ -38,8 +38,9 @@ class Layer {
   virtual const Tensor& forward(const Tensor& x) = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns
-  /// dL/d(input) (internal buffer, valid until the next backward call).
-  /// Must be called after a *training-mode* `forward`.
+  /// dL/d(input) (internal buffer, valid until the next backward call;
+  /// may be empty when `input_grad()` is off). Must be called after a
+  /// *training-mode* `forward`.
   virtual const Tensor& backward(const Tensor& grad_out) = 0;
 
   /// Learnable parameter blocks (empty for stateless layers).
@@ -53,10 +54,24 @@ class Layer {
   void set_training(bool training) { training_ = training; }
   [[nodiscard]] bool training() const { return training_; }
 
+  /// Whether `backward` computes dL/d(input). On by default; `Model::add`
+  /// turns it off for a model's first layer, whose input gradient nothing
+  /// reads. Layers with parameters then skip that work and `backward`
+  /// returns an empty tensor; parameter gradients are unaffected.
+  void set_input_grad(bool on) { input_grad_ = on; }
+  [[nodiscard]] bool input_grad() const { return input_grad_; }
+
   [[nodiscard]] virtual std::string name() const = 0;
 
  protected:
+  /// What `backward` returns when `input_grad()` is off.
+  static const Tensor& no_input_grad() {
+    static const Tensor empty;
+    return empty;
+  }
+
   bool training_ = true;
+  bool input_grad_ = true;
 };
 
 }  // namespace airfedga::ml

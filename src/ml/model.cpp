@@ -12,6 +12,8 @@ namespace airfedga::ml {
 
 void Model::add(std::unique_ptr<Layer> layer) {
   layer->set_training(training_);
+  // The loss gradient w.r.t. the model input is never read.
+  layer->set_input_grad(!layers_.empty());
   layers_.push_back(std::move(layer));
   views_.clear();  // rebuilt lazily on next access
   num_params_ = 0;

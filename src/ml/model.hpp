@@ -47,6 +47,8 @@ class Model {
   Model(const Model&) = delete;
   Model& operator=(const Model&) = delete;
 
+  /// Appends a layer. The first layer added gets `set_input_grad(false)`:
+  /// training never reads dL/d(input), so its backward skips that work.
   void add(std::unique_ptr<Layer> layer);
 
   /// Re-draws all layer weights from `rng`.

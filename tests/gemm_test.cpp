@@ -96,6 +96,34 @@ INSTANTIATE_TEST_SUITE_P(
                     std::make_tuple(13, 150, 70),                          // fig05 conv2-like
                     std::make_tuple(6, 200, 75)));                         // fig05 conv1-like
 
+/// (rows, cols) row-major -> (cols, rows).
+std::vector<float> transposed(const std::vector<float>& m, std::size_t rows, std::size_t cols) {
+  std::vector<float> t(m.size());
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) t[j * rows + i] = m[i * cols + j];
+  return t;
+}
+
+// Packing a transposed operand must put the same floats in the same panel
+// slots as packing its materialized transpose, so the results are equal
+// bit for bit, not just to rounding.
+TEST(Sgemm, TransposedOperandsEqualMaterializedTransposeBitwise) {
+  const std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes = {
+      {4, 25, 700}, {13, 150, 1024}, {5, 33, 257}, {65, 257, 31}, {100, 300, 8}};
+  for (const auto& [m, n, k] : shapes) {
+    const auto a = random_matrix(m, k, 5);
+    const auto b = random_matrix(k, n, 6);
+    std::vector<float> ref(m * n), c(m * n);
+    sgemm(Trans::N, Trans::N, m, n, k, a.data(), k, b.data(), n, 0.0f, ref.data(), n);
+    const auto bt = transposed(b, k, n);
+    sgemm(Trans::N, Trans::T, m, n, k, a.data(), k, bt.data(), k, 0.0f, c.data(), n);
+    EXPECT_EQ(c, ref) << "N.T m=" << m << " n=" << n << " k=" << k;
+    const auto at = transposed(a, m, k);
+    sgemm(Trans::T, Trans::N, m, n, k, at.data(), m, b.data(), n, 0.0f, c.data(), n);
+    EXPECT_EQ(c, ref) << "T.N m=" << m << " n=" << n << " k=" << k;
+  }
+}
+
 TEST(Sgemm, KZeroRespectsBeta) {
   auto c = random_matrix(3, 5, 4);
   const auto before = c;
