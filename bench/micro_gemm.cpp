@@ -185,8 +185,9 @@ StepResult bench_train_step(const std::string& preset_name, double budget_ms) {
   // On a pool lane, where multi-lane runs train, the nesting rule runs
   // parallel_for serially; gemm_test checks that this allocates nothing.
   // Inline 1-lane training (threads = 1) and the timed steps below fan out
-  // on the global pool instead, whose parallel_for allocates a latch and
-  // one closure per chunk.
+  // on the global pool instead; its parallel_for dispatch reuses the
+  // caller's latch and queues chunks without closures, so that allocates
+  // nothing either (CI gates both columns).
   struct Traffic {
     std::size_t allocs, bytes;
   };
@@ -303,8 +304,7 @@ int main(int argc, char** argv) {
   std::printf(
       "(allocs/step and bytes/step: a step on a pool lane, where parallel_for runs serially; "
       "must be 0 in steady state — gemm_test enforces it.\n fan-out allocs/step: a step on the "
-      "global pool, as inline 1-lane training and ms/step run it; parallel_for dispatch still "
-      "allocates there)\n");
+      "global pool, as inline 1-lane training and ms/step run it; must be 0 too)\n");
 
   if (const std::string* path = flags.get("json")) {
     std::ofstream out(*path, std::ios::trunc);

@@ -69,6 +69,16 @@ SchedulingLoop::SchedulingLoop(Driver& driver, Mechanism& policy)
   cohort_of_.assign(driver_.num_workers(), 0);
   for (std::size_t j = 0; j < cohorts_.size(); ++j)
     for (auto m : cohorts_[j]) cohort_of_[m] = j;
+  if (driver_.config().cohort_size != 0) {
+    // Size the cohort draw's buffers for the largest cohort now, before any
+    // round's selection copy exists: allocated in the first round, they
+    // would sit between that copy and the next one in the heap and keep
+    // the freed copy from being reused, raising peak RSS by a copy.
+    std::size_t largest = 0;
+    for (const auto& c : cohorts_) largest = std::max(largest, c.size());
+    cohort_scratch_.log.reserve(largest);
+    cohort_scratch_.bits.reserve((largest + 63) / 64);
+  }
   server_.emplace(driver_.initial_model(), cohorts_.size());
   active_.resize(cohorts_.size());
   substrate_ = &driver_.substrate();
@@ -168,19 +178,19 @@ Metrics SchedulingLoop::run() {
 }
 
 std::vector<std::size_t> SchedulingLoop::sample_cohort(std::vector<std::size_t> members,
-                                                       std::size_t round,
-                                                       std::size_t cohort) const {
+                                                       std::size_t round, std::size_t cohort) {
   const std::size_t k = driver_.config().cohort_size;
   if (k == 0 || members.size() <= k) return members;
+  obs::Span span("loop", "loop.sample_cohort");
   // One self-contained stream per (round, cohort): reproducible from the
   // config alone, uncorrelated with the weight/substrate streams.
   util::Rng rng(util::splitmix64(driver_.config().seed ^
                                  (0xC04052ULL + round * 0x9E3779B1ULL + cohort * 0x85EBCA77ULL)));
-  auto pos = rng.sample_without_replacement(members.size(), k);
-  std::sort(pos.begin(), pos.end());  // keep members in selection order
+  rng.sample_without_replacement(members.size(), k, cohort_pos_, cohort_scratch_);
+  std::sort(cohort_pos_.begin(), cohort_pos_.end());  // keep members in selection order
   std::vector<std::size_t> picked;
   picked.reserve(k);
-  for (auto p : pos) picked.push_back(members[p]);
+  for (auto p : cohort_pos_) picked.push_back(members[p]);
   return picked;
 }
 

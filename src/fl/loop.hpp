@@ -11,6 +11,7 @@
 #include "fl/metrics.hpp"
 #include "fl/server.hpp"
 #include "sim/event_queue.hpp"
+#include "util/rng.hpp"
 
 namespace airfedga::fl {
 
@@ -180,7 +181,7 @@ class SchedulingLoop {
   // round, cohort), never on engine state, so it is thread- and
   // backend-invariant.
   std::vector<std::size_t> sample_cohort(std::vector<std::size_t> members, std::size_t round,
-                                         std::size_t cohort) const;
+                                         std::size_t cohort);
   void start_sync_cycle();
   void start_timer_cycle(std::size_t cohort, double start);
   void start_ready_cycle(std::size_t cohort, double start);
@@ -228,6 +229,10 @@ class SchedulingLoop {
   /// transition chain next_transition(i, 0), next_transition(i, that), ...
   /// that park() has replayed (negative: the worker never transitions).
   std::vector<double> toggle_;
+  /// sample_cohort's reused buffers: the drawn positions and the sampler's
+  /// scratch, so no round allocates a population-sized array for its draw.
+  std::vector<std::size_t> cohort_pos_;
+  util::SampleScratch cohort_scratch_;
   /// Observability instruments, resolved once from the driver's registry
   /// (updates are then lock-free). Both record *virtual*-time quantities,
   /// so their contents are deterministic for a given scenario.

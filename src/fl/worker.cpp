@@ -38,12 +38,12 @@ void Worker::rebind(std::size_t id, std::span<const std::size_t> shard, util::Rn
 void Worker::replay_rng(std::size_t draws, std::size_t batch_size) {
   if (batch_size == 0 || batch_size >= shard_.size()) return;  // sampling consumed no randomness
   for (std::size_t i = 0; i < draws; ++i)
-    rng_.sample_without_replacement(shard_.size(), batch_size, pick_);
+    rng_.sample_without_replacement(shard_.size(), batch_size, pick_, pick_scratch_);
 }
 
 std::span<const std::size_t> Worker::sample_batch(std::size_t batch_size) {
   if (batch_size == 0 || batch_size >= shard_.size()) return shard_;
-  rng_.sample_without_replacement(shard_.size(), batch_size, pick_);
+  rng_.sample_without_replacement(shard_.size(), batch_size, pick_, pick_scratch_);
   batch_.resize(pick_.size());
   for (std::size_t i = 0; i < pick_.size(); ++i) batch_[i] = shard_[pick_[i]];
   return batch_;

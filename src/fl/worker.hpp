@@ -87,10 +87,11 @@ class Worker {
 
   // Reused per-step buffers: local training allocates nothing once these
   // reach the steady batch size.
-  std::vector<std::size_t> pick_;   ///< sampled positions within the shard
-  std::vector<std::size_t> batch_;  ///< sampled dataset indices
-  ml::Tensor xb_;                   ///< gathered batch inputs
-  std::vector<int> yb_;             ///< gathered batch labels
+  std::vector<std::size_t> pick_;     ///< sampled positions within the shard
+  util::SampleScratch pick_scratch_;  ///< the sampler's buffers for pick_
+  std::vector<std::size_t> batch_;    ///< sampled dataset indices
+  ml::Tensor xb_;                     ///< gathered batch inputs
+  std::vector<int> yb_;               ///< gathered batch labels
 };
 
 }  // namespace airfedga::fl

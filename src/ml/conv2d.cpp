@@ -202,8 +202,10 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
   // Recompute the patch matrix. It is not cheap: for fig05's conv layers at
   // batch 16 it measured 80-105 us per call, 40-85% of the dW GEMM (shared
   // 4-core x86-64 AVX-512 box, Release, one lane). Caching it from forward
-  // would cost rows*ncols floats per layer per model instead: ~1.8 MB for
-  // fig05, ~180 MiB across 100 materialized workers.
+  // would cost rows*ncols floats per layer per training model instead:
+  // ~1.8 MB for fig05. Workers do not own models; fl::Driver trains on
+  // min(lanes, population) per-lane scratch models (plus one for
+  // evaluation, which runs no backward), so that is ~1.8 MB per lane.
   float* cols = ws.floats(rows * ncols);
   im2col_batched(x, 0, batch, cols);
 

@@ -28,8 +28,11 @@ namespace airfedga::util {
 /// repo to one specified sequence and lets the twist be branch-free: the
 /// conditional `(y & 1) ? a : 0` of the reference algorithm becomes the
 /// mask `(0 - (y & 1)) & a`, which does not mispredict on the random low
-/// bit. Satisfies UniformRandomBitGenerator, so the std distributions run
-/// on it unchanged (the tests use them as the oracle for `dist`).
+/// bit. Each 312-word block is tempered in one vectorizable pass when it is
+/// twisted, into a second array, so `operator()` is a load; `discard`
+/// twists the blocks it skips without tempering them. Satisfies
+/// UniformRandomBitGenerator, so the std distributions run on it unchanged
+/// (the tests use them as the oracle for `dist`).
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -42,28 +45,34 @@ class Mt19937_64 {
   static constexpr result_type max() { return ~result_type{0}; }
 
   result_type operator()() {
-    if (pos_ >= state_size) twist();
-    result_type z = state_[pos_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
-    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
-    return z ^ (z >> 43);
+    if (pos_ >= state_size) {
+      twist();
+      temper();
+    }
+    return out_[pos_++];
   }
 
-  /// Advances the stream by `z` words without tempering them; equivalent
-  /// to `z` calls of operator().
+  /// Advances the stream by `z` words; equivalent to `z` calls of
+  /// operator(). Only the block it stops in is tempered.
   void discard(unsigned long long z) {
-    while (z > state_size - pos_) {
+    if (z <= state_size - pos_) {
+      pos_ += static_cast<std::size_t>(z);
+      return;
+    }
+    do {
       z -= state_size - pos_;
       twist();
-    }
-    pos_ += static_cast<std::size_t>(z);
+    } while (z > state_size);
+    temper();
+    pos_ = static_cast<std::size_t>(z);
   }
 
  private:
-  void twist();
+  void twist();   ///< next block of state_; pos_ = 0
+  void temper();  ///< out_ = the tempered state_
 
   std::array<result_type, state_size> state_{};
+  std::array<result_type, state_size> out_{};
   std::size_t pos_ = state_size;
 };
 
@@ -232,6 +241,13 @@ class Gamma {
   bool saved_available_ = false;
 };
 
+/// The buffers `Rng::sample_without_replacement` works in, kept by the
+/// caller so that repeated draws reuse them.
+struct SampleScratch {
+  std::vector<std::uint32_t> log;   ///< the tail's swap targets, in draw order
+  std::vector<std::uint64_t> bits;  ///< followed positions as an n-bit set; zero between calls
+};
+
 /// Seeded pseudo-random number generator used everywhere in the library.
 ///
 /// All stochastic components (channel fading, noise, data synthesis, weight
@@ -291,12 +307,16 @@ class Rng {
   /// A random permutation of [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 
-  /// Samples `k` distinct indices from [0, n) without replacement.
+  /// Samples `k` distinct indices from [0, n) without replacement: the
+  /// first `k` entries of `shuffle` applied to 0, 1, ..., n - 1, in that
+  /// order, leaving the engine where that shuffle leaves it. Requires
+  /// n < 2^32.
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
 
-  /// `sample_without_replacement` into a reused vector (no allocation at
-  /// steady capacity; identical draws to the allocating overload).
-  void sample_without_replacement(std::size_t n, std::size_t k, std::vector<std::size_t>& out);
+  /// `sample_without_replacement` into reused buffers: the same draws, and
+  /// no allocation once `out` and `scratch` have grown to the call's size.
+  void sample_without_replacement(std::size_t n, std::size_t k, std::vector<std::size_t>& out,
+                                  SampleScratch& scratch);
 
   /// Seed this generator was constructed with.
   [[nodiscard]] std::uint64_t seed() const { return seed_; }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -88,32 +89,44 @@ void ThreadPool::worker_loop() {
     if (obs::enabled()) {
       obs::Span span("pool", "pool.task");
       const auto t0 = std::chrono::steady_clock::now();
-      task.fn();
+      run(task);
       busy_ns_.fetch_add(static_cast<std::uint64_t>(
                              std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count()),
                          std::memory_order_relaxed);
     } else {
-      task.fn();
+      run(task);
     }
     t_current_key = kNoDeadline;
   }
 }
 
-void ThreadPool::enqueue(double key, std::function<void()> task) {
-  if (std::isnan(key)) throw std::invalid_argument("ThreadPool: NaN scheduling key");
+void ThreadPool::run(PendingTask& task) {
+  if (task.chunk_of == nullptr) {
+    task.fn();
+    return;
+  }
+  ForLatch& latch = *task.chunk_of;
+  (*latch.fn)(task.begin, task.end);
+  // Signal under the lock: once the caller sees remaining == 0, no chunk
+  // touches the latch again, so its next call may reuse it.
+  std::scoped_lock lock(latch.mutex);
+  if (--latch.remaining == 0) latch.cv.notify_one();
+}
+
+void ThreadPool::enqueue(PendingTask task) {
+  if (std::isnan(task.key)) throw std::invalid_argument("ThreadPool: NaN scheduling key");
   {
     std::scoped_lock lock(mutex_);
-    tasks_.push_back(PendingTask{key, next_seq_++, std::move(task)});
+    task.seq = next_seq_++;
+    tasks_.push_back(std::move(task));
     std::push_heap(tasks_.begin(), tasks_.end(), RunsLater{});
   }
   cv_.notify_one();
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t, std::size_t)>& fn,
-                              std::size_t grain) {
+void ThreadPool::parallel_for(std::size_t n, RangeFn fn, std::size_t grain) {
   const std::size_t workers = threads_.size();
   if (workers == 0 || n <= grain || t_in_parallel_work) {
     if (n > 0) fn(0, n);
@@ -122,35 +135,38 @@ void ThreadPool::parallel_for(std::size_t n,
   const std::size_t parts = std::min(workers + 1, (n + grain - 1) / grain);
   const std::size_t chunk = (n + parts - 1) / parts;
 
-  // Shared completion latch: workers hold a reference so the mutex/cv stay
-  // alive even if the caller is already past its wait when the last worker
-  // signals (stack-allocated state here is a use-after-return race).
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t remaining;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = parts;
-
+  // The calling thread's latch, reused by each of its calls. A nested call
+  // from the caller's own chunk would reuse it too early, so that chunk
+  // runs as parallel work: nested loops inside it run serially, as they do
+  // in the chunks on pool threads.
+  thread_local ForLatch latch;
+  {
+    std::scoped_lock lock(latch.mutex);
+    latch.remaining = parts;
+    latch.fn = &fn;
+  }
   for (std::size_t p = 1; p < parts; ++p) {
     const std::size_t begin = p * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
     // kUrgent: the caller blocks until every chunk ran, so chunks must not
     // queue behind pending long-running submitted jobs.
-    enqueue(kUrgent, [latch, &fn, begin, end] {
-      fn(begin, end);
-      std::scoped_lock lock(latch->mutex);
-      if (--latch->remaining == 0) latch->cv.notify_one();
-    });
+    enqueue({kUrgent, 0, {}, &latch, begin, std::min(n, begin + chunk)});
   }
   // The calling thread takes the first chunk instead of sleeping.
-  fn(0, std::min(n, chunk));
+  std::exception_ptr error;
   {
-    std::unique_lock lock(latch->mutex);
-    --latch->remaining;
-    latch->cv.wait(lock, [&] { return latch->remaining == 0; });
+    SerialRegion serial;
+    try {
+      fn(0, std::min(n, chunk));
+    } catch (...) {
+      error = std::current_exception();
+    }
   }
+  {
+    std::unique_lock lock(latch.mutex);
+    --latch.remaining;
+    latch.cv.wait(lock, [] { return latch.remaining == 0; });
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool* ThreadPool::cooperation_pool() { return t_coop_pool; }
@@ -235,8 +251,7 @@ ThreadPool& global_pool() {
   return pool;
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-                  std::size_t grain) {
+void parallel_for(std::size_t n, RangeFn fn, std::size_t grain) {
   global_pool().parallel_for(n, fn, grain);
 }
 

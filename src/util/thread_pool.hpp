@@ -21,6 +21,27 @@
 
 namespace airfedga::util {
 
+/// A non-owning reference to a callable `f(begin, end)`, the chunk body of
+/// `parallel_for`: binding a lambda copies and allocates nothing, where a
+/// `std::function` would allocate for any capture larger than two pointers.
+/// Valid only while the referenced callable lives.
+class RangeFn {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, RangeFn> &&
+             std::is_invocable_v<const F&, std::size_t, std::size_t>)
+  RangeFn(const F& f)  // implicit: binds a lambda at the call site
+      : obj_(&f), call_([](const void* obj, std::size_t begin, std::size_t end) {
+          (*static_cast<const F*>(obj))(begin, end);
+        }) {}
+
+  void operator()(std::size_t begin, std::size_t end) const { call_(obj_, begin, end); }
+
+ private:
+  const void* obj_;
+  void (*call_)(const void*, std::size_t, std::size_t);
+};
+
 /// \brief A small fixed-size worker pool with three entry points.
 ///
 ///  * `parallel_for` — OpenMP-style blocking data-parallel loop, used by the
@@ -41,7 +62,7 @@ namespace airfedga::util {
 ///
 /// Nesting rule: a task already running on *any* pool's worker thread that
 /// calls `parallel_for` gets the serial fallback instead of fanning out
-/// again. This prevents the classic deadlock (every worker blocked inside a
+/// again, and so does the caller's own chunk of a `parallel_for`. This prevents the classic deadlock (every worker blocked inside a
 /// nested loop waiting for chunks no free thread can run) and the
 /// oversubscription thrash of parallelizing inside already-parallel worker
 /// training. Results are unaffected: all chunked kernels write disjoint
@@ -73,11 +94,14 @@ class ThreadPool {
   /// Runs fn(begin, end) over [0, n) split into contiguous chunks, one per
   /// worker (plus the calling thread). Blocks until all chunks complete.
   /// Falls back to a serial call when n is small, the pool has 0 workers,
-  /// or the caller is itself a pool worker thread (see nesting rule above).
-  /// Chunks are enqueued at `kUrgent` priority: the caller is blocked, so
-  /// they must not queue behind long-running submitted jobs.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-                    std::size_t grain = 1024);
+  /// or the caller is itself a pool worker thread or inside another
+  /// `parallel_for` (see nesting rule above). Chunks are enqueued at
+  /// `kUrgent` priority: the caller is blocked, so they must not queue
+  /// behind long-running submitted jobs. Dispatch allocates nothing once the
+  /// task queue has grown: the calling thread reuses one completion latch,
+  /// and a queued chunk is the latch's address plus its range. An exception
+  /// from the caller's own chunk is rethrown after the other chunks finish.
+  void parallel_for(std::size_t n, RangeFn fn, std::size_t grain = 1024);
 
   /// Schedules `f` with scheduling key `deadline` (lower runs first, FIFO
   /// among equal keys) and returns a future for its result. On a pool with
@@ -203,16 +227,32 @@ class ThreadPool {
   };
 
  private:
+  /// One `parallel_for` call's completion state. Each calling thread owns
+  /// one and reuses it: the call blocks until every chunk signalled, so no
+  /// two calls share it.
+  struct ForLatch {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t remaining = 0;  ///< chunks not yet finished (guarded by mutex)
+    const RangeFn* fn = nullptr;
+  };
+
   /// One pending task: `key` orders the ready queue (ascending), `seq`
   /// breaks ties FIFO so equal-deadline submissions keep insertion order.
+  /// A `parallel_for` chunk leaves `fn` empty and names its call's latch
+  /// and range instead.
   struct PendingTask {
     double key = kNoDeadline;
     std::uint64_t seq = 0;
     std::function<void()> fn;
+    ForLatch* chunk_of = nullptr;
+    std::size_t begin = 0, end = 0;
   };
 
   void worker_loop();
-  void enqueue(double key, std::function<void()> task);
+  void run(PendingTask& task);
+  void enqueue(PendingTask task);
+  void enqueue(double key, std::function<void()> task) { enqueue({key, 0, std::move(task)}); }
   PendingTask pop_task_locked();
 
   std::vector<std::thread> threads_;
@@ -251,7 +291,6 @@ ThreadPool& global_pool();
 std::size_t lane_budget_share(std::size_t requested, std::size_t jobs, std::size_t budget = 0);
 
 /// Convenience wrapper over global_pool().parallel_for.
-void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-                  std::size_t grain = 1024);
+void parallel_for(std::size_t n, RangeFn fn, std::size_t grain = 1024);
 
 }  // namespace airfedga::util

@@ -335,6 +335,25 @@ TEST(ZeroAllocation, SteadyStateLocalUpdateDoesNotTouchTheHeap) {
       << "steady-state local_update allocated " << (after.bytes - before.bytes) << " bytes";
 }
 
+TEST(ZeroAllocation, ParallelForDispatchDoesNotTouchTheHeap) {
+  // Inline 1-lane training fans its GEMMs out from the simulation thread;
+  // once the task queue has grown, dispatching the chunks allocates nothing.
+  util::ThreadPool pool(3);
+  std::vector<float> out(4096, 0.0f);
+  const auto body = [&out](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) out[i] += 1.0f;
+  };
+  for (int warm = 0; warm < 3; ++warm) pool.parallel_for(out.size(), body, /*grain=*/64);
+
+  const AllocStats before = alloc_stats();
+  for (int r = 0; r < 20; ++r) pool.parallel_for(out.size(), body, /*grain=*/64);
+  const AllocStats after = alloc_stats();
+
+  EXPECT_EQ(after.count - before.count, 0u)
+      << "parallel_for dispatch allocated " << (after.bytes - before.bytes) << " bytes";
+  for (const float v : out) ASSERT_EQ(v, 23.0f);
+}
+
 // ---------------------------------------------------------- cooperation ---
 
 TEST(CooperativeGemm, CooperateRunsEveryTileExactlyOnce) {

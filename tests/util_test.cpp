@@ -113,6 +113,45 @@ TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);
 }
 
+TEST(Rng, SampleWithoutReplacementRejectsPopulationsPast32Bits) {
+  if constexpr (sizeof(std::size_t) > 4) {
+    Rng rng(11);
+    EXPECT_THROW(rng.sample_without_replacement(std::size_t{1} << 32, 1), std::invalid_argument);
+  }
+}
+
+// The sampler's definition: shuffle all of 0, 1, ..., n - 1 and keep the
+// first k entries.
+std::vector<std::size_t> shuffled_prefix(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> p(n);
+  std::iota(p.begin(), p.end(), std::size_t{0});
+  rng.shuffle(p);
+  p.resize(k);
+  return p;
+}
+
+TEST(Rng, SampleWithoutReplacementIsTheShuffledPrefix) {
+  // Same entries in the same order, and the engine left at the same word.
+  std::vector<std::pair<std::size_t, std::size_t>> grid;
+  for (const std::size_t n : {0, 1, 2, 3, 33, 100, 1000, 5000})
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n})
+      if (k <= n) grid.emplace_back(n, k);
+  grid.emplace_back(std::size_t{1} << 16, (std::size_t{1} << 15) + 1);  // ~n ln 2 / 2 hits
+  grid.emplace_back(1000000, 32);
+  SampleScratch scratch;  // shared by every call, as callers reuse it
+  std::vector<std::size_t> got;
+  for (const auto& [n, k] : grid) {
+    for (const std::uint64_t seed : {3ULL, 0xC04052ULL, 0xFFFFFFFFFFFFULL}) {
+      Rng ours(seed), oracle(seed);
+      ours.sample_without_replacement(n, k, got, scratch);
+      EXPECT_EQ(got, shuffled_prefix(oracle, n, k)) << "n " << n << " k " << k;
+      EXPECT_EQ(ours.engine()(), oracle.engine()()) << "n " << n << " k " << k;
+    }
+  }
+  Rng alloc(5), oracle(5);
+  EXPECT_EQ(alloc.sample_without_replacement(1000, 32), shuffled_prefix(oracle, 1000, 32));
+}
+
 // ------------------------------------------------------------ Mt19937_64 --
 
 const std::uint64_t kEngineSeeds[] = {0, 1, 5489, ~std::uint64_t{0}, splitmix64(42)};
@@ -138,19 +177,36 @@ TEST(Mt19937_64, TenThousandthOutputOfTheDefaultSeedIsTheStandardValue) {
 }
 
 TEST(Mt19937_64, DiscardEqualsThatManyCalls) {
-  for (const unsigned long long z : {0ULL, 1ULL, 311ULL, 312ULL, 313ULL, 1000000ULL}) {
-    // From a fresh state and from mid-block (7 words already drawn).
-    for (const int drawn : {0, 7}) {
-      Mt19937_64 skipped(splitmix64(z)), stepped(splitmix64(z));
-      for (int i = 0; i < drawn; ++i) {
+  constexpr unsigned long long kBlock = Mt19937_64::state_size;
+  // From a fresh state, from a partly consumed block and from the end of a
+  // block; skipping nothing, to the end of the block, into the next one and
+  // across several.
+  for (const unsigned long long drawn : {0ULL, 1ULL, 7ULL, kBlock - 1, kBlock}) {
+    const unsigned long long left = kBlock - drawn;
+    for (const unsigned long long z : {0ULL, 1ULL, left, left + 1, left + kBlock, left + 3 * kBlock,
+                                       kBlock - 1, kBlock, kBlock + 1, 5 * kBlock + 17,
+                                       1000000ULL}) {
+      Mt19937_64 skipped(splitmix64(z + drawn)), stepped(splitmix64(z + drawn));
+      for (unsigned long long i = 0; i < drawn; ++i) {
         skipped();
         stepped();
       }
       skipped.discard(z);
       for (unsigned long long i = 0; i < z; ++i) stepped();
-      for (int i = 0; i < 3; ++i) EXPECT_EQ(skipped(), stepped()) << "z " << z;
+      for (unsigned long long i = 0; i < kBlock + 3; ++i)
+        ASSERT_EQ(skipped(), stepped()) << "drawn " << drawn << " z " << z << " word " << i;
     }
   }
+}
+
+TEST(Mt19937_64, ConsecutiveDiscardsEqualOne) {
+  Mt19937_64 twice(9), once(9);
+  twice.discard(100);
+  twice.discard(212);  // to exactly the end of the first block
+  twice.discard(0);
+  twice.discard(700);
+  once.discard(1012);
+  for (int i = 0; i < 400; ++i) ASSERT_EQ(twice(), once()) << "word " << i;
 }
 
 // Draws `count` values of `dist` on each engine, comparing bit patterns.
@@ -633,6 +689,45 @@ TEST(ThreadPool, NestedParallelForFallsBackToSerial) {
     return same_thread;
   });
   EXPECT_TRUE(f.get());
+}
+
+TEST(ThreadPool, NestedParallelForInTheCallersChunkRunsSerially) {
+  ThreadPool pool(2);
+  const auto me = std::this_thread::get_id();
+  bool inner_same_thread = true;
+  std::atomic<int> outer_chunks{0};
+  pool.parallel_for(
+      3,
+      [&](std::size_t begin, std::size_t) {
+        ++outer_chunks;
+        if (begin != 0) return;  // the caller's own chunk
+        pool.parallel_for(
+            10000,
+            [&](std::size_t, std::size_t) {
+              inner_same_thread &= std::this_thread::get_id() == me;
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(outer_chunks.load(), 3);
+  EXPECT_TRUE(inner_same_thread);
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheCallersChunkAfterTheOthersFinish) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(4000);
+  const auto body = [&](std::size_t begin, std::size_t end) {
+    if (begin == 0) throw std::runtime_error("caller's chunk");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  };
+  EXPECT_THROW(pool.parallel_for(hits.size(), body, /*grain=*/16), std::runtime_error);
+  for (std::size_t i = hits.size() / 4; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+  // The calling thread's latch is free again.
+  std::atomic<std::size_t> covered{0};
+  pool.parallel_for(
+      hits.size(), [&](std::size_t b, std::size_t e) { covered += e - b; }, /*grain=*/16);
+  EXPECT_EQ(covered.load(), hits.size());
 }
 
 TEST(ThreadPool, SerialRegionSuppressesFanOut) {
