@@ -15,6 +15,7 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -159,6 +160,7 @@ struct StepResult {
   std::size_t allocs_per_step = 0;  ///< on a pool lane: parallel_for runs serially
   std::size_t bytes_per_step = 0;
   std::size_t fanout_allocs_per_step = 0;  ///< on the global pool, as inline 1-lane training
+  std::size_t eval_workspace_floats = 0;   ///< arena floats one eval-batch forward leaves
 };
 
 /// Builds the preset's model on a shrunken copy of its dataset and times a
@@ -215,6 +217,20 @@ StepResult bench_train_step(const std::string& preset_name, double budget_ms) {
   r.allocs_per_step = lane.allocs;
   r.bytes_per_step = lane.bytes;
   r.fanout_allocs_per_step = fanout.allocs;
+
+  // Workspace arena an evaluation leaves pinned for the rest of a run: one
+  // eval-batch forward on a fresh thread, with every GEMM tile on that
+  // thread, as on an evaluating lane.
+  std::vector<std::size_t> eval_idx(built.cfg.eval_batch);
+  for (std::size_t i = 0; i < eval_idx.size(); ++i) eval_idx[i] = i % built.data->train.size();
+  const ml::Tensor xe = ml::gather_rows(built.data->train.xs, eval_idx);
+  std::thread([&] {
+    util::ThreadPool::SerialRegion serial;
+    ml::Model eval_model = built.cfg.model_factory();
+    eval_model.set_training(false);
+    eval_model.forward(xe);
+    r.eval_workspace_floats = ml::Workspace::tls().floats_reserved();
+  }).join();
 
   // Analytic GEMM flops of one step (forward + both backward GEMMs ~ 3x
   // forward) for a rough GFLOP/s figure; exact per-layer flops are what
@@ -280,7 +296,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Training step: wall time and heap traffic (steady state) ===\n");
   util::Table ts({"preset", "model", "batch", "ms/step", "~GF/s", "allocs/step", "bytes/step",
-                  "fan-out allocs/step"});
+                  "fan-out allocs/step", "eval ws floats"});
   for (const char* preset :
        {"fig03_lr_mnist", "fig04_cnn_mnist", "fig05_cnn_cifar", "fig06_vgg_imagenet"}) {
     const auto r = bench_train_step(preset, budget_ms);
@@ -288,7 +304,8 @@ int main(int argc, char** argv) {
                 util::Table::fmt(r.ms_per_step, 3), util::Table::fmt(r.gflops, 2),
                 util::Table::fmt_int(static_cast<long long>(r.allocs_per_step)),
                 util::Table::fmt_int(static_cast<long long>(r.bytes_per_step)),
-                util::Table::fmt_int(static_cast<long long>(r.fanout_allocs_per_step))});
+                util::Table::fmt_int(static_cast<long long>(r.fanout_allocs_per_step)),
+                util::Table::fmt_int(static_cast<long long>(r.eval_workspace_floats))});
     scenario::Json rec = scenario::Json::object();
     rec.set("kind", "train_step");
     rec.set("preset", r.preset);
@@ -298,13 +315,15 @@ int main(int argc, char** argv) {
     rec.set("allocs_per_step", r.allocs_per_step);
     rec.set("bytes_per_step", r.bytes_per_step);
     rec.set("fanout_allocs_per_step", r.fanout_allocs_per_step);
+    rec.set("eval_workspace_floats", r.eval_workspace_floats);
     records.push_back(std::move(rec));
   }
   ts.print(std::cout);
   std::printf(
       "(allocs/step and bytes/step: a step on a pool lane, where parallel_for runs serially; "
       "must be 0 in steady state — gemm_test enforces it.\n fan-out allocs/step: a step on the "
-      "global pool, as inline 1-lane training and ms/step run it; must be 0 too)\n");
+      "global pool, as inline 1-lane training and ms/step run it; must be 0 too.\n eval ws "
+      "floats: workspace arena floats one eval-batch forward leaves on its thread)\n");
 
   if (const std::string* path = flags.get("json")) {
     std::ofstream out(*path, std::ios::trunc);

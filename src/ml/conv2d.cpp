@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
@@ -126,28 +127,35 @@ void Conv2D::col2im_batched(const float* cols, std::size_t s0, std::size_t s1,
   }
 }
 
+std::size_t Conv2D::chunk_samples(std::size_t batch, std::size_t np) const {
+  constexpr std::size_t kChunkFloats = std::size_t{1} << 16;  // 256 KiB
+  const std::size_t kc = gemm_blocking().kc;
+  const std::size_t align = kc / std::gcd(np, kc);
+  if (align > batch) return batch;
+  const std::size_t fit = kChunkFloats / std::max<std::size_t>(cin_ * k_ * k_ * np, 1);
+  return std::max(align, fit / align * align);
+}
+
 const Tensor& Conv2D::forward(const Tensor& x) {
   obs::Span span("conv", "conv.forward");
   if (x.rank() != 4 || x.dim(1) != cin_)
     throw std::invalid_argument("Conv2D::forward: bad input shape " + x.shape_string());
-  if (training_) input_cache_ = x;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = out_height(h), ow = out_width(w);
   const std::size_t np = oh * ow;
   const std::size_t rows = cin_ * k_ * k_;
 
-  // Chunk the batch so the lowered patch matrix never exceeds a fixed
-  // float budget: evaluation batches are an order of magnitude larger than
-  // training batches, and the workspace arena retains its peak block set
-  // for the thread's lifetime, so an uncapped eval forward would pin
-  // eval-sized buffers on every lane forever. Chunk boundaries depend only
-  // on the layer shape, and the GEMM's per-element k-order is unchanged,
-  // so chunked and unchunked forwards are bit-identical.
-  constexpr std::size_t kMaxLoweredFloats = std::size_t{1} << 22;  // 16 MiB
-  const std::size_t per_sample = rows * np;
-  const std::size_t chunk =
-      std::max<std::size_t>(1, kMaxLoweredFloats / std::max<std::size_t>(per_sample, 1));
-
+  // Lower the batch chunk by chunk. Each output column's GEMM sum runs over
+  // patch rows only, so the chunking cannot change a bit of the output; it
+  // keeps an eval batch (an order of magnitude larger than a training
+  // batch) from pinning an eval-sized patch matrix in every evaluating
+  // thread's arena for the rest of the run. A training forward writes its
+  // chunks into cols_ for backward instead.
+  const std::size_t chunk = chunk_samples(batch, np);
+  if (training_) {
+    in_shape_ = {batch, cin_, h, w};
+    cols_.resize_uninitialized({rows * batch * np});
+  }
   out_.resize_uninitialized({batch, cout_, oh, ow});
   float* py = out_.data().data();
   const float* pb = bias_.data().data();
@@ -156,7 +164,7 @@ const Tensor& Conv2D::forward(const Tensor& x) {
     const std::size_t s1 = std::min(batch, s0 + chunk);
     const std::size_t ncols = (s1 - s0) * np;
     Workspace::Scope scope(ws);
-    float* cols = ws.floats(rows * ncols);
+    float* cols = training_ ? cols_.data().data() + rows * s0 * np : ws.floats(rows * ncols);
     im2col_batched(x, s0, s1, cols);
     float* gemm_out = ws.floats(cout_ * ncols);  // (cout, (s1-s0)*OH*OW)
     sgemm(Trans::N, Trans::N, cout_, ncols, rows, weight_.data().data(), rows, cols, ncols, 0.0f,
@@ -177,60 +185,65 @@ const Tensor& Conv2D::forward(const Tensor& x) {
 
 const Tensor& Conv2D::backward(const Tensor& grad_out) {
   obs::Span span("conv", "conv.backward");
-  if (!training_ || input_cache_.size() == 0)
+  if (!training_ || in_shape_[0] == 0)
     throw std::logic_error("Conv2D::backward: requires a training-mode forward");
-  const Tensor& x = input_cache_;
-  const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const std::size_t batch = in_shape_[0], h = in_shape_[2], w = in_shape_[3];
   const std::size_t oh = out_height(h), ow = out_width(w);
   if (grad_out.rank() != 4 || grad_out.dim(0) != batch || grad_out.dim(1) != cout_ ||
       grad_out.dim(2) != oh || grad_out.dim(3) != ow)
     throw std::invalid_argument("Conv2D::backward: bad gradient shape");
   const std::size_t np = oh * ow;
-  const std::size_t ncols = batch * np;
   const std::size_t rows = cin_ * k_ * k_;
-
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-
-  // Gather NCHW grad_out into the (cout, N*OH*OW) matrix the GEMMs want.
-  float* gy = ws.floats(cout_ * ncols);
   const float* pg = grad_out.data().data();
-  for (std::size_t n = 0; n < batch; ++n)
-    for (std::size_t c = 0; c < cout_; ++c)
-      std::memcpy(gy + c * ncols + n * np, pg + (n * cout_ + c) * np, np * sizeof(float));
 
-  // Recompute the patch matrix. It is not cheap: for fig05's conv layers at
-  // batch 16 it measured 80-105 us per call, 40-85% of the dW GEMM (shared
-  // 4-core x86-64 AVX-512 box, Release, one lane). Caching it from forward
-  // would cost rows*ncols floats per layer per training model instead:
-  // ~1.8 MB for fig05. Workers do not own models; fl::Driver trains on
-  // min(lanes, population) per-lane scratch models (plus one for
-  // evaluation, which runs no backward), so that is ~1.8 MB per lane.
-  float* cols = ws.floats(rows * ncols);
-  im2col_batched(x, 0, batch, cols);
-
-  // dW += gy * cols^T over the whole batch in one accumulating GEMM.
-  sgemm(Trans::N, Trans::T, cout_, rows, ncols, gy, ncols, cols, ncols, 1.0f,
-        weight_grad_.data().data(), rows);
-
+  // The bias gradient sums each channel's (N*OH*OW) gradient row in column
+  // order, one accumulator per channel.
   float* pbg = bias_grad_.data().data();
   for (std::size_t c = 0; c < cout_; ++c) {
-    const float* row = gy + c * ncols;
     float acc = 0.0f;
-    for (std::size_t i = 0; i < ncols; ++i) acc += row[i];
+    for (std::size_t n = 0; n < batch; ++n) {
+      const float* row = pg + (n * cout_ + c) * np;
+      for (std::size_t i = 0; i < np; ++i) acc += row[i];
+    }
     pbg[c] += acc;
   }
 
-  // A model's first layer stops here: nothing reads its input gradient.
-  if (!input_grad_) return no_input_grad();
+  // dW, dcols and col2im run over the training forward's chunks, whose
+  // patch matrices are still in cols_. dW's depth is the whole batch's
+  // columns: every chunk starts on a KC slice boundary of it, so each
+  // chunk's accumulating GEMM adds the same KC slice sums to dW, in the
+  // same order, as one GEMM over the whole batch. dcols sums over output
+  // channels only, and col2im scatters each chunk onto its own samples.
+  // A model's first layer skips dcols and col2im: nothing reads its input
+  // gradient.
+  if (input_grad_) dx_.resize_zero(in_shape_);
+  const std::size_t chunk = chunk_samples(batch, np);
+  Workspace& ws = Workspace::tls();
+  for (std::size_t s0 = 0; s0 < batch; s0 += chunk) {
+    const std::size_t s1 = std::min(batch, s0 + chunk);
+    const std::size_t ncols = (s1 - s0) * np;
+    Workspace::Scope scope(ws);
 
-  // dcols = W^T gy, then scatter-add back to input layout.
-  float* dcols = ws.floats(rows * ncols);
-  sgemm(Trans::T, Trans::N, rows, ncols, cout_, weight_.data().data(), rows, gy, ncols, 0.0f,
-        dcols, ncols);
-  dx_.resize_zero(x.shape());
-  col2im_batched(dcols, 0, batch, dx_);
-  return dx_;
+    // Gather the chunk's NCHW grad_out into the (cout, chunk*OH*OW) matrix
+    // the GEMMs want.
+    float* gy = ws.floats(cout_ * ncols);
+    for (std::size_t n = s0; n < s1; ++n)
+      for (std::size_t c = 0; c < cout_; ++c)
+        std::memcpy(gy + c * ncols + (n - s0) * np, pg + (n * cout_ + c) * np,
+                    np * sizeof(float));
+
+    const float* cols = cols_.data().data() + rows * s0 * np;
+    sgemm(Trans::N, Trans::T, cout_, rows, ncols, gy, ncols, cols, ncols, 1.0f,
+          weight_grad_.data().data(), rows);
+    if (!input_grad_) continue;
+
+    // dcols = W^T gy, then scatter-add back to input layout.
+    float* dcols = ws.floats(rows * ncols);
+    sgemm(Trans::T, Trans::N, rows, ncols, cout_, weight_.data().data(), rows, gy, ncols, 0.0f,
+          dcols, ncols);
+    col2im_batched(dcols, s0, s1, dx_);
+  }
+  return input_grad_ ? dx_ : no_input_grad();
 }
 
 std::vector<ParamView> Conv2D::params() {

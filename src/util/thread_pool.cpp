@@ -145,12 +145,21 @@ void ThreadPool::parallel_for(std::size_t n, RangeFn fn, std::size_t grain) {
     latch.remaining = parts;
     latch.fn = &fn;
   }
-  for (std::size_t p = 1; p < parts; ++p) {
-    const std::size_t begin = p * chunk;
-    // kUrgent: the caller blocks until every chunk ran, so chunks must not
-    // queue behind pending long-running submitted jobs.
-    enqueue({kUrgent, 0, {}, &latch, begin, std::min(n, begin + chunk)});
+  {
+    // All chunks go in under one lock, into room reserved up front: the
+    // queue then grows only when more tasks are pending than ever before,
+    // not whenever the lanes happen to pop chunks more slowly than in an
+    // earlier call. kUrgent: the caller blocks until every chunk ran, so
+    // chunks must not queue behind pending long-running submitted jobs.
+    std::scoped_lock lock(mutex_);
+    tasks_.reserve(tasks_.size() + parts - 1);
+    for (std::size_t p = 1; p < parts; ++p) {
+      const std::size_t begin = p * chunk;
+      tasks_.push_back({kUrgent, next_seq_++, {}, &latch, begin, std::min(n, begin + chunk)});
+      std::push_heap(tasks_.begin(), tasks_.end(), RunsLater{});
+    }
   }
+  for (std::size_t p = 1; p < parts; ++p) cv_.notify_one();
   // The calling thread takes the first chunk instead of sleeping.
   std::exception_ptr error;
   {

@@ -3,17 +3,23 @@
 // The lowering checks build the patch matrix naively and require
 // Conv2D's forward and backward to equal ml::sgemm over it bit for bit,
 // across kernel sizes, paddings, non-square images, channel counts and
-// batch sizes. A model's first layer skips its input gradient; the skip
-// tests show that this changes no parameter gradient and that a layer
-// used on its own still returns dx.
+// batch sizes, and across batches that Conv2D lowers in several chunks
+// (cut off mid-batch, on planes whose OH*OW does not divide KC, or with a
+// KC alignment larger than the batch). Backward reuses the training
+// forward's patch chunks; the reuse tests show that an eval forward in
+// between changes nothing, and the workspace test bounds what one eval
+// forward leaves in its thread's arena. A model's first layer skips its
+// input gradient; the skip tests show that this changes no parameter
+// gradient and that a layer used on its own still returns dx.
 //
 // The goldens pin the parameters after K plain-SGD steps and one
 // compute_gradient vector for the CNN presets' models (fig04, fig05), an
 // all-3x3 VGG-style stack and an MLP (the Dense-first case). They were
 // captured before the conv lowering was reworked (one-span im2col,
-// row-wise transposed packing, no first-layer input gradient) and must
-// keep passing unedited: those changes move the same floats to the same
-// places and drop only output nobody reads. Like the loop/substrate
+// row-wise transposed packing, no first-layer input gradient, cache-sized
+// chunks reused by backward) and must keep passing unedited: those changes
+// move the same floats to the same places and drop only output nobody
+// reads. Like the loop/substrate
 // goldens they depend on how the GEMM kernel rounds, so they run only on
 // the x86-64 kernel clones.
 
@@ -26,7 +32,9 @@
 #include <cstdio>
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -34,7 +42,9 @@
 #include "ml/dense.hpp"
 #include "ml/gemm.hpp"
 #include "ml/model.hpp"
+#include "ml/workspace.hpp"
 #include "ml/zoo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace airfedga::ml {
 namespace {
@@ -183,67 +193,191 @@ std::vector<float> naive_patches(const ConvCase& c, const Tensor& x) {
   return cols;
 }
 
+/// Conv2D's forward must equal sgemm over the naive patch matrix plus the
+/// bias, bit for bit.
+void check_forward(const ConvCase& c) {
+  Conv2D conv(c.cin, kCout, c.k, c.pad);
+  util::Rng rng(31);
+  conv.init(rng);
+  auto params = conv.params();
+  for (float& b : params[1].value) b = static_cast<float>(rng.normal());
+  const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+  const Tensor& y = conv.forward(x);
+
+  const std::size_t np = c.oh() * c.ow(), ncols = c.ncols();
+  const std::vector<float> cols = naive_patches(c, x);
+  std::vector<float> gemm_out(kCout * ncols);
+  sgemm(Trans::N, Trans::N, kCout, ncols, c.rows(), params[0].value.data(), c.rows(),
+        cols.data(), ncols, 0.0f, gemm_out.data(), ncols);
+  ASSERT_EQ(y.size(), c.batch * kCout * np);
+  for (std::size_t n = 0; n < c.batch; ++n)
+    for (std::size_t o = 0; o < kCout; ++o)
+      for (std::size_t i = 0; i < np; ++i)
+        ASSERT_EQ(y[(n * kCout + o) * np + i],
+                  gemm_out[o * ncols + n * np + i] + params[1].value[o])
+            << "sample " << n << " channel " << o << " pixel " << i;
+}
+
+/// Conv2D's dW and dx must equal one sgemm each over the whole batch's
+/// naive patch matrix, bit for bit.
+void check_backward(const ConvCase& c) {
+  Conv2D conv(c.cin, kCout, c.k, c.pad);
+  util::Rng rng(37);
+  conv.init(rng);
+  const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+  conv.forward(x);
+  const Tensor g = Tensor::randn({c.batch, kCout, c.oh(), c.ow()}, rng);
+  const Tensor& dx = conv.backward(g);
+
+  const std::size_t np = c.oh() * c.ow(), ncols = c.ncols(), rows = c.rows();
+  std::vector<float> gy(kCout * ncols);  // (cout, batch*oh*ow)
+  for (std::size_t n = 0; n < c.batch; ++n)
+    for (std::size_t o = 0; o < kCout; ++o)
+      for (std::size_t i = 0; i < np; ++i)
+        gy[o * ncols + n * np + i] = g[(n * kCout + o) * np + i];
+  const std::vector<float> cols = naive_patches(c, x);
+  auto params = conv.params();
+
+  std::vector<float> dw(kCout * rows, 0.0f);
+  sgemm(Trans::N, Trans::T, kCout, rows, ncols, gy.data(), ncols, cols.data(), ncols, 1.0f,
+        dw.data(), rows);
+  for (std::size_t i = 0; i < dw.size(); ++i) ASSERT_EQ(params[0].grad[i], dw[i]) << "dW " << i;
+
+  // dcols = W^T gy, scattered back onto dx in ascending patch-matrix row
+  // order.
+  std::vector<float> dcols(rows * ncols);
+  sgemm(Trans::T, Trans::N, rows, ncols, kCout, params[0].value.data(), rows, gy.data(), ncols,
+        0.0f, dcols.data(), ncols);
+  std::vector<float> dx_ref(x.size(), 0.0f);
+  for_each_patch_entry(c, [&](std::size_t e, std::size_t px) { dx_ref[px] += dcols[e]; });
+  ASSERT_EQ(dx.shape(), x.shape());
+  for (std::size_t i = 0; i < dx_ref.size(); ++i) ASSERT_EQ(dx[i], dx_ref[i]) << "dx " << i;
+}
+
 TEST(ConvLowering, ForwardEqualsSgemmOverNaivePatchMatrix) {
   for (const ConvCase& c : sweep()) {
     SCOPED_TRACE(label(c));
-    Conv2D conv(c.cin, kCout, c.k, c.pad);
-    util::Rng rng(31);
-    conv.init(rng);
-    auto params = conv.params();
-    for (float& b : params[1].value) b = static_cast<float>(rng.normal());
-    const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-    const Tensor& y = conv.forward(x);
-
-    const std::size_t np = c.oh() * c.ow(), ncols = c.ncols();
-    const std::vector<float> cols = naive_patches(c, x);
-    std::vector<float> gemm_out(kCout * ncols);
-    sgemm(Trans::N, Trans::N, kCout, ncols, c.rows(), params[0].value.data(), c.rows(),
-          cols.data(), ncols, 0.0f, gemm_out.data(), ncols);
-    ASSERT_EQ(y.size(), c.batch * kCout * np);
-    for (std::size_t n = 0; n < c.batch; ++n)
-      for (std::size_t o = 0; o < kCout; ++o)
-        for (std::size_t i = 0; i < np; ++i)
-          ASSERT_EQ(y[(n * kCout + o) * np + i],
-                    gemm_out[o * ncols + n * np + i] + params[1].value[o])
-              << "sample " << n << " channel " << o << " pixel " << i;
+    check_forward(c);
   }
 }
 
 TEST(ConvLowering, BackwardEqualsSgemmOverNaivePatchMatrix) {
   for (const ConvCase& c : sweep()) {
     SCOPED_TRACE(label(c));
-    Conv2D conv(c.cin, kCout, c.k, c.pad);
-    util::Rng rng(37);
-    conv.init(rng);
-    const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-    conv.forward(x);
-    const Tensor g = Tensor::randn({c.batch, kCout, c.oh(), c.ow()}, rng);
-    const Tensor& dx = conv.backward(g);
-
-    const std::size_t np = c.oh() * c.ow(), ncols = c.ncols(), rows = c.rows();
-    std::vector<float> gy(kCout * ncols);  // (cout, batch*oh*ow)
-    for (std::size_t n = 0; n < c.batch; ++n)
-      for (std::size_t o = 0; o < kCout; ++o)
-        for (std::size_t i = 0; i < np; ++i)
-          gy[o * ncols + n * np + i] = g[(n * kCout + o) * np + i];
-    const std::vector<float> cols = naive_patches(c, x);
-    auto params = conv.params();
-
-    std::vector<float> dw(kCout * rows, 0.0f);
-    sgemm(Trans::N, Trans::T, kCout, rows, ncols, gy.data(), ncols, cols.data(), ncols, 1.0f,
-          dw.data(), rows);
-    for (std::size_t i = 0; i < dw.size(); ++i) ASSERT_EQ(params[0].grad[i], dw[i]) << "dW " << i;
-
-    // dcols = W^T gy, scattered back onto dx in ascending patch-matrix row
-    // order.
-    std::vector<float> dcols(rows * ncols);
-    sgemm(Trans::T, Trans::N, rows, ncols, kCout, params[0].value.data(), rows, gy.data(), ncols,
-          0.0f, dcols.data(), ncols);
-    std::vector<float> dx_ref(x.size(), 0.0f);
-    for_each_patch_entry(c, [&](std::size_t e, std::size_t px) { dx_ref[px] += dcols[e]; });
-    ASSERT_EQ(dx.shape(), x.shape());
-    for (std::size_t i = 0; i < dx_ref.size(); ++i) ASSERT_EQ(dx[i], dx_ref[i]) << "dx " << i;
+    check_backward(c);
   }
+}
+
+/// Shapes that Conv2D lowers in several chunks, or in one because the KC
+/// alignment exceeds the batch. A chunk holds at most 2^16 patch-matrix
+/// floats and a multiple of a = KC / gcd(OH*OW, KC) samples (KC = 256).
+std::vector<ConvCase> chunked_cases() {
+  return {
+      // 16x16 "same" 5x5 over 3 channels: 19200 floats a sample, a = 1:
+      // chunks of 3, the last one short.
+      {5, 2, 3, 16, 16, 16},
+      {5, 2, 3, 7, 16, 16},
+      // 8x8 planes, a = 4: 9600 floats a sample fit 6, so chunks of 4.
+      {5, 2, 6, 10, 8, 8},
+      // 8x8 planes over 1 channel, 3x3: 576 floats a sample, chunks of 112.
+      {3, 1, 1, 300, 8, 8},
+      // Unpadded 5x5 on 16x16 (12x12 out, a = 16): chunks of 16, per row.
+      {5, 0, 3, 20, 16, 16},
+      // 14x14 planes (196 pixels, a = 64): chunks of 64 past the budget.
+      {3, 1, 2, 100, 14, 14},
+      // 7x7 planes (49 pixels, a = 256): chunks of 256, then 44.
+      {3, 1, 1, 300, 7, 7},
+      // a = 256 exceeds the batch: the whole batch is one chunk.
+      {3, 1, 2, 16, 7, 7},
+  };
+}
+
+TEST(ConvLowering, ChunkedLoweringEqualsSgemmOverNaivePatchMatrix) {
+  for (const ConvCase& c : chunked_cases()) {
+    SCOPED_TRACE(label(c));
+    check_forward(c);
+    check_backward(c);
+  }
+}
+
+TEST(ConvLowering, EvalForwardOfOneBatchEqualsForwardsOfItsSlices) {
+  Model model = make_cnn_cifar(0.2, 16);
+  util::Rng rng(47);
+  model.init(rng);
+  model.set_training(false);
+  constexpr std::size_t kEval = 256, kSlice = 16;
+  const Tensor x = Tensor::randn({kEval, 3, 16, 16}, rng);
+  const Tensor whole = model.forward(x);
+  const std::size_t per_sample = whole.size() / kEval;
+  std::vector<std::size_t> idx(kSlice);
+  for (std::size_t s0 = 0; s0 < kEval; s0 += kSlice) {
+    for (std::size_t i = 0; i < kSlice; ++i) idx[i] = s0 + i;
+    const Tensor& part = model.forward(gather_rows(x, idx));
+    for (std::size_t i = 0; i < part.size(); ++i)
+      ASSERT_EQ(part[i], whole[s0 * per_sample + i]) << "samples from " << s0 << ", entry " << i;
+  }
+}
+
+TEST(ConvLowering, BackwardUsesTheLastTrainingForward) {
+  // A training forward at 16, an eval forward at 256 and a training forward
+  // at 8 on one layer; its backward must equal a fresh layer's after one
+  // forward at 8.
+  util::Rng rng(53);
+  const Tensor x16 = Tensor::randn({16, 3, 16, 16}, rng);
+  const Tensor x256 = Tensor::randn({256, 3, 16, 16}, rng);
+  const Tensor x8 = Tensor::randn({8, 3, 16, 16}, rng);
+  const Tensor g8 = Tensor::randn({8, kCout, 16, 16}, rng);
+  Conv2D reused(3, kCout, 5, 2), fresh(3, kCout, 5, 2);
+  util::Rng init_a(59), init_b(59);
+  reused.init(init_a);
+  fresh.init(init_b);
+
+  reused.forward(x16);
+  reused.set_training(false);
+  reused.forward(x256);
+  reused.set_training(true);
+  reused.forward(x8);
+  const Tensor dx_reused = reused.backward(g8);
+  fresh.forward(x8);
+  const Tensor& dx_fresh = fresh.backward(g8);
+
+  ASSERT_EQ(dx_reused.shape(), dx_fresh.shape());
+  for (std::size_t i = 0; i < dx_fresh.size(); ++i) ASSERT_EQ(dx_reused[i], dx_fresh[i]) << i;
+  const auto pr = reused.params(), pf = fresh.params();
+  for (std::size_t b = 0; b < pr.size(); ++b)
+    for (std::size_t i = 0; i < pf[b].grad.size(); ++i)
+      ASSERT_EQ(pr[b].grad[i], pf[b].grad[i]) << "param block " << b << " entry " << i;
+}
+
+TEST(ConvLowering, BackwardWithoutATrainingForwardThrows) {
+  Conv2D conv(3, kCout, 5, 2);
+  util::Rng rng(61);
+  conv.init(rng);
+  const Tensor g = Tensor::randn({2, kCout, 8, 8}, rng);
+  EXPECT_THROW(conv.backward(g), std::logic_error);
+  conv.set_training(false);
+  conv.forward(Tensor::randn({2, 3, 8, 8}, rng));
+  conv.set_training(true);
+  EXPECT_THROW(conv.backward(g), std::logic_error);
+}
+
+TEST(ConvWorkspace, EvalForwardPinsAboutOneChunkInTheArena) {
+  // A 256-sample fig05 evaluation on a fresh thread, every GEMM tile on that
+  // thread: its arena must hold about one chunk (2^16 floats) plus the
+  // chunk's GEMM output and packing panels, not the batch's patch matrix
+  // (~4.5M floats when it was lowered in one piece).
+  std::size_t reserved = 0;
+  std::thread eval([&reserved] {
+    util::ThreadPool::SerialRegion serial;
+    Model model = make_cnn_cifar(0.2, 16);
+    util::Rng rng(67);
+    model.init(rng);
+    model.set_training(false);
+    model.forward(Tensor::randn({256, 3, 16, 16}, rng));
+    reserved = Workspace::tls().floats_reserved();
+  });
+  eval.join();
+  EXPECT_LE(reserved, std::size_t{1} << 18) << "floats reserved after one eval forward";
 }
 
 // ---------------------------------------------------- first-layer skip --

@@ -354,6 +354,44 @@ TEST(ZeroAllocation, ParallelForDispatchDoesNotTouchTheHeap) {
   for (const float v : out) ASSERT_EQ(v, 23.0f);
 }
 
+TEST(ZeroAllocation, ParallelForChunksQueuedBehindBusyLanesDoNotTouchTheHeap) {
+  // Every lane is held by a job when the chunks are queued, so all of them
+  // wait in the task queue at once; the caller's own chunk, which runs after
+  // the others are queued, lets the lanes go. The warm-up calls run on idle
+  // lanes, so the queue never held that many chunks before.
+  util::ThreadPool pool(3);
+  std::vector<float> out(4096, 0.0f);
+  std::atomic<bool> release{false};
+  const auto body = [&](std::size_t begin, std::size_t end) {
+    if (begin == 0) release.store(true);
+    for (std::size_t i = begin; i < end; ++i) out[i] += 1.0f;
+  };
+  for (int warm = 0; warm < 3; ++warm) pool.parallel_for(out.size(), body, /*grain=*/64);
+
+  std::size_t allocs = 0, bytes = 0;
+  for (int r = 0; r < 20; ++r) {
+    release.store(false);
+    std::atomic<std::size_t> busy{0};
+    std::vector<std::future<void>> jobs;
+    for (std::size_t l = 0; l < pool.size(); ++l)
+      jobs.push_back(pool.submit([&] {
+        busy.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      }));
+    while (busy.load() < pool.size()) std::this_thread::yield();
+
+    const AllocStats before = alloc_stats();
+    pool.parallel_for(out.size(), body, /*grain=*/64);
+    const AllocStats after = alloc_stats();
+    allocs += after.count - before.count;
+    bytes += after.bytes - before.bytes;
+    for (auto& j : jobs) j.get();
+  }
+
+  EXPECT_EQ(allocs, 0u) << "queued parallel_for chunks allocated " << bytes << " bytes";
+  for (const float v : out) ASSERT_EQ(v, 23.0f);
+}
+
 // ---------------------------------------------------------- cooperation ---
 
 TEST(CooperativeGemm, CooperateRunsEveryTileExactlyOnce) {
