@@ -29,13 +29,13 @@ constexpr std::size_t kMC = 64;
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kNC = 256;
 
-// Function multi-versioning for the hot kernel: the default clone matches
-// the build's baseline ISA; the avx2/avx512f clones unlock FMA + wider
-// vectors where the hardware has them, selected once at load time via
-// ifunc. Per-element accumulation order is identical in every clone; only
-// FMA rounding differs, so results are deterministic on a given machine
-// (and lane-count-independent everywhere) but may differ across ISAs —
-// same status as changing compilers (see docs/ARCHITECTURE.md).
+// Function multi-versioning for the hot kernel: the fma/avx512f clones use
+// hardware FMA and wider vectors where the CPU has them, selected once at
+// load time via ifunc by feature bit. The kernel accumulates with an
+// explicit fused multiply-add, so every clone rounds each step once and
+// they differ in speed only, never in bits; the default clone calls libm's
+// correctly rounded fmaf. The sanitizers do not support ifunc, so their
+// builds run the default clone alone.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define AIRFEDGA_NO_KERNEL_CLONES 1
 #elif defined(__has_feature)
@@ -45,11 +45,9 @@ constexpr std::size_t kNC = 256;
 #endif
 #if defined(__x86_64__) && defined(__linux__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(AIRFEDGA_NO_KERNEL_CLONES)
-#define AIRFEDGA_KERNEL_CLONES __attribute__((target_clones("default", "avx2", "avx512f")))
-constexpr bool kKernelClones = true;
+#define AIRFEDGA_KERNEL_CLONES __attribute__((target_clones("default", "fma", "avx512f")))
 #else
 #define AIRFEDGA_KERNEL_CLONES
-constexpr bool kKernelClones = false;
 #endif
 
 // Flop target per parallel_for chunk: dispatch costs microseconds, so a
@@ -162,7 +160,7 @@ void micro_kernel(std::size_t kc, const float* __restrict ap, const float* __res
     for (std::size_t i = 0; i < kMR; ++i) {
       const float ai = a[i];
       float* row = acc + i * kNR;
-      for (std::size_t j = 0; j < kNR; ++j) row[j] += ai * b[j];
+      for (std::size_t j = 0; j < kNR; ++j) row[j] = __builtin_fmaf(ai, b[j], row[j]);
     }
   }
   if (mr == kMR && nr == kNR) {
@@ -216,8 +214,6 @@ void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t ld
 }  // namespace
 
 const GemmBlocking& gemm_blocking() { return kBlocking; }
-
-bool gemm_kernel_clones() { return kKernelClones; }
 
 std::size_t gemm_coop_min_flops() { return g_coop_min_flops.load(std::memory_order_relaxed); }
 void set_gemm_coop_min_flops(std::size_t flops) {

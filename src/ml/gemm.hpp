@@ -24,11 +24,6 @@ struct GemmBlocking {
 /// The compiled-in blocking constants.
 [[nodiscard]] const GemmBlocking& gemm_blocking();
 
-/// Whether the hot kernel is built as FMA-capable ISA clones (x86-64 Linux,
-/// GCC/Clang, no sanitizer). Bit-exact golden outputs are recorded with the
-/// clones, so tests that pin them run only where this holds.
-[[nodiscard]] bool gemm_kernel_clones();
-
 /// C(m,n) = opA(A) · opB(B) + beta·C, row-major, single precision.
 ///
 /// opA(A) is A(m,k): stored (m,k) with row stride `lda` when `ta == N`,
@@ -43,7 +38,8 @@ struct GemmBlocking {
 /// of (m, n, k) alone: the k loop always runs ascending in KC slices and
 /// parallelism only ever splits the *output* into disjoint tiles, so any
 /// thread count, tile assignment, or cooperative schedule produces
-/// bit-identical results.
+/// bit-identical results. Each step of that sum is one fused multiply-add,
+/// so the bits do not depend on the CPU's instruction set either.
 ///
 /// Execution policy: when a ThreadPool cooperation scope is installed on
 /// the calling thread (Driver training lanes) and the GEMM is large enough

@@ -16,8 +16,10 @@ float* Workspace::floats(std::size_t n) {
   while (current_ < blocks_.size() && blocks_[current_].cap - blocks_[current_].used < n)
     ++current_;  // the skipped tail is reclaimed when the scope rewinds
   if (current_ == blocks_.size()) {
-    std::size_t cap = std::max(kMinBlockFloats, n);
-    if (!blocks_.empty()) cap = std::max(cap, blocks_.back().cap * 2);
+    // Sized for the pending request alone. Blocks are retained, so the same
+    // sequence of requests finds the same blocks on the next step and the
+    // arena stops growing after one pass of each step shape.
+    const std::size_t cap = std::max(kMinBlockFloats, n);
     Block b;
     // new float[] (not make_unique) leaves the storage uninitialized: every
     // workspace buffer is fully overwritten by its kernel.

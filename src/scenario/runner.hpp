@@ -102,11 +102,11 @@ inline constexpr int kResultsSchemaVersion = 2;
 struct WriteOptions {
   /// false: omit wall-clock fields (wall_seconds, engine_stats.*_seconds,
   /// the metrics block) so the output is byte-identical across runs,
-  /// --jobs values and lane counts on one ISA. Random streams do not depend
-  /// on the standard library (src/util/rng.hpp), but digests may still
-  /// differ across libm implementations and across ISAs (see
-  /// src/ml/gemm.cpp); deterministic counters (engine_stats.barriers/evals)
-  /// stay.
+  /// --jobs values, lane counts and glibc builds (verified on x86-64, not
+  /// yet on arm64). Neither the random streams (src/util/rng.hpp) nor the
+  /// GEMM's rounding (src/ml/gemm.cpp) depends on the standard library or
+  /// the ISA; only another libm's log/sqrt/pow can move a digest.
+  /// Deterministic counters (engine_stats.barriers/evals) stay.
   bool timing = true;
 };
 

@@ -10,9 +10,8 @@
 
 // The draws below round every product and sum on its own, as libstdc++'s
 // do; a fused multiply-add would change their last bits. The build turns
-// contraction off outside x86-64, whose baseline ISA has no FMA to fuse
-// into (CMakeLists.txt); under clang each draw also turns it off for its
-// own body, whatever the flags.
+// contraction off on every target (CMakeLists.txt); under clang each draw
+// also turns it off for its own body, whatever the flags.
 #if defined(__clang__)
 #define AIRFEDGA_NO_FP_CONTRACT _Pragma("clang fp contract(off)")
 #else

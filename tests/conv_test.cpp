@@ -19,9 +19,7 @@
 // row-wise transposed packing, no first-layer input gradient, cache-sized
 // chunks reused by backward) and must keep passing unedited: those changes
 // move the same floats to the same places and drop only output nobody
-// reads. Like the loop/substrate
-// goldens they depend on how the GEMM kernel rounds, so they run only on
-// the x86-64 kernel clones.
+// reads. Like every golden they hold on any glibc build.
 
 #include <gtest/gtest.h>
 
@@ -44,6 +42,7 @@
 #include "ml/model.hpp"
 #include "ml/workspace.hpp"
 #include "ml/zoo.hpp"
+#include "support/golden.hpp"
 #include "util/thread_pool.hpp"
 
 namespace airfedga::ml {
@@ -105,9 +104,7 @@ GoldenRun golden_run(Model model, std::vector<std::size_t> sample_shape) {
 }
 
 TEST(ConvGolden, TrainStepsAndGradientsMatchPinnedDigests) {
-  if (!gemm_kernel_clones())
-    GTEST_SKIP() << "golden digests are pinned on the x86-64 GEMM kernel clones; this build "
-                    "rounds differently";
+  SKIP_UNLESS_GLIBC();
   struct Golden {
     const char* label;
     std::function<Model()> make;

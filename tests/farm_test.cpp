@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "ml/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/manifest.hpp"
+#include "support/golden.hpp"
 #include "util/fault.hpp"
 
 namespace airfedga::scenario {
@@ -150,11 +150,7 @@ std::string replace_all(std::string s, const std::string& from, const std::strin
 }
 
 TEST_F(FarmTest, MatchesTheCheckedInOutputByteForByte) {
-  // The fixture's metrics are results of the FMA GEMM kernel clones; the
-  // baseline kernel that runs without them (sanitizer builds, non-x86-64)
-  // rounds differently.
-  if (!ml::gemm_kernel_clones())
-    GTEST_SKIP() << "the fixture is specific to the x86-64 FMA kernel clones";
+  SKIP_UNLESS_GLIBC();
   // tests/fixtures/farm_tiny holds what the removed legacy writer emitted
   // for tiny_variants() under --no-timing, with the git value replaced by
   // a placeholder. The farm must keep producing exactly those bytes.

@@ -147,6 +147,21 @@ TEST(Sgemm, BlockingGeometryIsExported) {
   EXPECT_EQ(blk.nc % blk.nr, 0u);
 }
 
+// Every accumulation step is one fused multiply-add, whichever kernel clone
+// runs. With x = 1 + 2^-12, -1·1 + x·x is 2^-11 + 2^-24 exactly when fused;
+// rounding x·x first (to 1 + 2^-11, a tie to even) would lose the 2^-24.
+TEST(Sgemm, AccumulatesWithOneRoundingPerStep) {
+  const float x = 1.0f + std::ldexp(1.0f, -12);
+  const std::vector<float> a = {-1.0f, x}, b = {1.0f, x};
+  for (const Trans ta : {Trans::N, Trans::T})
+    for (const Trans tb : {Trans::N, Trans::T}) {
+      const std::size_t lda = ta == Trans::N ? 2 : 1, ldb = tb == Trans::N ? 1 : 2;
+      float c = 0.0f;
+      sgemm(ta, tb, 1, 1, 2, a.data(), lda, b.data(), ldb, 0.0f, &c, 1);
+      EXPECT_EQ(c, std::ldexp(1.0f, -11) + std::ldexp(1.0f, -24));
+    }
+}
+
 // ---------------------------------------------------------------- conv ----
 
 TEST(BatchedConv, ForwardMatchesPerSampleForward) {
@@ -257,6 +272,17 @@ TEST(Workspace, ScopeRewindsAndBlocksAreRetained) {
     EXPECT_EQ(a[0], 1.0f);  // outer allocation untouched
   }
   EXPECT_GT(ws.floats_reserved(), 0u);
+}
+
+TEST(Workspace, NewBlocksAreSizedForTheRequest) {
+  // A small request after one that filled a large block gets a small block,
+  // not one twice the large block's size.
+  Workspace ws;
+  Workspace::Scope scope(ws);
+  ws.floats(std::size_t{1} << 20);
+  ws.floats(16);
+  EXPECT_EQ(ws.blocks_allocated(), 2u);
+  EXPECT_EQ(ws.floats_reserved(), (std::size_t{1} << 20) + (std::size_t{1} << 16));
 }
 
 TEST(Workspace, SteadyStateTrainingAllocatesNoNewBlocks) {

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "fl/mechanisms.hpp"
-#include "ml/gemm.hpp"
 #include "ml/zoo.hpp"
+#include "support/golden.hpp"
 #include "util/stats.hpp"
 
 namespace airfedga::fl {
@@ -301,14 +301,11 @@ TEST(LoopPolicy, CheckRejectsBadSemiAsyncKnobsBeforeAnyRunState) {
 // per-mechanism loops on this fixture (x86-64). The unified loop must
 // reproduce every one of them at every lane count: the digest covers the
 // full metric series and the final model bits, so a match means the
-// refactor changed no observable behaviour. Digests depend on how the GEMM
-// kernel rounds, so the assertion runs only on the x86-64 kernel clones
-// (sanitizer builds and other ISAs skip it, as farm_test does); the
-// thread-invariance half runs everywhere via parallel_determinism_test.
+// refactor changed no observable behaviour. The goldens hold on every
+// glibc build; the thread-invariance half runs everywhere via
+// parallel_determinism_test.
 TEST(LoopDigests, EveryPortedMechanismMatchesItsPreRefactorDigest) {
-  if (!ml::gemm_kernel_clones())
-    GTEST_SKIP() << "golden digests are pinned on the x86-64 GEMM kernel clones; this build "
-                    "rounds differently";
+  SKIP_UNLESS_GLIBC();
   struct Golden {
     const char* label;
     const char* digest;

@@ -18,9 +18,9 @@
 
 #include "fl/driver.hpp"
 #include "fl/loop.hpp"
-#include "ml/gemm.hpp"
 #include "ml/zoo.hpp"
 #include "scenario/spec.hpp"
+#include "support/golden.hpp"
 
 namespace airfedga {
 namespace {
@@ -66,12 +66,6 @@ scenario::ScenarioSpec pop_spec(std::size_t workers, std::size_t shards,
   return spec;
 }
 
-// Golden digests are pinned on the x86-64 GEMM kernel clones, like
-// farm_test's fixture: builds without them (sanitizers, other ISAs) round
-// differently, so there the goldens are skipped and only invariance runs.
-constexpr const char* kUnpinned =
-    "golden digests are pinned on the x86-64 GEMM kernel clones; this build rounds differently";
-
 fl::Metrics run_metrics(const scenario::ScenarioSpec& spec) {
   spec.validate();
   auto built = scenario::build(spec);
@@ -100,8 +94,7 @@ TEST(Population, ChurnAt100kQueuesNoPerWorkerAvailabilityEvents) {
   // Availability only matters while a cohort is parked with nobody
   // selectable, so a churn run must not keep one pending transition event
   // per worker: the queue holds the cohort's own events. The digest is the
-  // x86-64 golden captured on the event-per-worker protocol.
-  const bool pinned = ml::gemm_kernel_clones();
+  // golden captured on the event-per-worker protocol.
   std::string reference;
   for (const char* queue : {"heap", "calendar"}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
@@ -110,9 +103,6 @@ TEST(Population, ChurnAt100kQueuesNoPerWorkerAvailabilityEvents) {
       const fl::Metrics m = run_metrics(spec);
       if (reference.empty()) reference = m.digest();
       EXPECT_EQ(m.digest(), reference) << queue << ", threads=" << threads;
-      if (pinned) {
-        EXPECT_EQ(m.digest(), "0f5e98bfc0ea619e") << queue << ", threads=" << threads;
-      }
       const obs::MetricsSnapshot::HistogramData* pending = nullptr;
       for (const auto& h : m.obs_snapshot().histograms)
         if (h.name == "eventq.pending") pending = &h;
@@ -122,18 +112,17 @@ TEST(Population, ChurnAt100kQueuesNoPerWorkerAvailabilityEvents) {
           << queue << ", threads=" << threads;
     }
   }
-  if (!pinned) GTEST_SKIP() << kUnpinned;
+  SKIP_UNLESS_GLIBC();
+  EXPECT_EQ(reference, "0f5e98bfc0ea619e");
 }
 
 // ---- digest identity: pinned goldens, backends, lane counts ------------
 //
 // The goldens below were captured while the Driver could still materialize
-// every worker up front, and matched the pooled layout bit for bit. They
-// depend on how the GEMM kernel rounds, so they are pinned on the x86-64
-// kernel clones only.
+// every worker up front, and matched the pooled layout bit for bit.
 
 TEST(Population, DigestsAt100kMatchPinnedGoldens) {
-  if (!ml::gemm_kernel_clones()) GTEST_SKIP() << kUnpinned;
+  SKIP_UNLESS_GLIBC();
   const std::vector<std::pair<const char*, const char*>> goldens = {
       {"fedavg", "3e7120e9cb808083"}, {"airfedavg", "9ac3078ce80061c6"}};
   for (const auto& [mech, golden] : goldens) {
@@ -168,7 +157,7 @@ TEST(Population, RecyclingReplaysRngStreams) {
     if (reference.empty()) reference = digest;
     EXPECT_EQ(digest, reference) << "threads=" << threads;
   }
-  if (!ml::gemm_kernel_clones()) GTEST_SKIP() << kUnpinned;
+  SKIP_UNLESS_GLIBC();
   EXPECT_EQ(reference, "2a362191c48fc186");
 }
 
@@ -184,7 +173,7 @@ TEST(Population, SemiAsyncWarmReleaseIsPinned) {
     if (reference.empty()) reference = digest;
     EXPECT_EQ(digest, reference) << queue;
   }
-  if (!ml::gemm_kernel_clones()) GTEST_SKIP() << kUnpinned;
+  SKIP_UNLESS_GLIBC();
   EXPECT_EQ(reference, "e55d4ed1cc2ed87a");
 }
 

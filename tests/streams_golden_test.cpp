@@ -3,10 +3,9 @@
 // label-skew and Dirichlet partitions, Alg. 3 grouping, per-round member
 // gains, cohort samples, weight initialization, the Eq. (9) receiver noise
 // and the realism substrate's churn phases and CSI error. None of it runs
-// a GEMM, so unlike the loop/substrate/population goldens these digests
-// do not depend on the GEMM kernel clones and must hold in Debug and
-// sanitizer builds too. They do depend on the in-repo engine and
-// distributions and on libm's log/sqrt/pow, so they are gated on glibc.
+// a GEMM, so a mismatch here points at a stream, not at training. They
+// depend on the in-repo engine and distributions and on
+// libm's log/sqrt/pow, so like every golden they are gated on glibc.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +27,7 @@
 #include "ml/zoo.hpp"
 #include "sim/cluster.hpp"
 #include "sim/substrate.hpp"
+#include "support/golden.hpp"
 #include "util/rng.hpp"
 
 namespace airfedga {
@@ -74,17 +74,6 @@ void add_partition(Digest& d, const data::Partition& p) {
   d.u64(p.size());
   for (const auto& shard : p) d.vec(shard);
 }
-
-#if defined(__GLIBC__)
-constexpr bool kGlibc = true;
-#else
-constexpr bool kGlibc = false;
-#endif
-
-#define SKIP_UNLESS_GLIBC()                                                                  \
-  do {                                                                                       \
-    if (!kGlibc) GTEST_SKIP() << "golden digests are pinned on glibc's libm log/sqrt/pow"; \
-  } while (0)
 
 TEST(StreamsGolden, SyntheticDatasets) {
   SKIP_UNLESS_GLIBC();

@@ -23,9 +23,9 @@
 
 #include "fl/loop.hpp"
 #include "fl/mechanisms.hpp"
-#include "ml/gemm.hpp"
 #include "ml/zoo.hpp"
 #include "scenario/spec.hpp"
+#include "support/golden.hpp"
 #include "util/rng.hpp"
 
 namespace airfedga {
@@ -418,33 +418,22 @@ std::string run_digest(const MechanismCase& mc, const SubstrateOptions& opts,
   return mc.run(f.cfg).digest();
 }
 
-// Golden digests are pinned on the x86-64 GEMM kernel clones, like
-// farm_test's fixture: builds without them (sanitizers, other ISAs) round
-// differently, so there the goldens are skipped and only invariance runs.
-constexpr const char* kUnpinned =
-    "golden digests are pinned on the x86-64 GEMM kernel clones; this build rounds differently";
-
 // The refactor's acceptance check: with the default (static) substrate the
 // loop must replay the pre-refactor event sequence exactly, so every
 // mechanism reproduces its golden digest under every engine-knob
-// combination. Goldens depend on how the GEMM kernel rounds, so the pinned
-// half runs only on the kernel clones (like loop_test); other builds still
-// run the grid and check invariance against their own reference.
+// combination. Off glibc only the invariance half runs.
 TEST(SubstrateDigests, StaticSubstrateReproducesPreRefactorGoldens) {
-  const bool pinned = ml::gemm_kernel_clones();
+  std::map<std::string, std::string> got;
   for (const auto& mc : mechanism_cases()) {
-    std::string reference;
+    std::string& reference = got[mc.label];
     for (const auto& k : engine_grid()) {
       const std::string digest = run_digest(mc, SubstrateOptions{}, k);
       if (reference.empty()) reference = digest;
-      EXPECT_EQ(digest, reference)
-          << mc.label << " @" << k.threads << " lanes";
-      if (pinned) {
-        EXPECT_EQ(digest, mc.digest) << mc.label << " @" << k.threads << " lanes";
-      }
+      EXPECT_EQ(digest, reference) << mc.label << " @" << k.threads << " lanes";
     }
   }
-  if (!pinned) GTEST_SKIP() << kUnpinned;
+  SKIP_UNLESS_GLIBC();
+  for (const auto& mc : mechanism_cases()) EXPECT_EQ(got.at(mc.label), mc.digest) << mc.label;
 }
 
 // Realism generators must be deterministic per seed: whatever the lane
@@ -485,24 +474,21 @@ TEST(SubstrateDigests, RealismDigestsAreEngineKnobInvariant) {
       {"fedasync/churn", "97936b2679dc1393"},  {"fedasync/all", "97936b2679dc1393"},
       {"airfedga/churn", "baf66c4425971751"},  {"airfedga/all", "5063ebe919091902"},
   };
-  const bool pinned = ml::gemm_kernel_clones();
+  std::map<std::string, std::string> got;
 
   for (const auto& mc : mechanism_cases()) {
     for (const auto& [kind, opts] : kinds) {
       const std::string key = std::string(mc.label) + "/" + kind;
-      std::string reference;
+      std::string& reference = got[key];
       for (const auto& k : engine_grid()) {
         const std::string digest = run_digest(mc, opts, k);
         if (reference.empty()) reference = digest;
         EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes";
       }
-      const auto golden = goldens.find(key);
-      if (pinned && golden != goldens.end()) {
-        EXPECT_EQ(reference, golden->second) << key;
-      }
     }
   }
-  if (!pinned) GTEST_SKIP() << kUnpinned;
+  SKIP_UNLESS_GLIBC();
+  for (const auto& [key, golden] : goldens) EXPECT_EQ(got.at(key), golden) << key;
 }
 
 // Wake-heavy churn: 24 fast workers (1-10 s local times), each online for
@@ -539,23 +525,21 @@ TEST(SubstrateDigests, WakeHeavyChurnIsPinnedAndEngineKnobInvariant) {
   };
   const std::vector<std::pair<const char*, SubstrateOptions>> kinds = {
       {"churn", churn}, {"churn+energy", churn_energy}};
-  const bool pinned = ml::gemm_kernel_clones();
+  std::map<std::string, std::string> got;
 
   for (const auto& mc : cases) {
     for (const auto& [kind, opts] : kinds) {
       const std::string key = std::string(mc.label) + "/" + kind;
-      std::string reference;
+      std::string& reference = got[key];
       for (const auto& k : engine_grid()) {
         const std::string digest = run_digest(mc, opts, k, wake_heavy);
         if (reference.empty()) reference = digest;
         EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes";
       }
-      if (pinned) {
-        EXPECT_EQ(reference, goldens.at(key)) << key;
-      }
     }
   }
-  if (!pinned) GTEST_SKIP() << kUnpinned;
+  SKIP_UNLESS_GLIBC();
+  for (const auto& [key, golden] : goldens) EXPECT_EQ(got.at(key), golden) << key;
 }
 
 TEST(SubstrateDigests, RealismChangesTheTraceStaticDoesNot) {

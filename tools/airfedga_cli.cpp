@@ -69,8 +69,8 @@ run / run-dir options:
   --out=DIR              results directory (default: scenario_results); writes
                          results.jsonl, summary.csv, points/*.csv
   --no-timing            omit wall-clock fields from results, making the output
-                         byte-identical across runs, --jobs values and lane
-                         counts on one ISA (digests may differ across ISAs)
+                         byte-identical across runs, --jobs values, lane
+                         counts and glibc builds
   --trace[=PATH]         collect execution spans/metrics and write a Chrome
                          trace-event JSON (default: <out-dir>/trace.json) plus a
                          per-phase wall-time report; tracing is read-only, so
