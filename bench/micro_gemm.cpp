@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "ml/conv2d.hpp"
 #include "ml/gemm.hpp"
 #include "ml/workspace.hpp"
 #include "scenario/json.hpp"
@@ -39,11 +40,19 @@ double now_seconds() {
       .count();
 }
 
+/// A conv layer's zero-padded input batch, for B operands packed straight
+/// from it (ml::PatchPanels) instead of from a stored patch matrix.
+struct ConvInput {
+  std::size_t batch, cin, kernel, hp, wp;
+};
+
 /// One GEMM workload: the batched lowering of a figure-model layer.
 /// `samples` > 1 additionally times the seed's *per-sample* decomposition
 /// (the pre-kernel-layer Conv2D did one naive GEMM per sample). `ta`/`tb`
 /// are the operand orientations; a transposed operand is stored as its
-/// layer stores it (A as (k, m), B as (n, k)).
+/// layer stores it (A as (k, m), B as (n, k)). With `implicit` set, the
+/// blocked GEMM packs B from that padded input, as Conv2D does; the naive
+/// loops still read a stored B of the same shape.
 struct GemmShape {
   const char* figure;
   const char* layer;
@@ -51,10 +60,14 @@ struct GemmShape {
   std::size_t samples;
   ml::Trans ta = ml::Trans::N;
   ml::Trans tb = ml::Trans::N;
+  const ConvInput* implicit = nullptr;
 };
 
 constexpr ml::Trans N = ml::Trans::N;
 constexpr ml::Trans T = ml::Trans::T;
+
+// fig05 conv1's input at batch 16: 3 channels of 16x16, padded by 2.
+constexpr ConvInput kFig05Conv1{16, 3, 5, 20, 20};
 
 // Layer lowerings at the preset scales (scenario/presets.cpp):
 //   fig03  MLP-128, full-shard batch ~100 rows
@@ -66,7 +79,8 @@ constexpr ml::Trans T = ml::Trans::T;
 // backward (and Dense forward) calls in the orientation the layers make:
 // conv dW = gy . cols^T (N.T), conv dcols = W^T . gy (T.N, not run for a
 // model's first layer), Dense forward x . W^T (N.T) and Dense dW = gy^T . x
-// (T.N).
+// (T.N). The unsuffixed conv1-dW row is the N.T call Conv2D makes, with
+// its B panels packed from the padded input.
 const GemmShape kShapes[] = {
     {"fig03", "dense1", 100, 128, 784, 1},
     {"fig03", "dense2", 100, 128, 128, 1},
@@ -85,6 +99,7 @@ const GemmShape kShapes[] = {
     {"fig04", "fc-fwd-nt", 16, 75, 392, 1, N, T},
     {"fig04", "fc-dW-tn", 75, 392, 16, 1, T, N},
     {"fig05", "conv1-dW-nt", 6, 75, 4096, 1, N, T},
+    {"fig05", "conv1-dW", 6, 75, 4096, 1, N, T, &kFig05Conv1},
     {"fig05", "conv2-dW-nt", 13, 150, 1024, 1, N, T},
     {"fig05", "conv2-dcols-tn", 150, 1024, 13, 1, T, N},
     {"fig05", "fc-fwd-nt", 16, 102, 208, 1, N, T},
@@ -129,10 +144,20 @@ ShapeResult bench_shape(const GemmShape& s, double budget_ms) {
   const std::size_t ldb = s.tb == N ? s.n : s.k;
 
   ShapeResult r{s, 0, 0, 0};
-  r.blocked_gflops =
-      flops / time_per_call(budget_ms, [&] {
-        ml::sgemm(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f, c.data(), s.n);
-      }) / 1e9;
+  if (const ConvInput* in = s.implicit) {
+    const auto xpad = random_floats(in->batch * in->cin * in->hp * in->wp, 2);
+    const ml::PatchPanels panels(xpad.data(), in->cin, in->kernel, in->hp, in->wp, s.tb == T);
+    r.blocked_gflops =
+        flops / time_per_call(budget_ms, [&] {
+          ml::sgemm(s.ta, s.m, s.n, s.k, a.data(), lda, panels, 0.0f, c.data(), s.n);
+        }) / 1e9;
+  } else {
+    r.blocked_gflops =
+        flops / time_per_call(budget_ms, [&] {
+          ml::sgemm(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f, c.data(),
+                    s.n);
+        }) / 1e9;
+  }
   r.naive_gflops =
       flops / time_per_call(budget_ms, [&] {
         ml::sgemm_reference(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f,

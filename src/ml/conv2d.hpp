@@ -6,16 +6,50 @@
 
 namespace airfedga::ml {
 
-/// 2-D convolution over NCHW activations (stride 1, symmetric zero padding),
-/// implemented as batched im2col + GEMM over cache-sized chunks of the
-/// batch: each chunk of samples is lowered into one (C*k*k, chunk*OH*OW)
-/// patch matrix and multiplied by the kernel matrix in one blocked GEMM.
-/// One chunk rule (`chunk_samples`) serves the training forward, the eval
-/// forward and backward. A training forward keeps every chunk's patch
-/// matrix in a per-layer buffer, and backward runs dW, dcols and col2im
-/// over those same chunks instead of lowering the input again. The
-/// eval forward lowers into the thread-local workspace arena, so it pins
-/// at most one chunk there. Steady-state steps allocate nothing.
+/// The patch matrix of a stride-1 convolution as a GEMM B operand, packed
+/// straight from a zero-padded NCHW input (`xpad`, planes of hp x wp)
+/// without being stored. The matrix has one row per (channel, ki, kj) and
+/// one column per (sample, oi, oj) of the (hp-k+1) x (wp-k+1) output, and
+/// entry xpad[sample][channel][oi+ki][oj+kj]. As a `PanelPacker` it writes
+/// the panels `pack_b_panels` would write for the stored matrix (N), or,
+/// with `transposed`, for its transpose (T: the B operand of dW).
+class PatchPanels {
+ public:
+  PatchPanels(const float* xpad, std::size_t channels, std::size_t kernel, std::size_t hp,
+              std::size_t wp, bool transposed);
+
+  void operator()(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
+                  float* bp) const;
+
+ private:
+  /// Offset into xpad of patch row r's entries, relative to its column's.
+  [[nodiscard]] std::size_t row_offset(std::size_t r) const;
+  /// Offset into xpad of column q's entry in patch row 0.
+  [[nodiscard]] std::size_t col_offset(std::size_t q) const;
+  void pack(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc, float* bp) const;
+  void pack_transposed(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
+                       float* bp) const;
+
+  const float* xpad_;
+  std::size_t cin_, k_, hp_, wp_, ow_, np_;
+  bool transposed_;
+};
+
+/// 2-D convolution over NCHW activations (stride 1, symmetric zero padding)
+/// as implicit GEMMs: the GEMMs pack their patch-matrix panels straight
+/// from a zero-padded copy of the input (`PatchPanels`), so no patch matrix
+/// is ever stored.
+///
+/// A training forward pads the whole batch into a per-layer buffer, which
+/// backward's dW GEMM reads again: one N.T GEMM over the whole batch's
+/// columns. The forward GEMM runs per chunk of samples, and so do dcols and
+/// col2im in backward, which scatter-adds into a zero-padded dx chunk and
+/// crops it. The chunk is only a budget on workspace floats: each forward
+/// output sums over patch rows, each dcols entry over output channels, and
+/// each dx pixel belongs to one sample, so any chunking gives the same
+/// bits. An eval forward pads chunk by chunk into the thread-local
+/// workspace arena, so it pins at most one chunk there. Steady-state steps
+/// allocate nothing.
 ///
 /// Kernel tensor shape: (out_channels, in_channels, k, k).
 class Conv2D : public Layer {
@@ -33,29 +67,18 @@ class Conv2D : public Layer {
   [[nodiscard]] std::size_t out_width(std::size_t w) const { return w + 2 * pad_ - k_ + 1; }
 
  private:
-  /// Lowers samples [s0, s1) to a (C*k*k, (s1-s0)*OH*OW) patch matrix at
-  /// `cols` (columns ordered sample-major, then row-major spatial). With
-  /// "same" padding each (channel, ki, kj, sample) block is one shifted
-  /// span of the input plane plus re-zeroed borders; other shapes copy per
-  /// output row.
-  void im2col_batched(const Tensor& x, std::size_t s0, std::size_t s1, float* cols) const;
-  /// Scatters a patch-matrix gradient for samples [s0, s1) back onto `dx`
-  /// (+=).
-  void col2im_batched(const float* cols, std::size_t s0, std::size_t s1, Tensor& dx) const;
-  /// Samples per lowering chunk for a batch of `batch` samples with `np`
-  /// output pixels each: the most whose patch matrix fits in 2^16 floats
-  /// (256 KiB, L2-sized), rounded down to a multiple of the smallest count
-  /// `a` with a*np % KC == 0 and never below `a`, so every chunk boundary
-  /// falls on a KC slice boundary of the whole batch's dW depth. The whole
-  /// batch when `a` exceeds it.
-  [[nodiscard]] std::size_t chunk_samples(std::size_t batch, std::size_t np) const;
+  /// Writes samples [s0, s1) of `x`, zero-padded, to `xp`.
+  void pad_samples(const Tensor& x, std::size_t s0, std::size_t s1, float* xp) const;
+  /// Scatter-adds the patch-matrix gradient of samples [s0, s1) into the
+  /// zero-padded scratch `dxp`, then crops it into dx_.
+  void col2im(const float* dcols, std::size_t s0, std::size_t s1, float* dxp);
 
   std::size_t cin_, cout_, k_, pad_;
   Tensor weight_;       // (cout, cin*k*k) flattened kernel matrix
   Tensor bias_;         // (cout)
   Tensor weight_grad_;
   Tensor bias_grad_;
-  Tensor cols_;         // training forward's patch matrices, chunk after chunk
+  Tensor xpad_;         // training forward's zero-padded input, for dW
   std::array<std::size_t, 4> in_shape_{};  // training forward's input shape
   Tensor out_;          // (N, cout, OH, OW) forward output buffer
   Tensor dx_;           // (N, C, H, W) backward output buffer

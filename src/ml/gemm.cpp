@@ -23,11 +23,12 @@ namespace {
 // MR=4 x NR=32 keeps the accumulator at 128 floats — 8 vector registers at
 // 512-bit, 16 at 256-bit — which auto-vectorizes cleanly at every x86
 // vector width (measured: narrower NR collapses under AVX-512 codegen).
-constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 32;
-constexpr std::size_t kMC = 64;
-constexpr std::size_t kKC = 256;
-constexpr std::size_t kNC = 256;
+// The constants live in gemm.hpp (gemm_blocking) so B packers can use them.
+constexpr std::size_t kMR = gemm_blocking().mr;
+constexpr std::size_t kNR = gemm_blocking().nr;
+constexpr std::size_t kMC = gemm_blocking().mc;
+constexpr std::size_t kKC = gemm_blocking().kc;
+constexpr std::size_t kNC = gemm_blocking().nc;
 
 // Function multi-versioning for the hot kernel: the fma/avx512f clones use
 // hardware FMA and wider vectors where the CPU has them, selected once at
@@ -61,8 +62,6 @@ constexpr std::size_t kGemmTraceMinFlops = std::size_t{1} << 20;
 
 std::atomic<std::size_t> g_coop_min_flops{std::size_t{1} << 23};
 
-constexpr GemmBlocking kBlocking{kMC, kKC, kNC, kMR, kNR};
-
 inline std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 inline float load_a(Trans ta, const float* a, std::size_t lda, std::size_t i, std::size_t p) {
@@ -74,22 +73,65 @@ inline float load_a(Trans ta, const float* a, std::size_t lda, std::size_t i, st
 /// past mc), so the micro-kernel reads A with stride 1.
 void pack_a(Trans ta, const float* a, std::size_t lda, std::size_t i0, std::size_t mc,
             std::size_t p0, std::size_t kc, float* ap) {
+  static_assert(kMR == 4, "the Trans::N path interleaves four rows");
   const std::size_t mp = ceil_div(mc, kMR);
   for (std::size_t ir = 0; ir < mp; ++ir) {
     float* panel = ap + ir * kc * kMR;
     const std::size_t rows = std::min(kMR, mc - ir * kMR);
+    if (ta == Trans::T) {
+      // Each depth step's MR elements are contiguous in a stored row.
+      const float* src = a + p0 * lda + i0 + ir * kMR;
+      for (std::size_t p = 0; p < kc; ++p) {
+        for (std::size_t r = 0; r < rows; ++r) panel[p * kMR + r] = src[p * lda + r];
+        for (std::size_t r = rows; r < kMR; ++r) panel[p * kMR + r] = 0.0f;
+      }
+      continue;
+    }
+    if (rows == kMR) {
+      // Walk the four stored rows in lockstep, four depth steps at a time
+      // through a 4x4 register transpose.
+      const float* r0 = a + (i0 + ir * kMR) * lda + p0;
+      const float* r1 = r0 + lda;
+      const float* r2 = r1 + lda;
+      const float* r3 = r2 + lda;
+      std::size_t p = 0;
+#if defined(__SSE__)
+      for (; p + 4 <= kc; p += 4) {
+        __m128 x0 = _mm_loadu_ps(r0 + p);
+        __m128 x1 = _mm_loadu_ps(r1 + p);
+        __m128 x2 = _mm_loadu_ps(r2 + p);
+        __m128 x3 = _mm_loadu_ps(r3 + p);
+        _MM_TRANSPOSE4_PS(x0, x1, x2, x3);
+        float* dst = panel + p * kMR;
+        _mm_storeu_ps(dst, x0);
+        _mm_storeu_ps(dst + 4, x1);
+        _mm_storeu_ps(dst + 8, x2);
+        _mm_storeu_ps(dst + 12, x3);
+      }
+#endif
+      for (; p < kc; ++p) {
+        float* dst = panel + p * kMR;
+        dst[0] = r0[p];
+        dst[1] = r1[p];
+        dst[2] = r2[p];
+        dst[3] = r3[p];
+      }
+      continue;
+    }
     for (std::size_t p = 0; p < kc; ++p) {
       for (std::size_t r = 0; r < rows; ++r)
-        panel[p * kMR + r] = load_a(ta, a, lda, i0 + ir * kMR + r, p0 + p);
+        panel[p * kMR + r] = a[(i0 + ir * kMR + r) * lda + p0 + p];
       for (std::size_t r = rows; r < kMR; ++r) panel[p * kMR + r] = 0.0f;
     }
   }
 }
 
+}  // namespace
+
 /// Packs B depth [p0, p0+kc) x columns [j0, j0+nc) into NR-column
 /// micro-panels (zero-padded past nc), stride-1 for the micro-kernel.
-void pack_b(Trans tb, const float* b, std::size_t ldb, std::size_t p0, std::size_t kc,
-            std::size_t j0, std::size_t nc, float* bp) {
+void pack_b_panels(Trans tb, const float* b, std::size_t ldb, std::size_t p0, std::size_t kc,
+                   std::size_t j0, std::size_t nc, float* bp) {
   const std::size_t np = ceil_div(nc, kNR);
   for (std::size_t jr = 0; jr < np; ++jr) {
     float* panel = bp + jr * kc * kNR;
@@ -145,6 +187,8 @@ void pack_b(Trans tb, const float* b, std::size_t ldb, std::size_t p0, std::size
   }
 }
 
+namespace {
+
 /// MR x NR micro-kernel over one packed KC slice. Always computes the full
 /// register tile (panels are zero-padded), then masks the store to the live
 /// mr x nr corner. `overwrite` selects C = acc vs C += acc — the only beta
@@ -186,9 +230,9 @@ void micro_kernel(std::size_t kc, const float* __restrict ap, const float* __res
 /// into the calling thread's workspace. Tiles touch disjoint C ranges and
 /// each element's accumulation order depends only on k, so any assignment
 /// of tiles to threads yields identical bits.
-void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t lda, const float* b,
-               std::size_t ldb, float beta, float* c, std::size_t ldc, std::size_t i0,
-               std::size_t mc, std::size_t j0, std::size_t nc) {
+void gemm_tile(Trans ta, std::size_t k, const float* a, std::size_t lda, PanelPacker pack_b,
+               float beta, float* c, std::size_t ldc, std::size_t i0, std::size_t mc,
+               std::size_t j0, std::size_t nc) {
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
   const std::size_t mp = ceil_div(mc, kMR);
@@ -197,7 +241,7 @@ void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t ld
   float* bp = ws.floats(np * kNR * std::min(kKC, k));
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t kc = std::min(kKC, k - p0);
-    pack_b(tb, b, ldb, p0, kc, j0, nc, bp);
+    pack_b(p0, kc, j0, nc, bp);
     pack_a(ta, a, lda, i0, mc, p0, kc, ap);
     const bool overwrite = p0 == 0 && beta == 0.0f;
     for (std::size_t jr = 0; jr < np; ++jr) {
@@ -213,8 +257,6 @@ void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t ld
 
 }  // namespace
 
-const GemmBlocking& gemm_blocking() { return kBlocking; }
-
 std::size_t gemm_coop_min_flops() { return g_coop_min_flops.load(std::memory_order_relaxed); }
 void set_gemm_coop_min_flops(std::size_t flops) {
   g_coop_min_flops.store(flops, std::memory_order_relaxed);
@@ -223,6 +265,16 @@ void set_gemm_coop_min_flops(std::size_t flops) {
 void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, const float* a,
            std::size_t lda, const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc) {
+  sgemm(
+      ta, m, n, k, a, lda,
+      [=](std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc, float* bp) {
+        pack_b_panels(tb, b, ldb, p0, kc, j0, nc, bp);
+      },
+      beta, c, ldc);
+}
+
+void sgemm(Trans ta, std::size_t m, std::size_t n, std::size_t k, const float* a,
+           std::size_t lda, PanelPacker pack_b, float beta, float* c, std::size_t ldc) {
   if (beta != 0.0f && beta != 1.0f)
     throw std::invalid_argument("sgemm: beta must be 0 (overwrite) or 1 (accumulate)");
   if (m == 0 || n == 0) return;
@@ -240,7 +292,7 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, cons
   auto run_tile = [=](std::size_t t) {
     const std::size_t i0 = (t / nb) * kMC;
     const std::size_t j0 = (t % nb) * kNC;
-    gemm_tile(ta, tb, k, a, lda, b, ldb, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
+    gemm_tile(ta, k, a, lda, pack_b, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
               std::min(kNC, n - j0));
   };
   if (tiles == 1) {

@@ -6,8 +6,8 @@
 
 namespace airfedga::ml {
 
-/// Thread-local bump arena for kernel temporaries (im2col patch matrices,
-/// GEMM packing panels, gathered gradient views).
+/// Thread-local bump arena for kernel temporaries (GEMM packing panels,
+/// padded conv inputs, gathered gradient views).
 ///
 /// The training hot path runs the same layer shapes step after step, so the
 /// arena only allocates while it grows toward the peak working set of the

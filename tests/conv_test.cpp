@@ -3,12 +3,14 @@
 // The lowering checks build the patch matrix naively and require
 // Conv2D's forward and backward to equal ml::sgemm over it bit for bit,
 // across kernel sizes, paddings, non-square images, channel counts and
-// batch sizes, and across batches that Conv2D lowers in several chunks
-// (cut off mid-batch, on planes whose OH*OW does not divide KC, or with a
-// KC alignment larger than the batch). Backward reuses the training
-// forward's patch chunks; the reuse tests show that an eval forward in
-// between changes nothing, and the workspace test bounds what one eval
-// forward leaves in its thread's arena. A model's first layer skips its
+// batch sizes, and across the batches that an earlier KC-aligned chunk
+// rule lowered in several chunks (cut off mid-batch, on planes whose
+// OH*OW does not divide KC, or with a KC alignment larger than the batch);
+// those cases stay as they were. Backward reuses the training forward's
+// padded input; the reuse tests show that an eval forward in between
+// changes nothing, and the workspace test bounds what one eval forward
+// leaves in its thread's arena. The panel tests require Conv2D's implicit
+// patch packer to write exactly the panels of the naive patch matrix. A model's first layer skips its
 // input gradient; the skip tests show that this changes no parameter
 // gradient and that a layer used on its own still returns dx.
 //
@@ -17,7 +19,8 @@
 // all-3x3 VGG-style stack and an MLP (the Dense-first case). They were
 // captured before the conv lowering was reworked (one-span im2col,
 // row-wise transposed packing, no first-layer input gradient, cache-sized
-// chunks reused by backward) and must keep passing unedited: those changes
+// chunks reused by backward, implicit GEMM from a padded input) and must
+// keep passing unedited: those changes
 // move the same floats to the same places and drop only output nobody
 // reads. Like every golden they hold on any glibc build.
 
@@ -375,6 +378,73 @@ TEST(ConvWorkspace, EvalForwardPinsAboutOneChunkInTheArena) {
   });
   eval.join();
   EXPECT_LE(reserved, std::size_t{1} << 18) << "floats reserved after one eval forward";
+}
+
+// -------------------------------------------------------- patch panels --
+
+/// The NCHW input zero-padded by c.pad on every side.
+std::vector<float> padded_input(const ConvCase& c, const Tensor& x) {
+  const std::size_t hp = c.h + 2 * c.pad, wp = c.w + 2 * c.pad;
+  std::vector<float> xp(c.batch * c.cin * hp * wp, 0.0f);
+  for (std::size_t pl = 0; pl < c.batch * c.cin; ++pl)
+    for (std::size_t i = 0; i < c.h; ++i)
+      for (std::size_t j = 0; j < c.w; ++j)
+        xp[(pl * hp + c.pad + i) * wp + c.pad + j] = x[(pl * c.h + i) * c.w + j];
+  return xp;
+}
+
+/// PatchPanels must write, for every block, the floats pack_b_panels writes
+/// for the naive patch matrix (N) and for its transpose (T): the blocks
+/// sgemm packs, plus blocks that start mid-row and mid-panel.
+void check_panels(const ConvCase& c) {
+  const auto& blk = gemm_blocking();
+  util::Rng rng(71);
+  const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+  const std::vector<float> cols = naive_patches(c, x);
+  const std::vector<float> xp = padded_input(c, x);
+  const std::size_t rows = c.rows(), ncols = c.ncols();
+  for (const bool transposed : {false, true}) {
+    SCOPED_TRACE(transposed ? "T" : "N");
+    const PatchPanels panels(xp.data(), c.cin, c.k, c.h + 2 * c.pad, c.w + 2 * c.pad,
+                             transposed);
+    const Trans tb = transposed ? Trans::T : Trans::N;
+    const std::size_t depth = transposed ? ncols : rows, width = transposed ? rows : ncols;
+    std::vector<std::pair<std::size_t, std::size_t>> blocks;  // (p0, j0)
+    for (std::size_t p0 = 0; p0 < depth; p0 += blk.kc)
+      for (std::size_t j0 = 0; j0 < width; j0 += blk.nc) blocks.emplace_back(p0, j0);
+    blocks.emplace_back(std::min<std::size_t>(3, depth - 1), std::min<std::size_t>(5, width - 1));
+    for (const auto& [p0, j0] : blocks) {
+      const std::size_t kc = std::min(blk.kc, depth - p0), nc = std::min(blk.nc, width - j0);
+      const std::size_t size = (nc + blk.nr - 1) / blk.nr * blk.nr * kc;
+      std::vector<float> got(size, -1.0f), want(size, -2.0f);
+      panels(p0, kc, j0, nc, got.data());
+      pack_b_panels(tb, cols.data(), ncols, p0, kc, j0, nc, want.data());
+      for (std::size_t i = 0; i < size; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+            << "block p0=" << p0 << " j0=" << j0 << ", panel float " << i;
+    }
+  }
+}
+
+TEST(PatchPanels, EqualPackedNaivePatchMatrix) {
+  const std::vector<ConvCase> cases = {
+      // OW not dividing NR = 32: runs cross micro-panel boundaries.
+      {5, 2, 1, 2, 28, 28},
+      {5, 2, 4, 3, 14, 14},
+      {3, 1, 2, 5, 7, 7},
+      // 12 channels of 5x5: 300 patch rows, more than KC and NC.
+      {5, 2, 12, 2, 8, 8},
+      // Padding 0, 1 and 2 on non-square planes.
+      {3, 0, 3, 4, 9, 6},
+      {3, 1, 3, 4, 6, 9},
+      {5, 2, 2, 3, 10, 7},
+      // Batch 1.
+      {5, 2, 3, 1, 16, 16},
+  };
+  for (const ConvCase& c : cases) {
+    SCOPED_TRACE(label(c));
+    check_panels(c);
+  }
 }
 
 // ---------------------------------------------------- first-layer skip --

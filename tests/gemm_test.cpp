@@ -96,6 +96,65 @@ INSTANTIATE_TEST_SUITE_P(
                     std::make_tuple(13, 150, 70),                          // fig05 conv2-like
                     std::make_tuple(6, 200, 75)));                         // fig05 conv1-like
 
+/// Writes the panel layout `PanelPacker` documents, one element at a time,
+/// from a stored op(B).
+struct ReplayPacker {
+  Trans tb;
+  const float* b;
+  std::size_t ldb;
+  void operator()(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
+                  float* bp) const {
+    const std::size_t nr = gemm_blocking().nr;
+    for (std::size_t jr = 0; jr * nr < nc; ++jr)
+      for (std::size_t p = 0; p < kc; ++p)
+        for (std::size_t c = 0; c < nr; ++c) {
+          const std::size_t j = jr * nr + c;
+          const std::size_t row = p0 + p, col = j0 + j;
+          bp[(jr * kc + p) * nr + c] =
+              j >= nc ? 0.0f : (tb == Trans::N ? b[row * ldb + col] : b[col * ldb + row]);
+        }
+  }
+};
+
+// A packer replaying a stored matrix runs through the same tile loop, so it
+// must give sgemm's bits on that matrix, serially and with cooperating lanes.
+TEST_P(SgemmShapes, ReplayPackerEqualsStoredOperandBitwise) {
+  const auto [m, n, k] = GetParam();
+  const std::size_t saved = gemm_coop_min_flops();
+  util::ThreadPool pool(3);
+  for (const Trans ta : {Trans::N, Trans::T}) {
+    for (const Trans tb : {Trans::N, Trans::T}) {
+      for (const float beta : {0.0f, 1.0f}) {
+        const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
+        const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
+        const std::size_t lda = ta == Trans::N ? k : m;
+        const std::size_t ldb = tb == Trans::N ? n : k;
+        const auto c0 = random_matrix(m, n, 3);
+        auto stored = c0, replayed = c0, cooperative = c0;
+        const ReplayPacker replay{tb, b.data(), ldb};
+        {
+          util::ThreadPool::SerialRegion serial;
+          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, stored.data(), n);
+          sgemm(ta, m, n, k, a.data(), lda, replay, beta, replayed.data(), n);
+        }
+        set_gemm_coop_min_flops(0);
+        pool.submit([&] {
+              util::ThreadPool::CooperationScope coop(pool);
+              sgemm(ta, m, n, k, a.data(), lda, replay, beta, cooperative.data(), n);
+            })
+            .get();
+        set_gemm_coop_min_flops(saved);
+        const std::string what = "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k) + " ta=" +
+                                 (ta == Trans::N ? "N" : "T") + " tb=" +
+                                 (tb == Trans::N ? "N" : "T") + " beta=" + std::to_string(beta);
+        EXPECT_EQ(replayed, stored) << what;
+        EXPECT_EQ(cooperative, stored) << what << " cooperative";
+      }
+    }
+  }
+}
+
 /// (rows, cols) row-major -> (cols, rows).
 std::vector<float> transposed(const std::vector<float>& m, std::size_t rows, std::size_t cols) {
   std::vector<float> t(m.size());
@@ -287,7 +346,7 @@ TEST(Workspace, NewBlocksAreSizedForTheRequest) {
 
 TEST(Workspace, SteadyStateTrainingAllocatesNoNewBlocks) {
   // Mixed batch sizes exercise rewind/reuse across differently-sized
-  // im2col buffers; under the ASan CI leg this also proves the workspace
+  // conv buffers; under the ASan CI leg this also proves the workspace
   // pointers stay in bounds across reuse.
   auto model = make_cnn_mnist(0.15, 12);
   util::Rng rng(13);
