@@ -1,5 +1,6 @@
 // Kernel-layer microbenchmark: GFLOP/s of the blocked GEMM vs the seed's
-// naive loops on the figure models' layer shapes, plus wall time and heap
+// naive loops on the figure models' layer shapes, microseconds per forward
+// and backward of each CNN preset's conv layers, plus wall time and heap
 // traffic per *training step* for each figure preset's model. The blocked
 // numbers are the "after", the reference numbers the "before" of the
 // kernel-layer PR; CI stores the JSONL output as an artifact so perf is
@@ -40,19 +41,11 @@ double now_seconds() {
       .count();
 }
 
-/// A conv layer's zero-padded input batch, for B operands packed straight
-/// from it (ml::PatchPanels) instead of from a stored patch matrix.
-struct ConvInput {
-  std::size_t batch, cin, kernel, hp, wp;
-};
-
 /// One GEMM workload: the batched lowering of a figure-model layer.
 /// `samples` > 1 additionally times the seed's *per-sample* decomposition
 /// (the pre-kernel-layer Conv2D did one naive GEMM per sample). `ta`/`tb`
 /// are the operand orientations; a transposed operand is stored as its
-/// layer stores it (A as (k, m), B as (n, k)). With `implicit` set, the
-/// blocked GEMM packs B from that padded input, as Conv2D does; the naive
-/// loops still read a stored B of the same shape.
+/// layer stores it (A as (k, m), B as (n, k)).
 struct GemmShape {
   const char* figure;
   const char* layer;
@@ -60,14 +53,10 @@ struct GemmShape {
   std::size_t samples;
   ml::Trans ta = ml::Trans::N;
   ml::Trans tb = ml::Trans::N;
-  const ConvInput* implicit = nullptr;
 };
 
 constexpr ml::Trans N = ml::Trans::N;
 constexpr ml::Trans T = ml::Trans::T;
-
-// fig05 conv1's input at batch 16: 3 channels of 16x16, padded by 2.
-constexpr ConvInput kFig05Conv1{16, 3, 5, 20, 20};
 
 // Layer lowerings at the preset scales (scenario/presets.cpp):
 //   fig03  MLP-128, full-shard batch ~100 rows
@@ -79,8 +68,8 @@ constexpr ConvInput kFig05Conv1{16, 3, 5, 20, 20};
 // backward (and Dense forward) calls in the orientation the layers make:
 // conv dW = gy . cols^T (N.T), conv dcols = W^T . gy (T.N, not run for a
 // model's first layer), Dense forward x . W^T (N.T) and Dense dW = gy^T . x
-// (T.N). The unsuffixed conv1-dW row is the N.T call Conv2D makes, with
-// its B panels packed from the padded input.
+// (T.N). Conv2D itself no longer calls sgemm: its passes are timed
+// through the layer below (kConvLayers).
 const GemmShape kShapes[] = {
     {"fig03", "dense1", 100, 128, 784, 1},
     {"fig03", "dense2", 100, 128, 128, 1},
@@ -99,7 +88,6 @@ const GemmShape kShapes[] = {
     {"fig04", "fc-fwd-nt", 16, 75, 392, 1, N, T},
     {"fig04", "fc-dW-tn", 75, 392, 16, 1, T, N},
     {"fig05", "conv1-dW-nt", 6, 75, 4096, 1, N, T},
-    {"fig05", "conv1-dW", 6, 75, 4096, 1, N, T, &kFig05Conv1},
     {"fig05", "conv2-dW-nt", 13, 150, 1024, 1, N, T},
     {"fig05", "conv2-dcols-tn", 150, 1024, 13, 1, T, N},
     {"fig05", "fc-fwd-nt", 16, 102, 208, 1, N, T},
@@ -144,20 +132,10 @@ ShapeResult bench_shape(const GemmShape& s, double budget_ms) {
   const std::size_t ldb = s.tb == N ? s.n : s.k;
 
   ShapeResult r{s, 0, 0, 0};
-  if (const ConvInput* in = s.implicit) {
-    const auto xpad = random_floats(in->batch * in->cin * in->hp * in->wp, 2);
-    const ml::PatchPanels panels(xpad.data(), in->cin, in->kernel, in->hp, in->wp, s.tb == T);
-    r.blocked_gflops =
-        flops / time_per_call(budget_ms, [&] {
-          ml::sgemm(s.ta, s.m, s.n, s.k, a.data(), lda, panels, 0.0f, c.data(), s.n);
-        }) / 1e9;
-  } else {
-    r.blocked_gflops =
-        flops / time_per_call(budget_ms, [&] {
-          ml::sgemm(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f, c.data(),
-                    s.n);
-        }) / 1e9;
-  }
+  r.blocked_gflops =
+      flops / time_per_call(budget_ms, [&] {
+        ml::sgemm(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f, c.data(), s.n);
+      }) / 1e9;
   r.naive_gflops =
       flops / time_per_call(budget_ms, [&] {
         ml::sgemm_reference(s.ta, s.tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, 0.0f,
@@ -173,6 +151,43 @@ ShapeResult bench_shape(const GemmShape& s, double budget_ms) {
                                 b.data() + i * n_per, s.n, 0.0f, c.data() + i * n_per, s.n);
         }) / 1e9;
   }
+  return r;
+}
+
+/// A figure model's conv layer at its preset batch (16), timed through
+/// Conv2D: `first` marks a model's first layer, whose backward skips dx.
+struct ConvLayer {
+  const char* figure;
+  const char* layer;
+  std::size_t cin, cout, kernel, pad, image;
+  bool first;
+};
+
+const ConvLayer kConvLayers[] = {
+    {"fig04", "conv1", 1, 4, 5, 2, 28, true},
+    {"fig04", "conv2", 4, 8, 5, 2, 14, false},
+    {"fig05", "conv1", 3, 6, 5, 2, 16, true},
+    {"fig05", "conv2", 6, 13, 5, 2, 8, false},
+};
+
+struct ConvResult {
+  double forward_us = 0;   ///< training-mode forward, per call
+  double backward_us = 0;  ///< dW and the bias gradient, plus dx unless `first`
+};
+
+ConvResult bench_conv(const ConvLayer& l, double budget_ms) {
+  constexpr std::size_t kBatch = 16;
+  ml::Conv2D conv(l.cin, l.cout, l.kernel, l.pad);
+  util::Rng rng(5);
+  conv.init(rng);
+  conv.set_input_grad(!l.first);
+  const auto out = conv.out_height(l.image);
+  const ml::Tensor x = ml::Tensor::randn({kBatch, l.cin, l.image, l.image}, rng);
+  const ml::Tensor g = ml::Tensor::randn({kBatch, l.cout, out, out}, rng);
+  ConvResult r;
+  r.forward_us = 1e6 * time_per_call(budget_ms, [&] { conv.forward(x); });
+  conv.forward(x);
+  r.backward_us = 1e6 * time_per_call(budget_ms, [&] { conv.backward(g); });
   return r;
 }
 
@@ -318,6 +333,28 @@ int main(int argc, char** argv) {
     }
   }
   t.print(std::cout);
+
+  std::printf("\n=== Conv2D passes at batch 16 (single thread) ===\n");
+  util::Table tc({"figure", "layer", "forward us", "backward us"});
+  {
+    util::ThreadPool::SerialRegion serial;
+    for (const auto& l : kConvLayers) {
+      const auto r = bench_conv(l, budget_ms);
+      tc.add_row({l.figure, l.layer, util::Table::fmt(r.forward_us, 1),
+                  util::Table::fmt(r.backward_us, 1) + (l.first ? " (no dx)" : "")});
+      for (const auto& [pass, us] : {std::pair{"forward", r.forward_us},
+                                     std::pair{"backward", r.backward_us}}) {
+        scenario::Json rec = scenario::Json::object();
+        rec.set("kind", "conv_pass");
+        rec.set("figure", l.figure);
+        rec.set("layer", l.layer);
+        rec.set("pass", pass);
+        rec.set("us_per_call", us);
+        records.push_back(std::move(rec));
+      }
+    }
+  }
+  tc.print(std::cout);
 
   std::printf("\n=== Training step: wall time and heap traffic (steady state) ===\n");
   util::Table ts({"preset", "model", "batch", "ms/step", "~GF/s", "allocs/step", "bytes/step",

@@ -6,13 +6,18 @@
 #include <cstring>
 #include <stdexcept>
 
-#if defined(__SSE__)
-#include <xmmintrin.h>
-#endif
-
 #include "ml/gemm.hpp"
+#include "ml/kernel_clones.hpp"
 #include "ml/workspace.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
+
+// gcc >= 12 and clang; without it B rows are staged as 8-float pieces only.
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector)
+#define AIRFEDGA_HAS_SHUFFLEVECTOR 1
+#endif
+#endif
 
 namespace airfedga::ml {
 
@@ -39,10 +44,28 @@ void Conv2D::init(util::Rng& rng) {
 
 namespace {
 
+constexpr std::size_t kMR = gemm_blocking().mr;
 constexpr std::size_t kNR = gemm_blocking().nr;
+constexpr std::size_t kKC = gemm_blocking().kc;
+constexpr std::size_t kPieces = 4;
+constexpr std::size_t kPiece = kNR / kPieces;
 
-/// Workspace floats a forward or backward chunk may take (256 KiB, L2-sized).
+/// Zeroed floats after the last plane a pass reads B from in place: a
+/// piece starts on a position its tile uses and reads kPiece floats.
+constexpr std::size_t kSlack = kPiece;
+
+/// Workspace floats an eval forward chunk may take (256 KiB, L2-sized).
 constexpr std::size_t kChunkFloats = std::size_t{1} << 16;
+
+/// Flop floor per parallel_for chunk, as in ml::sgemm: dispatch costs
+/// microseconds, so a chunk must carry ~2 Mflop to be worth it.
+constexpr std::size_t kMinFlopsPerTask = std::size_t{1} << 21;
+
+/// Grain for parallel_for over n tasks of `task_flops` each.
+std::size_t task_grain(std::size_t n, std::size_t task_flops) {
+  return std::clamp<std::size_t>(kMinFlopsPerTask / std::max<std::size_t>(task_flops, 1), 1,
+                                 std::max<std::size_t>(n, 1));
+}
 
 /// Samples per chunk when each sample takes `per_sample` workspace floats:
 /// as many as fit the budget, at least one, at most the batch.
@@ -51,120 +74,155 @@ std::size_t chunk_samples(std::size_t batch, std::size_t per_sample) {
   return std::max<std::size_t>(1, std::min(batch, fit));
 }
 
+/// Packs all of the stored m x k matrix A into KC slices of MR-row panels:
+/// slice p0's panel ir starts at ap + panel_offset(m, p0, kc, ir).
+void pack_a_slices(const float* a, std::size_t m, std::size_t k, float* ap) {
+  const std::size_t mp = (m + kMR - 1) / kMR;
+  for (std::size_t p0 = 0; p0 < k; p0 += kKC)
+    pack_a_panels(Trans::N, a, k, 0, m, p0, std::min(kKC, k - p0), ap + mp * kMR * p0);
+}
+
+std::size_t panel_offset(std::size_t m, std::size_t p0, std::size_t kc, std::size_t ir) {
+  return (m + kMR - 1) / kMR * kMR * p0 + ir * kc * kMR;
+}
+
+using Piece = float __attribute__((vector_size(kPiece * sizeof(float))));
+using TwoPieces = float __attribute__((vector_size(2 * kPiece * sizeof(float))));
+
+/// acc += the MR x NR register tile over kc depth rows: row p of B is the
+/// kPieces runs of kPiece floats at b + at[i] + off[p], one after the
+/// other, and A one packed MR-row panel; one fused multiply-add per step,
+/// in ascending depth, as in ml::sgemm's micro-kernel. `kWide` stages each
+/// B row as two 16-float vectors (the avx512f clone), else as four 8-float
+/// ones: the compiler turns the other staging into scalar shuffles.
+template <bool kWide>
+[[gnu::always_inline]] inline void accumulate_tile(std::size_t kc, const float* __restrict ap,
+                                                   const float* __restrict b,
+                                                   const std::size_t* __restrict at,
+                                                   const std::size_t* __restrict off,
+                                                   float* __restrict acc) {
+  static_assert(kPieces == 4);
+  const float* q0 = b + at[0];
+  const float* q1 = b + at[1];
+  const float* q2 = b + at[2];
+  const float* q3 = b + at[3];
+  for (std::size_t p = 0; p < kc; ++p) {
+    Piece x[kPieces];
+    std::memcpy(&x[0], q0 + off[p], sizeof(Piece));
+    std::memcpy(&x[1], q1 + off[p], sizeof(Piece));
+    std::memcpy(&x[2], q2 + off[p], sizeof(Piece));
+    std::memcpy(&x[3], q3 + off[p], sizeof(Piece));
+    float row_b[kNR];
+#if defined(AIRFEDGA_HAS_SHUFFLEVECTOR)
+    if constexpr (kWide) {
+      const TwoPieces lo = __builtin_shufflevector(x[0], x[1], 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                                   11, 12, 13, 14, 15);
+      const TwoPieces hi = __builtin_shufflevector(x[2], x[3], 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                                   11, 12, 13, 14, 15);
+      std::memcpy(row_b, &lo, sizeof lo);
+      std::memcpy(row_b + 2 * kPiece, &hi, sizeof hi);
+    } else {
+      std::memcpy(row_b, x, sizeof x);
+    }
+#else
+    std::memcpy(row_b, x, sizeof x);
+#endif
+    const float* a = ap + p * kMR;
+    for (std::size_t i = 0; i < kMR; ++i) {
+      const float ai = a[i];
+      float* row = acc + i * kNR;
+      for (std::size_t j = 0; j < kNR; ++j) row[j] = __builtin_fmaf(ai, row_b[j], row[j]);
+    }
+  }
+}
+
+[[gnu::always_inline]] inline void accumulate_tile(bool wide, std::size_t kc, const float* ap,
+                                                   const float* b, const std::size_t* at,
+                                                   const std::size_t* off, float* acc) {
+  if (wide)
+    accumulate_tile<true>(kc, ap, b, at, off, acc);
+  else
+    accumulate_tile<false>(kc, ap, b, at, off, acc);
+}
+
 }  // namespace
 
-PatchPanels::PatchPanels(const float* xpad, std::size_t channels, std::size_t kernel,
-                         std::size_t hp, std::size_t wp, bool transposed)
-    : xpad_(xpad),
-      cin_(channels),
-      k_(kernel),
-      hp_(hp),
-      wp_(wp),
-      ow_(wp - kernel + 1),
-      np_((hp - kernel + 1) * (wp - kernel + 1)),
-      transposed_(transposed) {}
-
-std::size_t PatchPanels::row_offset(std::size_t r) const {
-  const std::size_t kk = k_ * k_;
-  return r / kk * hp_ * wp_ + r % kk / k_ * wp_ + r % k_;
-}
-
-std::size_t PatchPanels::col_offset(std::size_t q) const {
-  const std::size_t t = q % np_;
-  return q / np_ * cin_ * hp_ * wp_ + t / ow_ * wp_ + t % ow_;
-}
-
-void PatchPanels::operator()(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
-                             float* bp) const {
-  if (transposed_)
-    pack_transposed(p0, kc, j0, nc, bp);
-  else
-    pack(p0, kc, j0, nc, bp);
-  // Zero the last panel's columns past nc.
-  if (const std::size_t tail = nc % kNR; tail != 0) {
-    float* panel = bp + nc / kNR * kc * kNR;
-    for (std::size_t p = 0; p < kc; ++p)
-      std::fill(panel + p * kNR + tail, panel + (p + 1) * kNR, 0.0f);
+[[gnu::always_inline]] inline void Conv2D::store_tile(const float* acc, const TileStore& store) {
+  for (std::size_t i = 0; i < kMR; ++i) {
+    float* c = store.rows[i];
+    if (c == nullptr) continue;
+    const float* row = acc + i * kNR;
+    for (const Run* r = store.run0; r != store.run1; ++r) {
+      float* d = c + r->dst;
+      const float* v = row + r->col;
+      if (store.add) {
+        for (std::size_t j = 0; j < r->len; ++j) d[j] += v[j];
+      } else if (store.bias != nullptr) {
+        const float bias = store.bias[i];
+        for (std::size_t j = 0; j < r->len; ++j) d[j] = v[j] + bias;
+      } else {
+        for (std::size_t j = 0; j < r->len; ++j) d[j] = v[j];
+      }
+    }
   }
 }
 
-void PatchPanels::pack(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
-                       float* bp) const {
-  std::array<std::size_t, gemm_blocking().kc> roff;
-  for (std::size_t p = 0; p < kc; ++p) roff[p] = row_offset(p0 + p);
-  // Walk the block's columns in runs that stay inside one output row and
-  // one micro-panel: along a run, every patch row reads one contiguous
-  // span of a padded input row.
-  for (std::size_t j = 0; j < nc;) {
-    const std::size_t q = j0 + j;
-    const std::size_t len = std::min({ow_ - q % np_ % ow_, kNR - j % kNR, nc - j});
-    const float* src = xpad_ + col_offset(q);
-    float* dst = bp + j / kNR * kc * kNR + j % kNR;
-    for (std::size_t p = 0; p < kc; ++p) {
-      const float* s = src + roff[p];
-      float* d = dst + p * kNR;
-      std::size_t t = 0;
-#if defined(__SSE__)
-      for (; t + 4 <= len; t += 4) _mm_storeu_ps(d + t, _mm_loadu_ps(s + t));
-#endif
-      for (; t < len; ++t) d[t] = s[t];
-    }
-    j += len;
-  }
+AIRFEDGA_KERNEL_CLONES
+void Conv2D::tile_kernel(bool wide, std::size_t kc, const float* __restrict ap,
+                         const float* __restrict b, const std::size_t* __restrict at,
+                         const std::size_t* __restrict off, const TileStore& store) {
+  float acc[kMR * kNR] = {};
+  accumulate_tile(wide, kc, ap, b, at, off, acc);
+  if (store.prior != nullptr)
+    for (std::size_t j = 0; j < kMR * kNR; ++j) acc[j] = store.prior[j] + acc[j];
+  store_tile(acc, store);
 }
 
-void PatchPanels::pack_transposed(std::size_t p0, std::size_t kc, std::size_t j0,
-                                  std::size_t nc, float* bp) const {
-  std::array<std::size_t, gemm_blocking().nc> roff;
-  for (std::size_t j = 0; j < nc; ++j) roff[j] = row_offset(j0 + j);
-  const std::size_t panels = (nc + kNR - 1) / kNR;
-  // Walk the block's depth in runs inside one output row. Along a run each
-  // panel column (a patch row) reads one contiguous input span, so four
-  // columns at a time go through a 4x4 register transpose, as in
-  // pack_b_panels' transposed path.
-  for (std::size_t p = 0; p < kc;) {
-    const std::size_t q = p0 + p;
-    const std::size_t len = std::min(ow_ - q % np_ % ow_, kc - p);
-    const float* src = xpad_ + col_offset(q);
-    for (std::size_t jr = 0; jr < panels; ++jr) {
-      float* dst = bp + (jr * kc + p) * kNR;
-      const std::size_t* ro = roff.data() + jr * kNR;
-      const std::size_t cols = std::min(kNR, nc - jr * kNR);
-      std::size_t c = 0;
-#if defined(__SSE__)
-      for (; c + 4 <= cols; c += 4) {
-        const float* s0 = src + ro[c];
-        const float* s1 = src + ro[c + 1];
-        const float* s2 = src + ro[c + 2];
-        const float* s3 = src + ro[c + 3];
-        std::size_t t = 0;
-        for (; t + 4 <= len; t += 4) {
-          __m128 x0 = _mm_loadu_ps(s0 + t);
-          __m128 x1 = _mm_loadu_ps(s1 + t);
-          __m128 x2 = _mm_loadu_ps(s2 + t);
-          __m128 x3 = _mm_loadu_ps(s3 + t);
-          _MM_TRANSPOSE4_PS(x0, x1, x2, x3);
-          float* d = dst + t * kNR + c;
-          _mm_storeu_ps(d, x0);
-          _mm_storeu_ps(d + kNR, x1);
-          _mm_storeu_ps(d + 2 * kNR, x2);
-          _mm_storeu_ps(d + 3 * kNR, x3);
-        }
-        for (; t < len; ++t) {
-          float* d = dst + t * kNR + c;
-          d[0] = s0[t];
-          d[1] = s1[t];
-          d[2] = s2[t];
-          d[3] = s3[t];
-        }
+AIRFEDGA_KERNEL_CLONES
+void Conv2D::dx_kernel(bool wide, std::size_t cout, std::uint32_t k, std::uint32_t oh,
+                       std::uint32_t ow, const float* __restrict ap, const float* __restrict b,
+                       const std::size_t* __restrict at, const std::size_t* __restrict off,
+                       const std::size_t* __restrict shift, const std::uint32_t* __restrict ly,
+                       const std::uint32_t* __restrict lx, const TileStore& store) {
+  float sum[kMR * kNR] = {};
+  for (std::uint32_t ki = 0; ki < k; ++ki) {
+    for (std::uint32_t kj = 0; kj < k; ++kj) {
+      const std::size_t t = ki * k + kj;
+      // The patch-matrix gradient of rows (c, ki, kj) at the lanes' output
+      // pixels: the chain over the output channels, in KC slices summed as
+      // ml::sgemm sums them.
+      float d[kMR * kNR] = {};
+      accumulate_tile(wide, std::min(kKC, cout), ap + t * cout * kMR, b + shift[t], at, off, d);
+      for (std::size_t o0 = kKC; o0 < cout; o0 += kKC) {
+        float acc[kMR * kNR] = {};
+        accumulate_tile(wide, std::min(kKC, cout - o0), ap + (t * cout + o0) * kMR,
+                        b + shift[t], at, off + o0, acc);
+        for (std::size_t j = 0; j < kMR * kNR; ++j) d[j] += acc[j];
       }
-#endif
-      for (; c < cols; ++c) {
-        const float* s = src + ro[c];
-        for (std::size_t t = 0; t < len; ++t) dst[t * kNR + c] = s[t];
+      // Lanes whose output pixel (y + pad - ki, x + pad - kj) exists add it.
+      for (std::size_t j = 0; j < kNR; ++j) {
+        const bool live = ly[j] - ki < oh && lx[j] - kj < ow;
+        for (std::size_t i = 0; i < kMR; ++i)
+          sum[i * kNR + j] = live ? sum[i * kNR + j] + d[i * kNR + j] : sum[i * kNR + j];
       }
     }
-    p += len;
+  }
+  store_tile(sum, store);
+}
+
+void Conv2D::tile_over_depth(bool wide, std::size_t k, std::size_t m, std::size_t ir,
+                             const float* ap, const float* b, const std::size_t* at,
+                             const std::size_t* off, TileStore store) {
+  static constexpr Run kWhole{0, kNR, 0};
+  alignas(64) float sum[kMR * kNR];
+  TileStore partial{{sum, sum + kNR, sum + 2 * kNR, sum + 3 * kNR}, &kWhole, &kWhole + 1};
+  for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
+    const std::size_t kc = std::min(kKC, k - p0);
+    const bool last = p0 + kc == k;
+    partial.add = p0 > 0;
+    if (last) store.prior = p0 > 0 ? sum : nullptr;
+    tile_kernel(wide, kc, ap + panel_offset(m, p0, kc, ir), b, at, off + p0,
+                last ? store : partial);
   }
 }
 
@@ -173,40 +231,94 @@ void Conv2D::pad_samples(const Tensor& x, std::size_t s0, std::size_t s1, float*
   const std::size_t hp = h + 2 * pad_, wp = w + 2 * pad_;
   const std::size_t planes = (s1 - s0) * cin_;
   const float* px = x.data().data() + s0 * cin_ * h * w;
-  std::memset(xp, 0, planes * hp * wp * sizeof(float));
+  std::memset(xp, 0, (planes * hp * wp + kSlack) * sizeof(float));
   for (std::size_t pl = 0; pl < planes; ++pl)
     for (std::size_t i = 0; i < h; ++i)
       std::memcpy(xp + (pl * hp + pad_ + i) * wp + pad_, px + (pl * h + i) * w,
                   w * sizeof(float));
 }
 
-void Conv2D::col2im(const float* dcols, std::size_t s0, std::size_t s1, float* dxp) {
-  const std::size_t h = in_shape_[2], w = in_shape_[3];
-  const std::size_t hp = h + 2 * pad_, wp = w + 2 * pad_;
-  const std::size_t oh = out_height(h), ow = out_width(w);
-  const std::size_t np = oh * ow;
-  const std::size_t ncols = (s1 - s0) * np;
-  const std::size_t planes = (s1 - s0) * cin_;
-  std::memset(dxp, 0, planes * hp * wp * sizeof(float));
-  // Every patch entry lands inside the padded planes, so the scatter needs
-  // no bounds checks. Each pixel receives its additions in ascending
-  // (ki, kj) order, starting from zero, whatever the chunking.
-  for (std::size_t pl = 0; pl < planes; ++pl) {
-    const std::size_t n = pl / cin_, c = pl % cin_;
-    float* plane = dxp + pl * hp * wp;
-    for (std::size_t ki = 0; ki < k_; ++ki)
-      for (std::size_t kj = 0; kj < k_; ++kj) {
-        const float* src = dcols + ((c * k_ + ki) * k_ + kj) * ncols + n * np;
-        float* dst = plane + ki * wp + kj;
-        for (std::size_t oi = 0; oi < oh; ++oi)
-          for (std::size_t oj = 0; oj < ow; ++oj) dst[oi * wp + oj] += src[oi * ow + oj];
+void Conv2D::set_row_offsets(std::size_t hp, std::size_t wp) {
+  row_off_.resize(cin_ * k_ * k_);
+  for (std::size_t r = 0; r < row_off_.size(); ++r)
+    row_off_[r] = r / (k_ * k_) * hp * wp + r % (k_ * k_) / k_ * wp + r % k_;
+}
+
+void Conv2D::plan_grid(std::size_t width, std::size_t plane_rows, std::size_t live_rows,
+                       std::size_t live_cols, std::size_t planes) {
+  tiles_.clear();
+  runs_.clear();
+  const std::size_t plane = plane_rows * width;
+  std::size_t pl = 0, row = 0, col = 0;  // the first position no piece covers yet
+  std::size_t piece = kPieces;           // pieces placed in the last tile
+  while (pl < planes) {
+    // Skip to the next live position: a piece starts on one.
+    if (row >= live_rows) {
+      row = col = 0;
+      ++pl;
+      continue;
+    }
+    if (col >= live_cols) {
+      col = 0;
+      ++row;
+      continue;
+    }
+    const std::size_t start = pl * plane + row * width + col;
+    if (piece == kPieces) {
+      // Pieces the tile never gets re-read its first one.
+      tiles_.push_back({{start, start, start, start}, runs_.size(), 0});
+      piece = 0;
+    }
+    tiles_.back().at[piece] = start;
+    for (std::size_t j = 0; j < kPiece && pl < planes;) {
+      std::size_t step = std::min(kPiece - j, width - col);
+      if (row < live_rows && col < live_cols) {
+        step = std::min(step, live_cols - col);
+        runs_.push_back({piece * kPiece + j, step, (pl * live_rows + row) * live_cols + col});
       }
+      j += step;
+      col += step;
+      if (col == width) {
+        col = 0;
+        if (++row == plane_rows) {
+          row = 0;
+          ++pl;
+        }
+      }
+    }
+    tiles_.back().run1 = runs_.size();
+    ++piece;
   }
-  float* pdx = dx_.data().data() + s0 * cin_ * h * w;
-  for (std::size_t pl = 0; pl < planes; ++pl)
-    for (std::size_t i = 0; i < h; ++i)
-      std::memcpy(pdx + (pl * h + i) * w, dxp + (pl * hp + pad_ + i) * wp + pad_,
-                  w * sizeof(float));
+}
+
+void Conv2D::forward_samples(const float* ap, const float* xp, std::size_t s0, std::size_t s1,
+                             std::size_t np, std::size_t padded) {
+  const std::size_t rows = cin_ * k_ * k_;
+  const float* pb = bias_.data().data();
+  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  const std::size_t tiles = tiles_.size();
+  const std::size_t units = (s1 - s0) * tiles;
+  // Units (sample, tile) write disjoint outputs, so how parallel_for splits
+  // them cannot move bits.
+  util::parallel_for(
+      units,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+          const std::size_t n = s0 + u / tiles;
+          const Tile& t = tiles_[u % tiles];
+          const float* xs = xp + (n - s0) * padded;
+          float* ys = out_.data().data() + n * cout_ * np;
+          for (std::size_t o0 = 0; o0 < cout_; o0 += kMR) {
+            TileStore store{{}, runs_.data() + t.run0, runs_.data() + t.run1};
+            for (std::size_t i = 0; i < std::min(kMR, cout_ - o0); ++i)
+              store.rows[i] = ys + (o0 + i) * np;
+            store.bias = pb + o0;
+            tile_over_depth(wide, rows, cout_, o0 / kMR, ap, xs, t.at.data(), row_off_.data(),
+                            store);
+          }
+        }
+      },
+      task_grain(units, 2 * cout_ * rows * kNR));
 }
 
 const Tensor& Conv2D::forward(const Tensor& x) {
@@ -216,43 +328,37 @@ const Tensor& Conv2D::forward(const Tensor& x) {
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t hp = h + 2 * pad_, wp = w + 2 * pad_;
   const std::size_t oh = out_height(h), ow = out_width(w);
-  const std::size_t np = oh * ow;
   const std::size_t padded = cin_ * hp * wp;  // floats per padded sample
   const std::size_t rows = cin_ * k_ * k_;
+  out_.resize_uninitialized({batch, cout_, oh, ow});
+  set_row_offsets(hp, wp);
+  // A tile's columns are four pieces of the padded grid (row stride wp),
+  // each starting at an output pixel's top-left input: a piece covers a
+  // whole output row when ow is a multiple of the piece, else it runs into
+  // the row's padding or the next row, whose columns are computed and
+  // dropped.
+  plan_grid(wp, oh, oh, ow, 1);
 
+  Workspace& ws = Workspace::tls();
+  Workspace::Scope scope(ws);
+  float* ap = ws.floats((cout_ + kMR - 1) / kMR * kMR * rows);
+  pack_a_slices(weight_.data().data(), cout_, rows, ap);
   // A training forward pads the whole batch into xpad_, where dW reads it
-  // again; an eval forward pads each chunk into the workspace. The chunk
-  // budget covers the workspace a chunk takes: its GEMM output, plus its
-  // padded input when evaluating.
-  const std::size_t chunk = chunk_samples(batch, cout_ * np + (training_ ? 0 : padded));
+  // again; an eval forward pads each chunk into the workspace.
   if (training_) {
     in_shape_ = {batch, cin_, h, w};
-    xpad_.resize_uninitialized({batch * padded});
+    xpad_.resize_uninitialized({batch * padded + kSlack});
+    pad_samples(x, 0, batch, xpad_.data().data());
+    forward_samples(ap, xpad_.data().data(), 0, batch, oh * ow, padded);
+    return out_;
   }
-  out_.resize_uninitialized({batch, cout_, oh, ow});
-  float* py = out_.data().data();
-  const float* pb = bias_.data().data();
-  Workspace& ws = Workspace::tls();
+  const std::size_t chunk = chunk_samples(batch, padded);
   for (std::size_t s0 = 0; s0 < batch; s0 += chunk) {
     const std::size_t s1 = std::min(batch, s0 + chunk);
-    const std::size_t ncols = (s1 - s0) * np;
-    Workspace::Scope scope(ws);
-    float* xp = training_ ? xpad_.data().data() + s0 * padded : ws.floats((s1 - s0) * padded);
+    Workspace::Scope chunk_scope(ws);
+    float* xp = ws.floats((s1 - s0) * padded + kSlack);
     pad_samples(x, s0, s1, xp);
-    float* gemm_out = ws.floats(cout_ * ncols);  // (cout, (s1-s0)*OH*OW)
-    const PatchPanels patches(xp, cin_, k_, hp, wp, /*transposed=*/false);
-    sgemm(Trans::N, cout_, ncols, rows, weight_.data().data(), rows, patches, 0.0f, gemm_out,
-          ncols);
-
-    // Scatter (cout, chunk, OH*OW) -> NCHW and add the bias.
-    for (std::size_t n = s0; n < s1; ++n) {
-      for (std::size_t c = 0; c < cout_; ++c) {
-        const float* src = gemm_out + c * ncols + (n - s0) * np;
-        float* dst = py + (n * cout_ + c) * np;
-        const float b = pb[c];
-        for (std::size_t i = 0; i < np; ++i) dst[i] = src[i] + b;
-      }
-    }
+    forward_samples(ap, xp, s0, s1, oh * ow, padded);
   }
   return out_;
 }
@@ -270,52 +376,175 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
   const std::size_t np = oh * ow;
   const std::size_t ncols = batch * np;
   const std::size_t rows = cin_ * k_ * k_;
+  const std::size_t padded = cin_ * hp * wp;
   const float* pg = grad_out.data().data();
-
-  // The bias gradient sums each channel's (N*OH*OW) gradient row in column
-  // order, one accumulator per channel.
+  // dW += gy . patches^T, where gy is grad_out viewed as the (cout,
+  // N*OH*OW) matrix: the depth runs over the whole batch's output pixels in
+  // KC slices, and B is read in place from the input the training forward
+  // padded: depth row q starts at q's top-left input pixel, and the tile
+  // columns are runs of each channel's padded grid from there, whose
+  // positions past the k x k window are computed and dropped.
+  //
+  // The bias gradient sums each channel's gy row in column order, one
+  // accumulator per channel; four channels' sums run side by side (a
+  // missing channel re-reads the last row and is discarded).
   float* pbg = bias_grad_.data().data();
-  for (std::size_t c = 0; c < cout_; ++c) {
-    float acc = 0.0f;
+  for (std::size_t c0 = 0; c0 < cout_; c0 += 4) {
+    float acc[4] = {};
     for (std::size_t n = 0; n < batch; ++n) {
-      const float* row = pg + (n * cout_ + c) * np;
-      for (std::size_t i = 0; i < np; ++i) acc += row[i];
+      const float* row[4];
+      for (std::size_t j = 0; j < 4; ++j)
+        row[j] = pg + (n * cout_ + std::min(c0 + j, cout_ - 1)) * np;
+      for (std::size_t q = 0; q < np; ++q)
+        for (std::size_t j = 0; j < 4; ++j) acc[j] += row[j][q];
     }
-    pbg[c] += acc;
+    for (std::size_t j = 0; j < 4 && c0 + j < cout_; ++j) pbg[c0 + j] += acc[j];
   }
 
-  // Gather the NCHW grad_out into the (cout, N*OH*OW) matrix the GEMMs
-  // want.
+  plan_grid(wp, hp, k_, k_, cin_);
+  const std::size_t mp = (cout_ + kMR - 1) / kMR;
+  const std::size_t units = tiles_.size() * mp;
+  float* pdw = weight_grad_.data().data();
+  const float* xp = xpad_.data().data();
+  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  // Units (tile, MR-row panel) write disjoint dW entries, and each walks the
+  // slices in ascending order, so how parallel_for splits them cannot move
+  // bits. Each chunk packs gy's slices into its own thread's arena.
+  util::parallel_for(
+      units,
+      [&](std::size_t lo, std::size_t hi) {
+        Workspace& ws = Workspace::tls();
+        Workspace::Scope scope(ws);
+        float* ap = ws.floats(mp * kMR * std::min(kKC, ncols));
+        std::array<std::size_t, kKC> coff;
+        std::size_t n = 0, oi = 0, oj = 0;  // the pixel of the next depth row
+        for (std::size_t p0 = 0; p0 < ncols; p0 += kKC) {
+          const std::size_t kc = std::min(kKC, ncols - p0);
+          for (std::size_t p = 0; p < kc;) {
+            // A run of the slice within sample n: gy's rows there are
+            // grad_out's planes of sample n.
+            const std::size_t pix = oi * ow + oj;
+            const std::size_t len = std::min(kc - p, np - pix);
+            for (std::size_t ir = 0; ir < mp; ++ir)
+              pack_a_panels(Trans::N, pg + (n * cout_ + ir * kMR) * np, np, 0,
+                            std::min(kMR, cout_ - ir * kMR), pix, len,
+                            ap + (ir * kc + p) * kMR);
+            for (const std::size_t end = p + len; p < end; ++p) {
+              coff[p] = n * padded + oi * wp + oj;
+              if (++oj == ow) {
+                oj = 0;
+                if (++oi == oh) {
+                  oi = 0;
+                  ++n;
+                }
+              }
+            }
+          }
+          for (std::size_t u = lo; u < hi; ++u) {
+            const Tile& t = tiles_[u / mp];
+            const std::size_t o0 = u % mp * kMR;
+            TileStore store{{}, runs_.data() + t.run0, runs_.data() + t.run1};
+            for (std::size_t i = 0; i < std::min(kMR, cout_ - o0); ++i)
+              store.rows[i] = pdw + (o0 + i) * rows;
+            store.add = true;
+            tile_kernel(wide, kc, ap + o0 * kc, xp, t.at.data(), coff.data(), store);
+          }
+        }
+      },
+      task_grain(units, 2 * kMR * kNR * ncols));
+  // A model's first layer skips dx: nothing reads its input gradient.
+  if (!input_grad_) return no_input_grad();
+  backward_input(pg, hp, wp);
+  return dx_;
+}
+
+void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
+  const std::size_t batch = in_shape_[0], h = in_shape_[2], w = in_shape_[3];
+  const std::size_t oh = hp - k_ + 1, ow = wp - k_ + 1;
+  const std::size_t kk = k_ * k_;
+  // dx pixel (c, y, x) sums, over the kernel offsets (ki, kj) in ascending
+  // order and starting from zero, the patch-matrix gradient entry of row
+  // (c, ki, kj) at output pixel (y + pad - ki, x + pad - kj) where that
+  // pixel exists: col2im's sum. Each entry is W^T gy's fma chain over the
+  // output channels, so a tile of MR channels x NR dx pixels runs one chain
+  // per offset and keeps the running sums in registers. B reads the
+  // gradient planes in place from a copy `gpad` (gh x gw cells a plane) in
+  // which offset (ki, kj) of pixel (y, x) is cell (y + k-1 - ki, x + k-1 -
+  // kj): gradient row or column q sits at q - skip + lead, where the first
+  // `skip` ones (padding wider than k - 1) are never read.
+  const std::size_t gh = h + k_ - 1, gw = w + k_ - 1, plane = gh * gw;
+  const std::size_t skip = pad_ > k_ - 1 ? pad_ - (k_ - 1) : 0;
+  const std::size_t lead = k_ - 1 + skip - pad_;
+  const std::size_t rows_end = std::min(oh, h + pad_), cols_end = std::min(ow, w + pad_);
+  plan_grid(gw, h, h, w, 1);
+  lanes_.resize(2 * kNR * tiles_.size());
+  for (std::size_t t = 0; t < tiles_.size(); ++t)
+    for (std::size_t j = 0; j < kNR; ++j) {
+      const std::size_t g = tiles_[t].at[j / kPiece] + j % kPiece;
+      lanes_[2 * kNR * t + j] = static_cast<std::uint32_t>(g / gw + pad_);
+      lanes_[2 * kNR * t + kNR + j] = static_cast<std::uint32_t>(g % gw + pad_);
+    }
+  offsets_.resize(cout_ + kk);
+  for (std::size_t o = 0; o < cout_; ++o) offsets_[o] = o * plane;
+  for (std::size_t t = 0; t < kk; ++t)
+    offsets_[cout_ + t] = (k_ - 1 - t / k_) * gw + (k_ - 1 - t % k_);
+  dx_.resize_uninitialized(in_shape_);
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  float* gy = ws.floats(cout_ * ncols);
-  for (std::size_t n = 0; n < batch; ++n)
-    for (std::size_t c = 0; c < cout_; ++c)
-      std::memcpy(gy + c * ncols + n * np, pg + (n * cout_ + c) * np, np * sizeof(float));
-
-  // dW = gy . patches^T over the whole batch's columns, with the patch
-  // panels packed from the input the training forward padded.
-  const PatchPanels patches(xpad_.data().data(), cin_, k_, hp, wp, /*transposed=*/true);
-  sgemm(Trans::N, cout_, rows, ncols, gy, ncols, patches, 1.0f, weight_grad_.data().data(),
-        rows);
-  // A model's first layer skips dcols and col2im: nothing reads its input
-  // gradient.
-  if (!input_grad_) return no_input_grad();
-
-  // dcols = W^T gy chunk by chunk, each scattered back onto its samples.
-  dx_.resize_uninitialized(in_shape_);
-  const std::size_t padded = cin_ * hp * wp;
-  const std::size_t chunk = chunk_samples(batch, rows * np + padded);
-  for (std::size_t s0 = 0; s0 < batch; s0 += chunk) {
-    const std::size_t s1 = std::min(batch, s0 + chunk);
-    const std::size_t cols = (s1 - s0) * np;
-    Workspace::Scope chunk_scope(ws);
-    float* dcols = ws.floats(rows * cols);
-    sgemm(Trans::T, Trans::N, rows, cols, cout_, weight_.data().data(), rows, gy + s0 * np,
-          ncols, 0.0f, dcols, cols);
-    col2im(dcols, s0, s1, ws.floats((s1 - s0) * padded));
+  // A: for each panel of MR input channels and each offset t, the cout x MR
+  // block W[o][c][t], rows past cin zero.
+  const std::size_t panels = (cin_ + kMR - 1) / kMR;
+  float* ap = ws.floats(panels * kk * cout_ * kMR);
+  const float* pw = weight_.data().data();
+  for (std::size_t cp = 0; cp < panels; ++cp)
+    for (std::size_t t = 0; t < kk; ++t)
+      for (std::size_t o = 0; o < cout_; ++o)
+        for (std::size_t i = 0; i < kMR; ++i) {
+          const std::size_t c = cp * kMR + i;
+          ap[((cp * kk + t) * cout_ + o) * kMR + i] = c < cin_ ? pw[(o * cin_ + c) * kk + t] : 0.0f;
+        }
+  // gpad holds every sample's planes, filled before the tiles run: a
+  // plane's gradient cells at rows and columns [lead, lead + live), zeros
+  // around them, and kSlack zeros after the last plane.
+  const std::size_t live_rows = rows_end - skip, live_cols = cols_end - skip;
+  float* gpad = ws.floats(batch * cout_ * plane + kSlack);
+  for (std::size_t pl = 0; pl < batch * cout_; ++pl) {
+    float* g = gpad + pl * plane;
+    const float* src = pg + pl * oh * ow + skip * ow + skip;
+    std::memset(g, 0, lead * gw * sizeof(float));
+    for (std::size_t r = lead; r < lead + live_rows; ++r, src += ow) {
+      std::memset(g + r * gw, 0, lead * sizeof(float));
+      std::memcpy(g + r * gw + lead, src, live_cols * sizeof(float));
+      std::memset(g + r * gw + lead + live_cols, 0, (gw - lead - live_cols) * sizeof(float));
+    }
+    std::memset(g + (lead + live_rows) * gw, 0, (gh - lead - live_rows) * gw * sizeof(float));
   }
-  return dx_;
+  std::memset(gpad + batch * cout_ * plane, 0, kSlack * sizeof(float));
+  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  const std::size_t tiles = tiles_.size();
+  const std::size_t units = batch * tiles * panels;
+  // Units (sample, tile, channel panel) write disjoint dx pixels, so how
+  // parallel_for splits them cannot move bits.
+  util::parallel_for(
+      units,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+          const std::size_t n = u / (tiles * panels);
+          const std::size_t t = u / panels % tiles;
+          const std::size_t cp = u % panels;
+          const Tile& tile = tiles_[t];
+          const std::uint32_t* lane = lanes_.data() + 2 * kNR * t;
+          float* dxs = dx_.data().data() + n * cin_ * h * w;
+          TileStore store{{}, runs_.data() + tile.run0, runs_.data() + tile.run1};
+          for (std::size_t i = 0; i < std::min(kMR, cin_ - cp * kMR); ++i)
+            store.rows[i] = dxs + (cp * kMR + i) * h * w;
+          dx_kernel(wide, cout_, static_cast<std::uint32_t>(k_), static_cast<std::uint32_t>(oh),
+                    static_cast<std::uint32_t>(ow), ap + cp * kk * cout_ * kMR,
+                    gpad + n * cout_ * plane, tile.at.data(), offsets_.data(),
+                    offsets_.data() + cout_, lane, lane + kNR, store);
+        }
+      },
+      task_grain(units, 2 * kMR * kNR * kk * cout_));
 }
 
 std::vector<ParamView> Conv2D::params() {

@@ -1,54 +1,40 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <vector>
 
+#include "ml/gemm.hpp"
 #include "ml/layer.hpp"
 
 namespace airfedga::ml {
 
-/// The patch matrix of a stride-1 convolution as a GEMM B operand, packed
-/// straight from a zero-padded NCHW input (`xpad`, planes of hp x wp)
-/// without being stored. The matrix has one row per (channel, ki, kj) and
-/// one column per (sample, oi, oj) of the (hp-k+1) x (wp-k+1) output, and
-/// entry xpad[sample][channel][oi+ki][oj+kj]. As a `PanelPacker` it writes
-/// the panels `pack_b_panels` would write for the stored matrix (N), or,
-/// with `transposed`, for its transpose (T: the B operand of dW).
-class PatchPanels {
- public:
-  PatchPanels(const float* xpad, std::size_t channels, std::size_t kernel, std::size_t hp,
-              std::size_t wp, bool transposed);
-
-  void operator()(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
-                  float* bp) const;
-
- private:
-  /// Offset into xpad of patch row r's entries, relative to its column's.
-  [[nodiscard]] std::size_t row_offset(std::size_t r) const;
-  /// Offset into xpad of column q's entry in patch row 0.
-  [[nodiscard]] std::size_t col_offset(std::size_t q) const;
-  void pack(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc, float* bp) const;
-  void pack_transposed(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
-                       float* bp) const;
-
-  const float* xpad_;
-  std::size_t cin_, k_, hp_, wp_, ow_, np_;
-  bool transposed_;
-};
-
 /// 2-D convolution over NCHW activations (stride 1, symmetric zero padding)
-/// as implicit GEMMs: the GEMMs pack their patch-matrix panels straight
-/// from a zero-padded copy of the input (`PatchPanels`), so no patch matrix
-/// is ever stored.
+/// as implicit GEMMs: no patch matrix is ever stored or packed. Every pass
+/// runs ml::sgemm's MR x NR register tile with its B operand read in place,
+/// each depth row as four NR/4-float pieces at per-row offsets:
+///  * forward: W times the patch matrix, B read from the zero-padded input.
+///    The pieces cover output rows in the padded grid; their columns past
+///    the row are computed and dropped. The tile stores NCHW plus the bias.
+///  * dW: gy (grad_out as a cout x N*OH*OW matrix, packed from grad_out)
+///    times the transposed patch matrix, over the whole batch's output
+///    pixels in KC slices, B read from the padded input the training
+///    forward kept. The tile columns are each channel's k x k window cells
+///    in the padded grid.
+///  * dx: col2im(W^T gy) one tile of input channels x dx pixels at a time
+///    (dx_kernel): for each kernel offset, the chain over output channels
+///    from a zero-padded copy of the gradient planes, summed in registers
+///    in col2im's order.
+/// Every output float comes from the operations, in the order, of ml::sgemm
+/// over the stored patch matrix followed by col2im: the bits are the same.
+/// Each pass splits its tiles over util::parallel_for into units that write
+/// disjoint outputs, so the split moves no bits either.
 ///
-/// A training forward pads the whole batch into a per-layer buffer, which
-/// backward's dW GEMM reads again: one N.T GEMM over the whole batch's
-/// columns. The forward GEMM runs per chunk of samples, and so do dcols and
-/// col2im in backward, which scatter-adds into a zero-padded dx chunk and
-/// crops it. The chunk is only a budget on workspace floats: each forward
-/// output sums over patch rows, each dcols entry over output channels, and
-/// each dx pixel belongs to one sample, so any chunking gives the same
-/// bits. An eval forward pads chunk by chunk into the thread-local
-/// workspace arena, so it pins at most one chunk there. Steady-state steps
+/// A training forward pads the whole batch into xpad_, which dW reads
+/// again. An eval forward pads chunk by chunk into the thread-local
+/// workspace arena, at most 2^16 floats a chunk; dx copies the whole
+/// batch's gradient planes there, zero-padded. All three keep NR/4 zeroed
+/// floats after the last sample for the pieces' reads. Steady-state steps
 /// allocate nothing.
 ///
 /// Kernel tensor shape: (out_channels, in_channels, k, k).
@@ -67,11 +53,80 @@ class Conv2D : public Layer {
   [[nodiscard]] std::size_t out_width(std::size_t w) const { return w + 2 * pad_ - k_ + 1; }
 
  private:
-  /// Writes samples [s0, s1) of `x`, zero-padded, to `xp`.
+  /// Writes samples [s0, s1) of `x`, zero-padded, to `xp`, followed by the
+  /// zeroed slack the tiles' reads run into.
   void pad_samples(const Tensor& x, std::size_t s0, std::size_t s1, float* xp) const;
-  /// Scatter-adds the patch-matrix gradient of samples [s0, s1) into the
-  /// zero-padded scratch `dxp`, then crops it into dx_.
-  void col2im(const float* dcols, std::size_t s0, std::size_t s1, float* dxp);
+  /// Fills row_off_ for padded planes of hp x wp.
+  void set_row_offsets(std::size_t hp, std::size_t wp);
+  /// Plans tiles over `planes` grids of plane_rows x width positions whose
+  /// live cells are the first live_cols columns of the first live_rows
+  /// rows: each of a tile's four pieces covers NR/4 consecutive positions
+  /// from a live one, and a live cell's C offset is its index among the
+  /// live cells.
+  void plan_grid(std::size_t width, std::size_t plane_rows, std::size_t live_rows,
+                 std::size_t live_cols, std::size_t planes);
+  /// Computes out_ for samples [s0, s1), padded at `xp`, from the packed
+  /// weights `ap`.
+  void forward_samples(const float* ap, const float* xp, std::size_t s0, std::size_t s1,
+                       std::size_t np, std::size_t padded);
+  /// Computes dx_ from the output gradient `pg`.
+  void backward_input(const float* pg, std::size_t hp, std::size_t wp);
+
+  /// One register tile of a pass: its four B pieces start at offsets `at`
+  /// of the operand (plus each depth row's offset), and runs_[run0, run1)
+  /// say where its columns go. A tile with fewer pieces re-reads its first.
+  struct Tile {
+    std::array<std::size_t, 4> at;
+    std::size_t run0, run1;
+  };
+  /// `len` consecutive tile columns from `col` on, stored at offsets dst,
+  /// dst + 1, ... of a C row.
+  struct Run {
+    std::size_t col, len, dst;
+  };
+  /// Where tile_kernel writes: tile row i goes to rows[i] (skipped when
+  /// null) through the runs [run0, run1), as `C = value + bias[i]`, `C =
+  /// value` when bias is null, or `C += value` with `add`. value is the
+  /// tile's sum over its depth slice, added to `prior` (the sum over the
+  /// earlier slices) when that is set.
+  struct TileStore {
+    std::array<float*, gemm_blocking().mr> rows;
+    const Run* run0;
+    const Run* run1;
+    const float* prior = nullptr;
+    const float* bias = nullptr;
+    bool add = false;
+  };
+  /// The MR x NR register tile of a GEMM whose B operand is read in place,
+  /// over one KC slice: depth row p of B is the four runs of NR/4 floats
+  /// at b + at[i] + off[p], one after the other, and A is one packed MR-row
+  /// panel. Each entry is the ascending-depth chain of fused multiply-adds
+  /// from +0 that ml::sgemm's micro-kernel computes, stored through
+  /// `store`. `wide` says the avx512f clone runs (see kernel_clones.hpp).
+  static void tile_kernel(bool wide, std::size_t kc, const float* ap, const float* b,
+                          const std::size_t* at, const std::size_t* off,
+                          const TileStore& store);
+  /// The dx tile of MR input channels x NR pixels (see backward_input):
+  /// for each kernel offset t = (ki, kj), ascending, the chain over the
+  /// cout output channels (A at ap + t*cout*MR, B pieces at b + at[i] +
+  /// shift[t] + off[o]) is added to the running sum of every lane whose
+  /// output pixel exists: lane j's padded coordinates are (ly[j], lx[j]),
+  /// and its pixel for (ki, kj) exists when ly[j] - ki < oh and lx[j] - kj
+  /// < ow. The sums are stored through `store`.
+  static void dx_kernel(bool wide, std::size_t cout, std::uint32_t k, std::uint32_t oh,
+                        std::uint32_t ow, const float* ap, const float* b,
+                        const std::size_t* at, const std::size_t* off,
+                        const std::size_t* shift, const std::uint32_t* ly,
+                        const std::uint32_t* lx, const TileStore& store);
+  /// Writes an MR x NR tile (row stride NR) through `store`.
+  static void store_tile(const float* acc, const TileStore& store);
+  /// The tile of A panel `ir` (of the m-row operand packed in KC slices)
+  /// over all k depth rows: the slices before the last sum into a scratch
+  /// tile, exactly as ml::sgemm sums them into C, and the last stores the
+  /// total through `store`.
+  static void tile_over_depth(bool wide, std::size_t k, std::size_t m, std::size_t ir,
+                              const float* ap, const float* b, const std::size_t* at,
+                              const std::size_t* off, TileStore store);
 
   std::size_t cin_, cout_, k_, pad_;
   Tensor weight_;       // (cout, cin*k*k) flattened kernel matrix
@@ -82,6 +137,16 @@ class Conv2D : public Layer {
   std::array<std::size_t, 4> in_shape_{};  // training forward's input shape
   Tensor out_;          // (N, cout, OH, OW) forward output buffer
   Tensor dx_;           // (N, C, H, W) backward output buffer
+
+  /// Offset in a padded input sample of each patch row (c, ki, kj).
+  std::vector<std::size_t> row_off_;
+  /// dx's B offsets: each gradient plane in gpad, then each kernel offset.
+  std::vector<std::size_t> offsets_;
+  /// dx's lane coordinates per tile: NR padded rows, then NR padded columns.
+  std::vector<std::uint32_t> lanes_;
+  /// The running pass's tile plan.
+  std::vector<Tile> tiles_;
+  std::vector<Run> runs_;
 };
 
 }  // namespace airfedga::ml

@@ -9,6 +9,7 @@
 #include <xmmintrin.h>
 #endif
 
+#include "ml/kernel_clones.hpp"
 #include "ml/workspace.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -23,33 +24,13 @@ namespace {
 // MR=4 x NR=32 keeps the accumulator at 128 floats — 8 vector registers at
 // 512-bit, 16 at 256-bit — which auto-vectorizes cleanly at every x86
 // vector width (measured: narrower NR collapses under AVX-512 codegen).
-// The constants live in gemm.hpp (gemm_blocking) so B packers can use them.
+// The constants live in gemm.hpp (gemm_blocking): Conv2D's in-place tiles
+// use the same register tile and depth slices.
 constexpr std::size_t kMR = gemm_blocking().mr;
 constexpr std::size_t kNR = gemm_blocking().nr;
 constexpr std::size_t kMC = gemm_blocking().mc;
 constexpr std::size_t kKC = gemm_blocking().kc;
 constexpr std::size_t kNC = gemm_blocking().nc;
-
-// Function multi-versioning for the hot kernel: the fma/avx512f clones use
-// hardware FMA and wider vectors where the CPU has them, selected once at
-// load time via ifunc by feature bit. The kernel accumulates with an
-// explicit fused multiply-add, so every clone rounds each step once and
-// they differ in speed only, never in bits; the default clone calls libm's
-// correctly rounded fmaf. The sanitizers do not support ifunc, so their
-// builds run the default clone alone.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define AIRFEDGA_NO_KERNEL_CLONES 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define AIRFEDGA_NO_KERNEL_CLONES 1
-#endif
-#endif
-#if defined(__x86_64__) && defined(__linux__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(AIRFEDGA_NO_KERNEL_CLONES)
-#define AIRFEDGA_KERNEL_CLONES __attribute__((target_clones("default", "fma", "avx512f")))
-#else
-#define AIRFEDGA_KERNEL_CLONES
-#endif
 
 // Flop target per parallel_for chunk: dispatch costs microseconds, so a
 // chunk must carry at least ~milliseconds of arithmetic to be worth it.
@@ -68,11 +49,13 @@ inline float load_a(Trans ta, const float* a, std::size_t lda, std::size_t i, st
   return ta == Trans::N ? a[i * lda + p] : a[p * lda + i];
 }
 
+}  // namespace
+
 /// Packs A rows [i0, i0+mc) x depth [p0, p0+kc) into MR-row micro-panels:
 /// panel `ir` holds kc groups of MR consecutive-row elements (zero-padded
 /// past mc), so the micro-kernel reads A with stride 1.
-void pack_a(Trans ta, const float* a, std::size_t lda, std::size_t i0, std::size_t mc,
-            std::size_t p0, std::size_t kc, float* ap) {
+void pack_a_panels(Trans ta, const float* a, std::size_t lda, std::size_t i0, std::size_t mc,
+                   std::size_t p0, std::size_t kc, float* ap) {
   static_assert(kMR == 4, "the Trans::N path interleaves four rows");
   const std::size_t mp = ceil_div(mc, kMR);
   for (std::size_t ir = 0; ir < mp; ++ir) {
@@ -126,7 +109,7 @@ void pack_a(Trans ta, const float* a, std::size_t lda, std::size_t i0, std::size
   }
 }
 
-}  // namespace
+namespace {
 
 /// Packs B depth [p0, p0+kc) x columns [j0, j0+nc) into NR-column
 /// micro-panels (zero-padded past nc), stride-1 for the micro-kernel.
@@ -187,8 +170,6 @@ void pack_b_panels(Trans tb, const float* b, std::size_t ldb, std::size_t p0, st
   }
 }
 
-namespace {
-
 /// MR x NR micro-kernel over one packed KC slice. Always computes the full
 /// register tile (panels are zero-padded), then masks the store to the live
 /// mr x nr corner. `overwrite` selects C = acc vs C += acc — the only beta
@@ -230,9 +211,9 @@ void micro_kernel(std::size_t kc, const float* __restrict ap, const float* __res
 /// into the calling thread's workspace. Tiles touch disjoint C ranges and
 /// each element's accumulation order depends only on k, so any assignment
 /// of tiles to threads yields identical bits.
-void gemm_tile(Trans ta, std::size_t k, const float* a, std::size_t lda, PanelPacker pack_b,
-               float beta, float* c, std::size_t ldc, std::size_t i0, std::size_t mc,
-               std::size_t j0, std::size_t nc) {
+void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t lda,
+               const float* b, std::size_t ldb, float beta, float* c, std::size_t ldc,
+               std::size_t i0, std::size_t mc, std::size_t j0, std::size_t nc) {
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
   const std::size_t mp = ceil_div(mc, kMR);
@@ -241,8 +222,8 @@ void gemm_tile(Trans ta, std::size_t k, const float* a, std::size_t lda, PanelPa
   float* bp = ws.floats(np * kNR * std::min(kKC, k));
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t kc = std::min(kKC, k - p0);
-    pack_b(p0, kc, j0, nc, bp);
-    pack_a(ta, a, lda, i0, mc, p0, kc, ap);
+    pack_b_panels(tb, b, ldb, p0, kc, j0, nc, bp);
+    pack_a_panels(ta, a, lda, i0, mc, p0, kc, ap);
     const bool overwrite = p0 == 0 && beta == 0.0f;
     for (std::size_t jr = 0; jr < np; ++jr) {
       const std::size_t nr = std::min(kNR, nc - jr * kNR);
@@ -265,16 +246,6 @@ void set_gemm_coop_min_flops(std::size_t flops) {
 void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, const float* a,
            std::size_t lda, const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc) {
-  sgemm(
-      ta, m, n, k, a, lda,
-      [=](std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc, float* bp) {
-        pack_b_panels(tb, b, ldb, p0, kc, j0, nc, bp);
-      },
-      beta, c, ldc);
-}
-
-void sgemm(Trans ta, std::size_t m, std::size_t n, std::size_t k, const float* a,
-           std::size_t lda, PanelPacker pack_b, float beta, float* c, std::size_t ldc) {
   if (beta != 0.0f && beta != 1.0f)
     throw std::invalid_argument("sgemm: beta must be 0 (overwrite) or 1 (accumulate)");
   if (m == 0 || n == 0) return;
@@ -292,7 +263,7 @@ void sgemm(Trans ta, std::size_t m, std::size_t n, std::size_t k, const float* a
   auto run_tile = [=](std::size_t t) {
     const std::size_t i0 = (t / nb) * kMC;
     const std::size_t j0 = (t % nb) * kNC;
-    gemm_tile(ta, k, a, lda, pack_b, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
+    gemm_tile(ta, tb, k, a, lda, b, ldb, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
               std::min(kNC, n - j0));
   };
   if (tiles == 1) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <type_traits>
 
 namespace airfedga::ml {
 
@@ -12,8 +11,9 @@ enum class Trans : unsigned char {
 };
 
 /// Blocking geometry of the packed kernels. Exported so callers can derive
-/// parallel grain sizes from panel sizes (instead of guessing) and so tests
-/// can aim edge shapes at the tile boundaries.
+/// parallel grain sizes from panel sizes (instead of guessing), so tests
+/// can aim edge shapes at the tile boundaries, and so Conv2D's in-place
+/// tiles use the micro-kernel's register tile and depth slices.
 struct GemmBlocking {
   std::size_t mc;  ///< row-panel height (rows of C per tile)
   std::size_t kc;  ///< depth-panel length (k-extent packed per pass)
@@ -25,42 +25,13 @@ struct GemmBlocking {
 /// The compiled-in blocking constants.
 [[nodiscard]] constexpr GemmBlocking gemm_blocking() { return {64, 256, 256, 4, 32}; }
 
-/// Source of a GEMM's packed B operand. Called as
-/// `pack(p0, kc, j0, nc, bp)` for one block of op(B), depth rows
-/// [p0, p0+kc) by columns [j0, j0+nc) with kc <= KC and nc <= NC, it writes
-/// ceil(nc / NR) micro-panels of kc x NR floats: panel `jr` starts at
-/// `bp + jr*kc*NR` and holds `bp[jr*kc*NR + p*NR + c] = op(B)(p0+p,
-/// j0+jr*NR+c)`, zero for columns at or past nc. `pack_b_panels` is the
-/// packer of a stored matrix; others produce B without storing it (Conv2D
-/// packs its patch matrix straight from its input).
-///
-/// A non-owning reference to a callable, so binding one allocates nothing;
-/// the callable must outlive the sgemm call. Cooperating threads call it
-/// concurrently, one block each, so it must not mutate shared state.
-class PanelPacker {
- public:
-  template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, PanelPacker>)
-  PanelPacker(const F& pack) noexcept
-      : obj_(&pack), call_([](const void* obj, std::size_t p0, std::size_t kc, std::size_t j0,
-                              std::size_t nc, float* bp) {
-          (*static_cast<const F*>(obj))(p0, kc, j0, nc, bp);
-        }) {}
-
-  void operator()(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
-                  float* bp) const {
-    call_(obj_, p0, kc, j0, nc, bp);
-  }
-
- private:
-  const void* obj_;
-  void (*call_)(const void*, std::size_t, std::size_t, std::size_t, std::size_t, float*);
-};
-
-/// The packer of a stored B: op(B) is B stored (k,n) with row stride `ldb`
-/// when `tb == N`, stored (n,k) when `tb == T`.
-void pack_b_panels(Trans tb, const float* b, std::size_t ldb, std::size_t p0, std::size_t kc,
-                   std::size_t j0, std::size_t nc, float* bp);
+/// Packs rows [i0, i0+mc) x depth [p0, p0+kc) of op(A) into the A panels
+/// the micro-kernel reads: ceil(mc / MR) micro-panels of kc x MR floats,
+/// panel `ir` at `ap + ir*kc*MR` holding `ap[ir*kc*MR + p*MR + r] =
+/// op(A)(i0+ir*MR+r, p0+p)`, zero for rows at or past mc. op(A) is A stored
+/// (m,k) with row stride `lda` when `ta == N`, stored (k,m) when `ta == T`.
+void pack_a_panels(Trans ta, const float* a, std::size_t lda, std::size_t i0, std::size_t mc,
+                   std::size_t p0, std::size_t kc, float* ap);
 
 /// C(m,n) = opA(A) · opB(B) + beta·C, row-major, single precision.
 ///
@@ -88,13 +59,6 @@ void pack_b_panels(Trans tb, const float* b, std::size_t ldb, std::size_t p0, st
 void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, const float* a,
            std::size_t lda, const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc);
-
-/// The same GEMM with op(B) supplied by a packer instead of a stored matrix.
-/// It runs the same tile loop, so a packer that writes the panels
-/// `pack_b_panels` would write for some stored B gives the bits of `sgemm`
-/// on that B.
-void sgemm(Trans ta, std::size_t m, std::size_t n, std::size_t k, const float* a,
-           std::size_t lda, PanelPacker pack_b, float beta, float* c, std::size_t ldc);
 
 /// Scalar triple-loop reference with the same contract as `sgemm` (the
 /// seed's kernel). Used by gemm_test as ground truth and by micro_gemm as

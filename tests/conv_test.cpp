@@ -6,21 +6,23 @@
 // batch sizes, and across the batches that an earlier KC-aligned chunk
 // rule lowered in several chunks (cut off mid-batch, on planes whose
 // OH*OW does not divide KC, or with a KC alignment larger than the batch);
-// those cases stay as they were. Backward reuses the training forward's
-// padded input; the reuse tests show that an eval forward in between
-// changes nothing, and the workspace test bounds what one eval forward
-// leaves in its thread's arena. The panel tests require Conv2D's implicit
-// patch packer to write exactly the panels of the naive patch matrix. A model's first layer skips its
-// input gradient; the skip tests show that this changes no parameter
-// gradient and that a layer used on its own still returns dx.
+// those cases stay as they were. A further case set aims at the in-place
+// register tiles: output rows shorter or longer than a tile's pieces,
+// output channel counts around the register tile's rows, depth past one KC
+// slice, and an output that ends inside a tile. Backward reuses the
+// training forward's padded input; the reuse tests show that an eval
+// forward in between changes nothing, and the workspace test bounds what
+// one eval forward leaves in its thread's arena. A model's first layer
+// skips its input gradient; the skip tests show that this changes no
+// parameter gradient and that a layer used on its own still returns dx.
 //
 // The goldens pin the parameters after K plain-SGD steps and one
 // compute_gradient vector for the CNN presets' models (fig04, fig05), an
 // all-3x3 VGG-style stack and an MLP (the Dense-first case). They were
 // captured before the conv lowering was reworked (one-span im2col,
 // row-wise transposed packing, no first-layer input gradient, cache-sized
-// chunks reused by backward, implicit GEMM from a padded input) and must
-// keep passing unedited: those changes
+// chunks reused by backward, implicit GEMM from a padded input, tiles that
+// read B in place) and must keep passing unedited: those changes
 // move the same floats to the same places and drop only output nobody
 // reads. Like every golden they hold on any glibc build.
 
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -195,8 +198,8 @@ std::vector<float> naive_patches(const ConvCase& c, const Tensor& x) {
 
 /// Conv2D's forward must equal sgemm over the naive patch matrix plus the
 /// bias, bit for bit.
-void check_forward(const ConvCase& c) {
-  Conv2D conv(c.cin, kCout, c.k, c.pad);
+void check_forward(const ConvCase& c, std::size_t cout = kCout) {
+  Conv2D conv(c.cin, cout, c.k, c.pad);
   util::Rng rng(31);
   conv.init(rng);
   auto params = conv.params();
@@ -206,50 +209,64 @@ void check_forward(const ConvCase& c) {
 
   const std::size_t np = c.oh() * c.ow(), ncols = c.ncols();
   const std::vector<float> cols = naive_patches(c, x);
-  std::vector<float> gemm_out(kCout * ncols);
-  sgemm(Trans::N, Trans::N, kCout, ncols, c.rows(), params[0].value.data(), c.rows(),
+  std::vector<float> gemm_out(cout * ncols);
+  sgemm(Trans::N, Trans::N, cout, ncols, c.rows(), params[0].value.data(), c.rows(),
         cols.data(), ncols, 0.0f, gemm_out.data(), ncols);
-  ASSERT_EQ(y.size(), c.batch * kCout * np);
+  ASSERT_EQ(y.size(), c.batch * cout * np);
   for (std::size_t n = 0; n < c.batch; ++n)
-    for (std::size_t o = 0; o < kCout; ++o)
+    for (std::size_t o = 0; o < cout; ++o)
       for (std::size_t i = 0; i < np; ++i)
-        ASSERT_EQ(y[(n * kCout + o) * np + i],
+        ASSERT_EQ(y[(n * cout + o) * np + i],
                   gemm_out[o * ncols + n * np + i] + params[1].value[o])
             << "sample " << n << " channel " << o << " pixel " << i;
 }
 
+/// grad_out (batch, cout, oh, ow) gathered into the (cout, batch*oh*ow)
+/// matrix the GEMMs take.
+std::vector<float> gather_gy(const ConvCase& c, std::size_t cout, const Tensor& g) {
+  const std::size_t np = c.oh() * c.ow(), ncols = c.ncols();
+  std::vector<float> gy(cout * ncols);
+  for (std::size_t n = 0; n < c.batch; ++n)
+    for (std::size_t o = 0; o < cout; ++o)
+      for (std::size_t i = 0; i < np; ++i) gy[o * ncols + n * np + i] = g[(n * cout + o) * np + i];
+  return gy;
+}
+
+/// dx as one sgemm and col2im make it: dcols = W^T gy, scattered back onto
+/// the input in ascending patch-matrix row order, starting from zero.
+std::vector<float> dx_reference(const ConvCase& c, std::size_t cout, const float* w,
+                                const std::vector<float>& gy) {
+  const std::size_t ncols = c.ncols(), rows = c.rows();
+  std::vector<float> dcols(rows * ncols);
+  sgemm(Trans::T, Trans::N, rows, ncols, cout, w, rows, gy.data(), ncols, 0.0f, dcols.data(),
+        ncols);
+  std::vector<float> dx(c.batch * c.cin * c.h * c.w, 0.0f);
+  for_each_patch_entry(c, [&](std::size_t e, std::size_t px) { dx[px] += dcols[e]; });
+  return dx;
+}
+
 /// Conv2D's dW and dx must equal one sgemm each over the whole batch's
 /// naive patch matrix, bit for bit.
-void check_backward(const ConvCase& c) {
-  Conv2D conv(c.cin, kCout, c.k, c.pad);
+void check_backward(const ConvCase& c, std::size_t cout = kCout) {
+  Conv2D conv(c.cin, cout, c.k, c.pad);
   util::Rng rng(37);
   conv.init(rng);
   const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
   conv.forward(x);
-  const Tensor g = Tensor::randn({c.batch, kCout, c.oh(), c.ow()}, rng);
+  const Tensor g = Tensor::randn({c.batch, cout, c.oh(), c.ow()}, rng);
   const Tensor& dx = conv.backward(g);
 
-  const std::size_t np = c.oh() * c.ow(), ncols = c.ncols(), rows = c.rows();
-  std::vector<float> gy(kCout * ncols);  // (cout, batch*oh*ow)
-  for (std::size_t n = 0; n < c.batch; ++n)
-    for (std::size_t o = 0; o < kCout; ++o)
-      for (std::size_t i = 0; i < np; ++i)
-        gy[o * ncols + n * np + i] = g[(n * kCout + o) * np + i];
+  const std::size_t ncols = c.ncols(), rows = c.rows();
+  const std::vector<float> gy = gather_gy(c, cout, g);
   const std::vector<float> cols = naive_patches(c, x);
   auto params = conv.params();
 
-  std::vector<float> dw(kCout * rows, 0.0f);
-  sgemm(Trans::N, Trans::T, kCout, rows, ncols, gy.data(), ncols, cols.data(), ncols, 1.0f,
+  std::vector<float> dw(cout * rows, 0.0f);
+  sgemm(Trans::N, Trans::T, cout, rows, ncols, gy.data(), ncols, cols.data(), ncols, 1.0f,
         dw.data(), rows);
   for (std::size_t i = 0; i < dw.size(); ++i) ASSERT_EQ(params[0].grad[i], dw[i]) << "dW " << i;
 
-  // dcols = W^T gy, scattered back onto dx in ascending patch-matrix row
-  // order.
-  std::vector<float> dcols(rows * ncols);
-  sgemm(Trans::T, Trans::N, rows, ncols, kCout, params[0].value.data(), rows, gy.data(), ncols,
-        0.0f, dcols.data(), ncols);
-  std::vector<float> dx_ref(x.size(), 0.0f);
-  for_each_patch_entry(c, [&](std::size_t e, std::size_t px) { dx_ref[px] += dcols[e]; });
+  const std::vector<float> dx_ref = dx_reference(c, cout, params[0].value.data(), gy);
   ASSERT_EQ(dx.shape(), x.shape());
   for (std::size_t i = 0; i < dx_ref.size(); ++i) ASSERT_EQ(dx[i], dx_ref[i]) << "dx " << i;
 }
@@ -297,6 +314,72 @@ TEST(ConvLowering, ChunkedLoweringEqualsSgemmOverNaivePatchMatrix) {
     SCOPED_TRACE(label(c));
     check_forward(c);
     check_backward(c);
+  }
+}
+
+/// Cases aimed at the in-place register tiles (pieces of 8 columns, 4
+/// output rows a tile, 256-deep slices): every pairing of an output-channel
+/// count around the tile's rows with an output width shorter than, equal
+/// to or longer than a piece, at batch 1, with k and the padding (0 to 2,
+/// also wider than k - 1) cycling; an odd OH keeps batch*OH*OW off a
+/// multiple of 32, so the output ends inside a tile (OH > 2 * pad keeps
+/// the input at least one pixel high). Then 12 channels of
+/// 5x5 (300 patch rows: the forward spans two KC slices) and 257 output
+/// channels (dx spans two).
+std::vector<std::pair<ConvCase, std::size_t>> tile_cases() {
+  std::vector<std::pair<ConvCase, std::size_t>> cases;  // (shape, cout)
+  const std::size_t couts[] = {1, 4, 6, 13, 17, 33};
+  const std::size_t widths[] = {5, 7, 8, 12, 14, 16, 28};
+  const std::size_t kernels[] = {1, 3, 5};
+  for (std::size_t i = 0; i < std::size(couts); ++i)
+    for (std::size_t j = 0; j < std::size(widths); ++j) {
+      const std::size_t k = kernels[(i + j) % 3], pad = (i + 2 * j) % 3;
+      const std::size_t oh = 2 * pad + 1 + 2 * ((i + j) % 2);
+      const std::size_t cin = 1 + (i + j) % 3;
+      cases.push_back({{k, pad, cin, 1, oh + k - 1 - 2 * pad, widths[j] + k - 1 - 2 * pad},
+                       couts[i]});
+    }
+  cases.push_back({{5, 2, 12, 1, 5, 8}, 6});
+  cases.push_back({{5, 2, 12, 1, 5, 8}, 13});
+  cases.push_back({{3, 1, 2, 1, 5, 7}, 257});
+  return cases;
+}
+
+TEST(ConvLowering, RegisterTileEdgesEqualSgemmOverNaivePatchMatrix) {
+  for (const auto& [c, cout] : tile_cases()) {
+    ASSERT_NE(c.batch * c.oh() * c.ow() % 32, 0u) << label(c);
+    SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
+    check_forward(c, cout);
+    check_backward(c, cout);
+  }
+}
+
+// A non-finite weight makes dcols entries inf or NaN. col2im adds an entry
+// only to the pixels its output pixel reaches, so dx must keep every other
+// pixel's bits too, NaN payloads included.
+TEST(ConvLowering, DxWithANonFiniteWeightEqualsCol2imBitwise) {
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    for (const ConvCase& c : {ConvCase{3, 1, 2, 2, 6, 9}, ConvCase{5, 2, 3, 1, 8, 8},
+                              ConvCase{3, 0, 1, 2, 7, 5}}) {
+      SCOPED_TRACE(label(c));
+      Conv2D conv(c.cin, kCout, c.k, c.pad);
+      util::Rng rng(73);
+      conv.init(rng);
+      auto params = conv.params();
+      params[0].value[(kCout / 2) * c.rows() + c.rows() / 2] = bad;
+      const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+      conv.forward(x);
+      const Tensor g = Tensor::randn({c.batch, kCout, c.oh(), c.ow()}, rng);
+      const Tensor& dx = conv.backward(g);
+
+      const std::vector<float> dx_ref =
+          dx_reference(c, kCout, params[0].value.data(), gather_gy(c, kCout, g));
+      ASSERT_EQ(dx.size(), dx_ref.size());
+      for (std::size_t i = 0; i < dx_ref.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(dx[i]), std::bit_cast<std::uint32_t>(dx_ref[i]))
+            << "dx " << i;
+    }
   }
 }
 
@@ -349,6 +432,42 @@ TEST(ConvLowering, BackwardUsesTheLastTrainingForward) {
       ASSERT_EQ(pr[b].grad[i], pf[b].grad[i]) << "param block " << b << " entry " << i;
 }
 
+TEST(ConvLowering, FanOutOverThePoolEqualsSerialBitwise) {
+  // Large enough that every pass splits over the global pool's lanes (when
+  // it has any); the serial run takes the nesting rule's fallback.
+  util::Rng rng(71);
+  const Tensor x = Tensor::randn({16, 6, 16, 16}, rng);
+  const Tensor g = Tensor::randn({16, 16, 16, 16}, rng);
+  Conv2D serial(6, 16, 5, 2), fanned(6, 16, 5, 2);
+  util::Rng init_a(73), init_b(73);
+  serial.init(init_a);
+  fanned.init(init_b);
+  const auto bits_equal = [](std::span<const float> a, std::span<const float> b,
+                             const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]), std::bit_cast<std::uint32_t>(b[i]))
+          << what << " " << i;
+  };
+  for (int step = 0; step < 2; ++step) {  // the second backward adds to the first's gradients
+    std::vector<float> out_serial, dx_serial;
+    {
+      util::ThreadPool::SerialRegion region;
+      const auto out = serial.forward(x).data();
+      out_serial.assign(out.begin(), out.end());
+      const auto dx = serial.backward(g).data();
+      dx_serial.assign(dx.begin(), dx.end());
+    }
+    const Tensor& out_fanned = fanned.forward(x);
+    bits_equal(out_fanned.data(), out_serial, "out");
+    const Tensor& dx_fanned = fanned.backward(g);
+    bits_equal(dx_fanned.data(), dx_serial, "dx");
+    const auto ps = serial.params(), pf = fanned.params();
+    bits_equal(pf[0].grad, ps[0].grad, "dW");
+    bits_equal(pf[1].grad, ps[1].grad, "db");
+  }
+}
+
 TEST(ConvLowering, BackwardWithoutATrainingForwardThrows) {
   Conv2D conv(3, kCout, 5, 2);
   util::Rng rng(61);
@@ -378,73 +497,6 @@ TEST(ConvWorkspace, EvalForwardPinsAboutOneChunkInTheArena) {
   });
   eval.join();
   EXPECT_LE(reserved, std::size_t{1} << 18) << "floats reserved after one eval forward";
-}
-
-// -------------------------------------------------------- patch panels --
-
-/// The NCHW input zero-padded by c.pad on every side.
-std::vector<float> padded_input(const ConvCase& c, const Tensor& x) {
-  const std::size_t hp = c.h + 2 * c.pad, wp = c.w + 2 * c.pad;
-  std::vector<float> xp(c.batch * c.cin * hp * wp, 0.0f);
-  for (std::size_t pl = 0; pl < c.batch * c.cin; ++pl)
-    for (std::size_t i = 0; i < c.h; ++i)
-      for (std::size_t j = 0; j < c.w; ++j)
-        xp[(pl * hp + c.pad + i) * wp + c.pad + j] = x[(pl * c.h + i) * c.w + j];
-  return xp;
-}
-
-/// PatchPanels must write, for every block, the floats pack_b_panels writes
-/// for the naive patch matrix (N) and for its transpose (T): the blocks
-/// sgemm packs, plus blocks that start mid-row and mid-panel.
-void check_panels(const ConvCase& c) {
-  const auto& blk = gemm_blocking();
-  util::Rng rng(71);
-  const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-  const std::vector<float> cols = naive_patches(c, x);
-  const std::vector<float> xp = padded_input(c, x);
-  const std::size_t rows = c.rows(), ncols = c.ncols();
-  for (const bool transposed : {false, true}) {
-    SCOPED_TRACE(transposed ? "T" : "N");
-    const PatchPanels panels(xp.data(), c.cin, c.k, c.h + 2 * c.pad, c.w + 2 * c.pad,
-                             transposed);
-    const Trans tb = transposed ? Trans::T : Trans::N;
-    const std::size_t depth = transposed ? ncols : rows, width = transposed ? rows : ncols;
-    std::vector<std::pair<std::size_t, std::size_t>> blocks;  // (p0, j0)
-    for (std::size_t p0 = 0; p0 < depth; p0 += blk.kc)
-      for (std::size_t j0 = 0; j0 < width; j0 += blk.nc) blocks.emplace_back(p0, j0);
-    blocks.emplace_back(std::min<std::size_t>(3, depth - 1), std::min<std::size_t>(5, width - 1));
-    for (const auto& [p0, j0] : blocks) {
-      const std::size_t kc = std::min(blk.kc, depth - p0), nc = std::min(blk.nc, width - j0);
-      const std::size_t size = (nc + blk.nr - 1) / blk.nr * blk.nr * kc;
-      std::vector<float> got(size, -1.0f), want(size, -2.0f);
-      panels(p0, kc, j0, nc, got.data());
-      pack_b_panels(tb, cols.data(), ncols, p0, kc, j0, nc, want.data());
-      for (std::size_t i = 0; i < size; ++i)
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
-            << "block p0=" << p0 << " j0=" << j0 << ", panel float " << i;
-    }
-  }
-}
-
-TEST(PatchPanels, EqualPackedNaivePatchMatrix) {
-  const std::vector<ConvCase> cases = {
-      // OW not dividing NR = 32: runs cross micro-panel boundaries.
-      {5, 2, 1, 2, 28, 28},
-      {5, 2, 4, 3, 14, 14},
-      {3, 1, 2, 5, 7, 7},
-      // 12 channels of 5x5: 300 patch rows, more than KC and NC.
-      {5, 2, 12, 2, 8, 8},
-      // Padding 0, 1 and 2 on non-square planes.
-      {3, 0, 3, 4, 9, 6},
-      {3, 1, 3, 4, 6, 9},
-      {5, 2, 2, 3, 10, 7},
-      // Batch 1.
-      {5, 2, 3, 1, 16, 16},
-  };
-  for (const ConvCase& c : cases) {
-    SCOPED_TRACE(label(c));
-    check_panels(c);
-  }
 }
 
 // ---------------------------------------------------- first-layer skip --

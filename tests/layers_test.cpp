@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "ml/activation.hpp"
 #include "ml/conv2d.hpp"
@@ -236,6 +240,70 @@ TEST(MaxPool, MultiChannelIndependence) {
   Tensor y = pool.forward(x);
   EXPECT_FLOAT_EQ(y.at4(0, 0, 0, 0), 4.0f);
   EXPECT_FLOAT_EQ(y.at4(0, 1, 0, 0), 40.0f);
+}
+
+// A window with no element above -inf (all -inf or NaN) outputs -inf and
+// routes its gradient to its own first element, for the 2x2 path and the
+// generic one alike.
+TEST(MaxPool, WindowWithoutAMaximumRoutesToItsFirstElement) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float fill : {-inf, nan}) {
+    for (const std::size_t win : {2, 3}) {
+      // One sample, two windows side by side: the first has a maximum, the
+      // second holds only `fill`.
+      Tensor x({1, 1, win, 2 * win});
+      for (std::size_t i = 0; i < win; ++i)
+        for (std::size_t j = 0; j < 2 * win; ++j)
+          x.at4(0, 0, i, j) = j < win ? static_cast<float>(i + j) : fill;
+      MaxPool2D pool(win);
+      const Tensor& y = pool.forward(x);
+      EXPECT_EQ(y[1], -inf) << "window " << win << " fill " << fill;
+      const Tensor g({1, 1, 1, 2}, {3.0f, 5.0f});
+      const Tensor& dx = pool.backward(g);
+      for (std::size_t i = 0; i < dx.size(); ++i) {
+        const float want = i == win ? 5.0f : (i == (win - 1) * 2 * win + win - 1 ? 3.0f : 0.0f);
+        EXPECT_EQ(dx[i], want) << "window " << win << " fill " << fill << " pixel " << i;
+      }
+    }
+  }
+}
+
+// The 2x2 path keeps the generic rule: each window's first element strictly
+// greater than every earlier one (ties and NaN included), and backward
+// sends its gradient there. Rows of 9 windows cover the four-wide blocks
+// and the tail.
+TEST(MaxPool, TwoByTwoMatchesTheFirstStrictMaximumScan) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {0.5f, -1.0f, 2.0f, 2.0f, -inf, inf, std::nanf(""), -0.0f, 0.0f};
+  const std::size_t h = 6, w = 18;
+  Tensor x({2, 3, h, w});
+  util::Rng rng(11);
+  for (float& v : x.data())
+    v = values[rng.randint(0, static_cast<std::int64_t>(std::size(values)) - 1)];
+  MaxPool2D pool(2);
+  const Tensor& y = pool.forward(x);
+  Tensor g(y.shape());
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = static_cast<float>(i + 1);
+  const Tensor& dx = pool.backward(g);
+  std::vector<float> want_dx(x.size(), 0.0f);
+  std::size_t out = 0;
+  for (std::size_t pl = 0; pl < 6; ++pl)
+    for (std::size_t oi = 0; oi < h / 2; ++oi)
+      for (std::size_t oj = 0; oj < w / 2; ++oj, ++out) {
+        const std::size_t first = (pl * h + 2 * oi) * w + 2 * oj;
+        float best = -inf;
+        std::size_t at = first;
+        for (const std::size_t idx : {first, first + 1, first + w, first + w + 1})
+          if (x[idx] > best) {
+            best = x[idx];
+            at = idx;
+          }
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(y[out]), std::bit_cast<std::uint32_t>(best))
+            << "output " << out;
+        want_dx[at] += g[out];
+      }
+  for (std::size_t i = 0; i < dx.size(); ++i) EXPECT_EQ(dx[i], want_dx[i]) << "pixel " << i;
 }
 
 TEST(SoftmaxCE, UniformLogitsGiveLogK) {
