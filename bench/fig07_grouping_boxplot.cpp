@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   t.write_csv(bench::results_dir() + "/fig07_boxplot.csv");
 
-  std::printf("\nconstraint check: xi * Delta_l = %.1fs; max intra-group spread = ", 0.3 * (*mx - *mn));
+  std::printf("\nconstraint check: xi * Delta_l = %.1fs; max intra-group spread = ",
+              0.3 * (*mx - *mn));
   double worst = 0.0;
   for (const auto& b : boxes) worst = std::max(worst, b.max - b.min);
   std::printf("%.1fs\n", worst);

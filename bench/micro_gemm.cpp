@@ -112,7 +112,8 @@ double time_per_call(double budget_ms, F&& fn) {
     for (int i = 0; i < iters; ++i) fn();
     const double dt = now_seconds() - t0;
     if (dt * 1000.0 >= budget_ms || iters >= (1 << 22)) return dt / iters;
-    iters = dt <= 0 ? iters * 8 : std::max(iters * 2, static_cast<int>(iters * budget_ms / (dt * 1000.0)));
+    iters = dt <= 0 ? iters * 8
+                    : std::max(iters * 2, static_cast<int>(iters * budget_ms / (dt * 1000.0)));
   }
 }
 

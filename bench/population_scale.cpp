@@ -1,6 +1,6 @@
 // Population scale-out report (Fig. 10 flavor): federated runs at worker
 // populations far past the paper's N=100, on the Driver's pooled worker
-// state + shared dataset shards + calendar event queue. Each grid point
+// state + shared dataset shards. Each grid point
 // reports rounds completed, virtual time, wall time, peak RSS (Linux
 // VmHWM), and the run's metrics digest — the digest is the cross-check
 // that pooling changed *nothing* observable (tests/population_test.cpp
@@ -69,7 +69,6 @@ scenario::ScenarioSpec make_spec(std::size_t n) {
   spec.local_steps = 2;
   spec.learning_rate = 0.05;
   spec.cohort_size = 32;
-  spec.event_queue = "calendar";
   spec.time_budget = 1e9;  // rounds-capped, not time-capped
   spec.max_rounds = 20;
   spec.eval_every = 10;
@@ -84,7 +83,7 @@ scenario::ScenarioSpec make_spec(std::size_t n) {
 
 int main(int argc, char** argv) {
   bench::FlagParser flags(
-      "Population scale-out: pooled worker state + calendar event queue at N up to 1e6 workers; "
+      "Population scale-out: pooled worker state at N up to 1e6 workers; "
       "reports rounds, virtual/wall time, peak RSS and the metrics digest per grid point.");
   flags.add("json", "append one JSONL record per run to this file");
   flags.add("max-workers", "largest population in the grid (default 100000)");
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== Population scale-out: pooled workers, calendar queue ===\n");
+  std::printf("=== Population scale-out: pooled workers ===\n");
   t.print(std::cout);
 
   if (const std::string* path = flags.get("json")) {

@@ -68,11 +68,11 @@ int main() {
 
   util::Table group_table({"group", "workers", "D_j", "L_j(s)", "EMD"});
   for (std::size_t j = 0; j < res.groups.size(); ++j) {
-    group_table.add_row({util::Table::fmt_int(static_cast<long long>(j)),
-                         util::Table::fmt_int(static_cast<long long>(res.groups[j].size())),
-                         util::Table::fmt_int(static_cast<long long>(stats.group_size(res.groups[j]))),
-                         util::Table::fmt(res.group_times[j], 1),
-                         util::Table::fmt(stats.emd(res.groups[j]), 3)});
+    group_table.add_row(
+        {util::Table::fmt_int(static_cast<long long>(j)),
+         util::Table::fmt_int(static_cast<long long>(res.groups[j].size())),
+         util::Table::fmt_int(static_cast<long long>(stats.group_size(res.groups[j]))),
+         util::Table::fmt(res.group_times[j], 1), util::Table::fmt(stats.emd(res.groups[j]), 3)});
   }
   group_table.print(std::cout);
 

@@ -90,8 +90,8 @@ Partition partition_dirichlet(const Dataset& ds, std::size_t num_workers, double
     double cum = 0.0;
     for (std::size_t w = 0; w < num_workers; ++w) {
       cum += shares[w] / total;
-      const auto upto = std::min(idx.size(),
-                                 static_cast<std::size_t>(cum * static_cast<double>(idx.size()) + 0.5));
+      const auto upto = std::min(
+          idx.size(), static_cast<std::size_t>(cum * static_cast<double>(idx.size()) + 0.5));
       for (; assigned < upto; ++assigned) p[w].push_back(idx[assigned]);
     }
     for (; assigned < idx.size(); ++assigned) p[num_workers - 1].push_back(idx[assigned]);

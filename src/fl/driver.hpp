@@ -22,7 +22,6 @@
 #include "ml/model.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cluster.hpp"
-#include "sim/event_queue.hpp"
 #include "util/thread_pool.hpp"
 
 /// \namespace airfedga
@@ -63,11 +62,6 @@ struct FLConfig {
   /// and buffer-triggered mechanisms reject a nonzero value — their
   /// membership semantics are the mechanism, not a sampling choice.
   std::size_t cohort_size = 0;
-
-  /// Storage backend of the simulation event queue. Pop order is
-  /// identical for both; the calendar queue is the faster choice at >=
-  /// 10^5 pending events (see bench/micro_eventq.cpp).
-  sim::QueueBackend event_queue = sim::QueueBackend::kBinaryHeap;
 
   // Heterogeneity and wireless substrate (§VI-A2)
   sim::ClusterModel::Config cluster;       ///< compute heterogeneity (kappa draw)

@@ -54,8 +54,7 @@ void Mechanism::reweight(const SchedulingLoop&, std::span<const float>, std::vec
 SchedulingLoop::SchedulingLoop(Driver& driver, Mechanism& policy)
     : driver_(driver),
       policy_(policy),
-      trigger_(policy.trigger()),
-      queue_(driver.config().event_queue) {
+      trigger_(policy.trigger()) {
   if (driver_.config().cohort_size != 0 &&
       (trigger_ == TriggerKind::kGroupReady || trigger_ == TriggerKind::kReadyBuffer))
     throw std::invalid_argument(policy_.name() +
@@ -86,7 +85,7 @@ SchedulingLoop::SchedulingLoop(Driver& driver, Mechanism& policy)
   dropouts_ = &driver_.registry().counter("substrate.dropouts");
 
   // Both histograms hold virtual-time quantities, so their contents are a
-  // pure function of the scenario (threads/backends never change them).
+  // pure function of the scenario (lane counts never change them).
   pending_hist_ = &driver_.registry().histogram(
       "eventq.pending", {0, 1, 2, 4, 8, 16, 32, 64, 128, 512, 2048, 8192, 32768});
   latency_hist_ = &driver_.registry().histogram(

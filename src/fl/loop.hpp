@@ -142,9 +142,9 @@ class SchedulingLoop {
  public:
   /// Prepares the run state: local times, the policy's cohorts (validated
   /// non-empty), the cohort index, and the parameter server holding w_0.
-  /// The event queue is built on FLConfig::event_queue; a nonzero
-  /// FLConfig::cohort_size is rejected for group- and buffer-triggered
-  /// mechanisms (their membership is the mechanism, not a sampling knob).
+  /// A nonzero FLConfig::cohort_size is rejected for group- and
+  /// buffer-triggered mechanisms (their membership is the mechanism, not a
+  /// sampling knob).
   SchedulingLoop(Driver& driver, Mechanism& policy);
 
   /// Seeds the event queue for the policy's trigger kind, then drains it:

@@ -25,7 +25,8 @@ struct MetricPoint {
 /// simulation time) and therefore vary run to run; `Metrics::bit_identical`
 /// deliberately ignores them — only simulated results must be reproducible.
 struct EngineStats {
-  double barrier_seconds = 0.0;  ///< wall time the simulation thread spent blocked in training barriers
+  double barrier_seconds = 0.0;  ///< wall time the simulation thread spent blocked in training
+                                 ///< barriers
   double eval_seconds = 0.0;     ///< wall time spent inside Driver::evaluate
   std::size_t barriers = 0;      ///< number of finish_training barriers
   std::size_t evals = 0;         ///< number of evaluate calls

@@ -23,7 +23,8 @@ double SoftmaxCrossEntropy::forward(const Tensor& logits, std::span<const int> l
     float maxv = logits.at2(i, 0);
     for (std::size_t j = 1; j < k; ++j) maxv = std::max(maxv, logits.at2(i, j));
     double denom = 0.0;
-    for (std::size_t j = 0; j < k; ++j) denom += std::exp(static_cast<double>(logits.at2(i, j) - maxv));
+    for (std::size_t j = 0; j < k; ++j)
+      denom += std::exp(static_cast<double>(logits.at2(i, j) - maxv));
     const double log_denom = std::log(denom);
     for (std::size_t j = 0; j < k; ++j)
       probs_.at2(i, j) =

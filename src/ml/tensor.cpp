@@ -157,7 +157,8 @@ double Tensor::norm() const { return std::sqrt(squared_norm(data())); }
 std::string Tensor::shape_string() const {
   std::ostringstream ss;
   ss << '(';
-  for (std::size_t i = 0; i < shape_.size(); ++i) ss << shape_[i] << (i + 1 < shape_.size() ? "," : "");
+  for (std::size_t i = 0; i < shape_.size(); ++i)
+    ss << shape_[i] << (i + 1 < shape_.size() ? "," : "");
   ss << ')';
   return ss.str();
 }

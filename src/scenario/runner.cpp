@@ -454,20 +454,21 @@ std::vector<Json> assemble_outputs(const std::string& out_dir, const std::vector
         return std::to_string(static_cast<std::uint64_t>(rec.at(key).as_number()));
       };
       const Json* bi = rec.find("bit_identical");
-      std::vector<std::string> row = {u64("schema_version"),
-                                      rec.at("scenario").as_string(),
-                                      rec.at("mechanism").as_string(),
-                                      u64("seed"),
-                                      u64("threads"),
-                                      rec.at("config_hash").as_string(),
-                                      git,
-                                      rec.at("digest").as_string(),
-                                      bi != nullptr ? (bi->as_bool() ? "true" : "false") : "",
-                                      u64("rounds"),
-                                      util::Table::fmt(rec.at("virtual_seconds").as_number(), 0),
-                                      util::Table::fmt(rec.at("final_accuracy").as_number(), 4),
-                                      util::Table::fmt(rec.at("final_loss").as_number(), 4),
-                                      util::Table::fmt(rec.at("total_energy_joules").as_number(), 0)};
+      std::vector<std::string> row = {
+          u64("schema_version"),
+          rec.at("scenario").as_string(),
+          rec.at("mechanism").as_string(),
+          u64("seed"),
+          u64("threads"),
+          rec.at("config_hash").as_string(),
+          git,
+          rec.at("digest").as_string(),
+          bi != nullptr ? (bi->as_bool() ? "true" : "false") : "",
+          u64("rounds"),
+          util::Table::fmt(rec.at("virtual_seconds").as_number(), 0),
+          util::Table::fmt(rec.at("final_accuracy").as_number(), 4),
+          util::Table::fmt(rec.at("final_loss").as_number(), 4),
+          util::Table::fmt(rec.at("total_energy_joules").as_number(), 0)};
       if (wo.timing) row.push_back(util::Table::fmt(rec.at("wall_seconds").as_number(), 2));
       summary.add_row(std::move(row));
       records.push_back(std::move(rec));

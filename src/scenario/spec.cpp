@@ -744,8 +744,6 @@ BuiltScenario build(const ScenarioSpec& spec) {
   cfg.seed = spec.seed;
   cfg.threads = spec.threads;
   cfg.cooperative_gemm = spec.cooperative_gemm;
-  cfg.event_queue =
-      spec.event_queue == "calendar" ? sim::QueueBackend::kCalendar : sim::QueueBackend::kBinaryHeap;
   cfg.cohort_size = spec.cohort_size;
   cfg.trace = spec.trace;
   cfg.validate();

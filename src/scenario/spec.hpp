@@ -18,7 +18,8 @@ namespace airfedga::scenario {
 
 /// Which synthetic workload to generate (data::make_* presets).
 struct DatasetSpec {
-  std::string kind = "mnist_like";  ///< mnist_like | mnist_image_like | cifar10_like | imagenet100_like
+  std::string kind = "mnist_like";  ///< mnist_like | mnist_image_like | cifar10_like |
+                                    ///< imagenet100_like
   std::size_t train_samples = 10000;
   std::size_t test_samples = 2000;
   std::uint64_t seed = 1;  ///< generator seed (independent of the run seed)
@@ -138,7 +139,9 @@ struct ScenarioSpec {
   /// "eager" | "lazy". Selects nothing: every run uses the pooled worker
   /// layout. Kept so existing specs parse and their config_hash holds.
   std::string worker_state = "eager";
-  std::string event_queue = "heap";    ///< "heap" | "calendar" event-queue backend
+  /// "heap" | "calendar". Selects nothing: every run uses the binary-heap
+  /// event queue. Kept so existing specs parse and their config_hash holds.
+  std::string event_queue = "heap";
   std::size_t cohort_size = 0;  ///< per-round training-cohort subsample (0 = all selected)
   bool trace = false;           ///< collect obs spans/metrics (read-only: digests unchanged)
 

@@ -1,19 +1,11 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 
 namespace airfedga::sim {
-
-EventQueue::EventQueue(QueueBackend backend) : backend_(backend) {
-  if (backend_ == QueueBackend::kCalendar) {
-    buckets_.assign(8, {});
-    cal_width_ = 1.0;
-    cal_seek(0.0);
-  }
-}
 
 void EventQueue::assert_owner() {
 #ifndef NDEBUG
@@ -27,144 +19,29 @@ void EventQueue::assert_owner() {
 #endif
 }
 
-double EventQueue::cal_cell(double time) const { return std::floor(time / cal_width_); }
-
-std::size_t EventQueue::cal_bucket_of(double time) const {
-  const double n = static_cast<double>(buckets_.size());
-  double idx = std::fmod(cal_cell(time), n);
-  if (idx < 0.0) idx += n;  // defensive: virtual time is non-negative by contract
-  return static_cast<std::size_t>(idx);
-}
-
-void EventQueue::cal_seek(double time) const {
-  cal_bucket_ = cal_bucket_of(time);
-  cal_cell_ = cal_cell(time);
-}
-
-void EventQueue::cal_insert(const Event& e) {
-  auto& bucket = buckets_[cal_bucket_of(e.time)];
-  // Buckets stay sorted descending by (time, seq): Later is the "comes
-  // first in this order" predicate, so lower_bound lands on the first
-  // element not later than e and back() stays the bucket minimum.
-  const auto pos = std::lower_bound(bucket.begin(), bucket.end(), e, Later{});
-  bucket.insert(pos, e);
-  // peek() may have walked the cursor ahead of now_ looking for the next
-  // event; an insert earlier than the cursor's cell must rewind it or the
-  // year scan would skip the new minimum. This keeps the invariant that
-  // cal_cell_ <= cal_cell(e.time) for every pending event.
-  if (cal_cell(e.time) < cal_cell_) cal_seek(e.time);
-}
-
-std::size_t EventQueue::cal_locate() const {
-  const std::size_t n = buckets_.size();
-  // Year scan: visit each bucket once starting at the cursor. Step i of
-  // the scan is at grid cell cal_cell_ + i, whose events live in bucket
-  // (cal_bucket_ + i) mod n. A bucket's minimum is due exactly when its
-  // cell equals the scan cell; since inserts rewind the cursor below any
-  // earlier event, no pending cell precedes cal_cell_, so `<=` is the
-  // robust form of that equality and the first hit is the global
-  // minimum. Crucially the test recomputes floor(time/width) — the very
-  // mapping that placed the event — instead of comparing against a
-  // `cell * width` window top, which can round to the other side of the
-  // cell boundary and make a bucket reject its own minimum.
-  std::size_t b = cal_bucket_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& bucket = buckets_[b];
-    if (!bucket.empty() && cal_cell(bucket.back().time) <= cal_cell_ + static_cast<double>(i)) {
-      cal_bucket_ = b;
-      cal_cell_ += static_cast<double>(i);
-      return b;
-    }
-    b = (b + 1) % n;
-  }
-  // Sparse tail: nothing due within a full year of the cursor. Fall back
-  // to an exact minimum search and snap the cursor to its cell.
-  const Event* best = nullptr;
-  std::size_t bestb = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& bucket = buckets_[i];
-    if (bucket.empty()) continue;
-    if (best == nullptr || Later{}(*best, bucket.back())) {
-      best = &bucket.back();
-      bestb = i;
-    }
-  }
-  cal_seek(best->time);
-  cal_bucket_ = bestb;
-  return bestb;
-}
-
-void EventQueue::cal_resize(std::size_t nbuckets) {
-  std::vector<Event> all;
-  all.reserve(size_);
-  for (const auto& bucket : buckets_) all.insert(all.end(), bucket.begin(), bucket.end());
-  buckets_.assign(nbuckets, {});
-  if (all.empty()) {
-    cal_width_ = 1.0;
-    cal_seek(now_);
-    return;
-  }
-  double lo = all.front().time;
-  double hi = all.front().time;
-  for (const Event& e : all) {
-    lo = std::min(lo, e.time);
-    hi = std::max(hi, e.time);
-  }
-  // Width targets ~1/3 of the pending events per year so the scan stays
-  // O(1) amortized; degenerate spans keep the previous granularity.
-  const double span = hi - lo;
-  cal_width_ = span > 0.0 ? std::max(3.0 * span / static_cast<double>(all.size()), 1e-9) : 1.0;
-  if (!std::isfinite(cal_width_) || cal_width_ <= 0.0) cal_width_ = 1.0;
-  cal_seek(lo);
-  for (const Event& e : all) cal_insert(e);
-}
-
 std::uint64_t EventQueue::schedule(double time, int kind, std::size_t actor) {
   assert_owner();
   if (!std::isfinite(time)) throw std::invalid_argument("EventQueue: non-finite time");
   if (time < now_) throw std::invalid_argument("EventQueue: scheduling into the past");
   const std::uint64_t seq = next_seq_++;
-  const Event e{time, seq, kind, actor};
-  if (backend_ == QueueBackend::kBinaryHeap) {
-    heap_.push(e);
-  } else {
-    cal_insert(e);
-  }
-  ++size_;
-  obs::instant("sim", "eventq.push", "pending", static_cast<std::int64_t>(size_));
-  if (backend_ == QueueBackend::kCalendar && size_ > 2 * buckets_.size()) {
-    cal_resize(buckets_.size() * 2);
-  }
+  heap_.push(Event{time, seq, kind, actor});
+  obs::instant("sim", "eventq.push", "pending", static_cast<std::int64_t>(heap_.size()));
   return seq;
 }
 
 Event EventQueue::pop() {
   assert_owner();
-  if (size_ == 0) throw std::logic_error("EventQueue::pop: empty queue");
-  Event e;
-  if (backend_ == QueueBackend::kBinaryHeap) {
-    e = heap_.top();
-    heap_.pop();
-  } else {
-    auto& bucket = buckets_[cal_locate()];
-    e = bucket.back();
-    bucket.pop_back();
-  }
-  --size_;
+  if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty queue");
+  const Event e = heap_.top();
+  heap_.pop();
   now_ = e.time;
-  obs::instant("sim", "eventq.pop", "pending", static_cast<std::int64_t>(size_));
-  if (backend_ == QueueBackend::kCalendar && buckets_.size() > 8 && size_ < buckets_.size() / 2) {
-    cal_resize(std::max<std::size_t>(8, buckets_.size() / 2));
-  }
+  obs::instant("sim", "eventq.pop", "pending", static_cast<std::int64_t>(heap_.size()));
   return e;
 }
 
 const Event& EventQueue::peek() const {
-  if (size_ == 0) throw std::logic_error("EventQueue::peek: empty queue");
-  if (backend_ == QueueBackend::kBinaryHeap) return heap_.top();
-  return buckets_[cal_locate()].back();
+  if (heap_.empty()) throw std::logic_error("EventQueue::peek: empty queue");
+  return heap_.top();
 }
-
-double EventQueue::peek_time() const { return peek().time; }
 
 }  // namespace airfedga::sim

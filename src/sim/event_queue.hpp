@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -24,22 +23,8 @@ struct Event {
   std::size_t actor = 0;  ///< mechanism-defined subject (worker/group/tier id)
 };
 
-/// Storage backend of an EventQueue. Both backends implement the identical
-/// strict (time, seq) pop order — the choice affects only the constant
-/// factors of schedule/pop at large pending-event counts
-/// (bench/micro_eventq.cpp measures both at >= 1e5 events).
-enum class QueueBackend {
-  /// std::priority_queue over a binary heap: O(log n) schedule/pop, the
-  /// default and the reference implementation.
-  kBinaryHeap,
-  /// Brown's calendar queue (sorted buckets over fixed virtual-time
-  /// windows, resized as the population grows/shrinks): amortized O(1)
-  /// schedule/pop under the uniform event distributions the scheduling
-  /// loop produces at massive worker populations.
-  kCalendar,
-};
-
-/// Min-queue of events ordered by (time, seq).
+/// Min-queue of events ordered by (time, seq), stored in a binary heap
+/// (O(log n) schedule and pop).
 ///
 /// The simulator advances a virtual clock: popping returns the earliest
 /// event and moves the clock forward; scheduling in the past is rejected so
@@ -56,14 +41,6 @@ enum class QueueBackend {
 /// from another thread throws.
 class EventQueue {
  public:
-  /// Constructs an empty queue on the given backend. The binary heap is
-  /// the default; both backends produce identical pop sequences
-  /// (tests/event_queue_property_test.cpp proves it under fuzzing).
-  explicit EventQueue(QueueBackend backend = QueueBackend::kBinaryHeap);
-
-  /// The storage backend this queue was constructed with.
-  [[nodiscard]] QueueBackend backend() const { return backend_; }
-
   /// Schedules an event; returns its sequence number.
   std::uint64_t schedule(double time, int kind, std::size_t actor);
 
@@ -71,40 +48,23 @@ class EventQueue {
   Event pop();
 
   /// True when no events are pending.
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
   /// Number of pending events.
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Current virtual time (time of the last popped event; 0 initially).
   [[nodiscard]] double now() const { return now_; }
 
-  /// Earliest pending event without popping it or advancing the clock
-  /// (lookahead counterpart of peek_time for callers that need the full
-  /// event, e.g. a future shared scheduling loop). Throws when empty.
+  /// Earliest pending event without popping it or advancing the clock.
+  /// Throws when empty.
   [[nodiscard]] const Event& peek() const;
 
   /// Time of the earliest pending event. Throws when empty.
-  [[nodiscard]] double peek_time() const;
+  [[nodiscard]] double peek_time() const { return peek().time; }
 
  private:
   void assert_owner();
-
-  // Calendar backend (Brown's calendar queue). Buckets are sorted
-  // descending by (time, seq) so back() is each bucket's minimum; the
-  // cursor (cal_bucket_, cal_cell_) names the grid cell currently being
-  // drained. Cells — floor(time/width) — are the single source of truth
-  // for both bucket placement and the year scan's due-now test, so the
-  // two can never disagree at a window boundary the way a recomputed
-  // `cell * width` top can (division and multiplication round
-  // differently). A full-year scan that finds nothing falls back to a
-  // direct minimum search.
-  [[nodiscard]] double cal_cell(double time) const;
-  [[nodiscard]] std::size_t cal_bucket_of(double time) const;
-  std::size_t cal_locate() const;  ///< bucket index whose back() is the global minimum
-  void cal_insert(const Event& e);
-  void cal_resize(std::size_t nbuckets);
-  void cal_seek(double time) const;  ///< snap the cursor to `time`'s window
 
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -113,16 +73,7 @@ class EventQueue {
     }
   };
 
-  QueueBackend backend_;
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::vector<std::vector<Event>> buckets_;  ///< calendar: sorted descending, back() = min
-  double cal_width_ = 1.0;                   ///< calendar: virtual-time window per bucket
-  // The scan cursor advances during peek() too (peek is logically const and
-  // repositioning it never changes the observable pop order), so it is
-  // mutable.
-  mutable std::size_t cal_bucket_ = 0;  ///< calendar: bucket under the cursor
-  mutable double cal_cell_ = 0.0;       ///< calendar: integer-valued grid cell under the cursor
-  std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;
 #ifndef NDEBUG

@@ -76,7 +76,7 @@ void set_substrate_kind(SubstrateOptions& opts, const std::string& kind);
 ///    identical values. gains()/csi_scales() are pure functions of
 ///    (substrate seeds, round); available()/next_transition() are pure
 ///    functions of (substrate seeds, time). State therefore never depends
-///    on lane count or event-queue backend.
+///    on lane count.
 ///  - Determinism invariant #8 (docs/ARCHITECTURE.md): substrate queries
 ///    consume only substrate-owned RNG streams — the fading stream and the
 ///    churn/CSI streams forked from the run seed with substrate-reserved
@@ -214,8 +214,7 @@ class StaticSubstrate : public Substrate {
 /// static adapter, each independently gated by its SubstrateOptions flag.
 /// All randomness comes from two substrate-owned streams forked from the
 /// run seed (churn phases; per-round CSI error), so every trajectory is a
-/// deterministic function of (scenario, seed) regardless of lane count or
-/// queue backend.
+/// deterministic function of (scenario, seed) regardless of lane count.
 class RealismSubstrate : public StaticSubstrate {
  public:
   RealismSubstrate(std::size_t num_workers, const channel::FadingChannel::Config& fading,

@@ -62,11 +62,12 @@ class RangeFn {
 ///
 /// Nesting rule: a task already running on *any* pool's worker thread that
 /// calls `parallel_for` gets the serial fallback instead of fanning out
-/// again, and so does the caller's own chunk of a `parallel_for`. This prevents the classic deadlock (every worker blocked inside a
-/// nested loop waiting for chunks no free thread can run) and the
-/// oversubscription thrash of parallelizing inside already-parallel worker
-/// training. Results are unaffected: all chunked kernels write disjoint
-/// output ranges, so chunking never changes floating-point results.
+/// again, and so does the caller's own chunk of a `parallel_for`. This
+/// prevents the classic deadlock (every worker blocked inside a nested loop
+/// waiting for chunks no free thread can run) and the oversubscription
+/// thrash of parallelizing inside already-parallel worker training.
+/// Results are unaffected: all chunked kernels write disjoint output
+/// ranges, so chunking never changes floating-point results.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers; 0 workers means every

@@ -1,13 +1,14 @@
-// Property test for the EventQueue backends: the calendar queue must be
-// observably identical to the binary heap — same (time, seq, kind, actor)
-// pop sequence, same peek results, same size/now trajectory — under
-// randomized seeded schedule/pop/peek interleavings, including timestamp
-// ties (seq must break them) and reschedules below the calendar cursor.
-// On a divergence the failing op script is shrunk to a minimal
-// counterexample (delta debugging) and printed for reproduction.
+// Property test for EventQueue against a model: a plain vector kept in
+// (time, seq) order. Under randomized seeded schedule/pop/peek
+// interleavings, including timestamp ties (seq must break them), the queue
+// must match the model op for op — same (time, seq, kind, actor) pops and
+// peeks, same size/now trajectory. On a mismatch the failing op script is
+// shrunk to a minimal counterexample (delta debugging) and printed for
+// reproduction.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -31,7 +32,7 @@ struct Op {
   std::size_t actor = 0;
 };
 
-/// What one op observed; traces compare field-for-field across backends.
+/// What one op observed; traces compare field-for-field with the model's.
 struct Rec {
   OpType type;
   bool empty = false;  ///< pop/peek hit an empty queue (skipped)
@@ -44,8 +45,38 @@ struct Rec {
   bool operator==(const Rec&) const = default;
 };
 
-std::vector<Rec> run_script(QueueBackend be, const std::vector<Op>& ops) {
-  EventQueue q(be);
+/// The reference: pending events in a vector sorted by (time, seq), the
+/// earliest first. Same interface as EventQueue for the ops scripts use.
+class SortedModel {
+ public:
+  std::uint64_t schedule(double time, int kind, std::size_t actor) {
+    const Event e{time, next_seq_++, kind, actor};
+    // e has the largest seq so far, so it goes after every equal time.
+    const auto by_time = [](const Event& a, const Event& b) { return a.time < b.time; };
+    const auto pos = std::upper_bound(pending_.begin(), pending_.end(), e, by_time);
+    pending_.insert(pos, e);
+    return e.seq;
+  }
+  Event pop() {
+    const Event e = pending_.front();
+    pending_.erase(pending_.begin());
+    now_ = e.time;
+    return e;
+  }
+  [[nodiscard]] const Event& peek() const { return pending_.front(); }
+  [[nodiscard]] bool empty() const { return pending_.empty(); }
+  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  [[nodiscard]] double now() const { return now_; }
+
+ private:
+  std::vector<Event> pending_;
+  std::uint64_t next_seq_ = 0;
+  double now_ = 0.0;
+};
+
+template <typename Queue>
+std::vector<Rec> run_script(const std::vector<Op>& ops) {
+  Queue q;
   std::vector<Rec> out;
   out.reserve(ops.size());
   for (const auto& op : ops) {
@@ -89,20 +120,20 @@ std::vector<Rec> run_script(QueueBackend be, const std::vector<Op>& ops) {
   return out;
 }
 
-/// True when the two backends disagree anywhere on the script.
+/// True when the queue and the model disagree anywhere on the script.
 bool diverges(const std::vector<Op>& ops) {
-  return run_script(QueueBackend::kBinaryHeap, ops) != run_script(QueueBackend::kCalendar, ops);
+  return run_script<EventQueue>(ops) != run_script<SortedModel>(ops);
 }
 
 /// Knobs for the random script generator; each test stresses a different
-/// region of the calendar's state machine.
+/// mix of ties, peeks and time spreads.
 struct GenParams {
   std::size_t length = 2000;
   double p_push = 0.55;       ///< vs pop; peeks are drawn separately
-  double p_peek = 0.15;       ///< peek instead of push/pop (cursor walks ahead)
+  double p_peek = 0.15;       ///< peek instead of push/pop
   double span = 50.0;         ///< dt ~ U[0, span)
   double cell = 0.5;          ///< dt quantization grid (0 = none); drives ties
-  double p_jump = 0.0;        ///< dt *= 1000 (sparse tail: year-scan fallback)
+  double p_jump = 0.0;        ///< dt *= 1000 (rare far-future events)
   double p_zero = 0.1;        ///< dt = 0 exactly (schedule at now)
 };
 
@@ -126,7 +157,7 @@ std::vector<Op> generate(std::uint64_t seed, const GenParams& g) {
     ops.push_back({kPush, dt, static_cast<int>(rng.randint(0, 3)),
                    static_cast<std::size_t>(rng.randint(0, 99))});
   }
-  // Drain tail: the full pop-out is where cursor/resize bugs surface.
+  // Drain tail: pop everything left, so every pending event is checked.
   for (std::size_t i = 0; i < g.length / 2; ++i) ops.push_back({kPop});
   return ops;
 }
@@ -172,12 +203,12 @@ void check_many(std::uint64_t seed0, std::size_t rounds, const GenParams& g) {
     std::vector<Op> ops = generate(seed, g);
     if (!diverges(ops)) continue;
     ops = shrink(std::move(ops));
-    FAIL() << "backends diverge (seed " << seed << "), minimal script (" << ops.size()
+    FAIL() << "queue and model diverge (seed " << seed << "), minimal script (" << ops.size()
            << " ops): " << describe(ops);
   }
 }
 
-TEST(EventQueueProperty, RandomInterleavingsMatchHeapBackend) {
+TEST(EventQueueProperty, RandomInterleavingsMatchSortedModel) {
   check_many(1, 20, GenParams{});
 }
 
@@ -188,44 +219,12 @@ TEST(EventQueueProperty, TieHeavyWorkloadsMatch) {
   check_many(100, 10, g);
 }
 
-TEST(EventQueueProperty, SparseJumpsExerciseFallbackAndResize) {
+TEST(EventQueueProperty, SparseJumpsAndPeeksMatch) {
   GenParams g;
-  g.p_jump = 0.05;  // rare 1000x jumps leave year-sized gaps behind the cursor
-  g.p_push = 0.65;  // grow past resize thresholds, then the drain tail shrinks
+  g.p_jump = 0.05;  // rare 1000x jumps spread pending times over decades
+  g.p_push = 0.65;  // a deep queue, then the drain tail empties it
+  g.p_peek = 0.45;
   check_many(200, 10, g);
-}
-
-TEST(EventQueueProperty, PeekHeavyCursorWalksMatch) {
-  GenParams g;
-  g.p_peek = 0.45;  // peeks advance the calendar cursor; later pushes at now
-  g.p_zero = 0.25;  // must rewind it without perturbing the pop order
-  check_many(300, 10, g);
-}
-
-// Directed semantics checks on the calendar backend itself (the shared
-// suite in event_queue_test.cpp runs on the default heap).
-TEST(EventQueueCalendar, BasicSemanticsAndResizeCycle) {
-  EventQueue q(QueueBackend::kCalendar);
-  EXPECT_EQ(q.backend(), QueueBackend::kCalendar);
-  // Push far past the grow threshold, with ties, then drain through the
-  // shrink threshold back to the 8-bucket floor.
-  for (std::size_t i = 0; i < 200; ++i) q.schedule(static_cast<double>(i % 17), 0, i);
-  double prev_time = -1.0;
-  std::uint64_t prev_seq = 0;
-  for (std::size_t i = 0; i < 200; ++i) {
-    const Event e = q.pop();
-    if (e.time == prev_time) {
-      EXPECT_GT(e.seq, prev_seq) << "tie at t=" << e.time << " broke out of insertion order";
-    } else {
-      EXPECT_GT(e.time, prev_time);
-    }
-    prev_time = e.time;
-    prev_seq = e.seq;
-  }
-  EXPECT_TRUE(q.empty());
-  EXPECT_THROW(q.schedule(prev_time - 1.0, 0, 0), std::invalid_argument);
-  EXPECT_NO_THROW(q.schedule(prev_time, 0, 0));  // "now" is allowed
-  EXPECT_DOUBLE_EQ(q.peek_time(), prev_time);
 }
 
 }  // namespace

@@ -43,6 +43,9 @@ TEST(EventQueue, RejectsSchedulingIntoPast) {
   q.pop();
   EXPECT_THROW(q.schedule(1.0, 0, 0), std::invalid_argument);
   EXPECT_NO_THROW(q.schedule(2.0, 0, 0));  // "now" is allowed
+  EXPECT_DOUBLE_EQ(q.peek_time(), 2.0);
+  EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
 
 TEST(EventQueue, RejectsNonFiniteTime) {

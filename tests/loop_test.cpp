@@ -210,8 +210,8 @@ TEST(LoopPolicy, FedAsyncReweightMatchesTheDampedMixingFormula) {
   fa.reweight(loop, w_prev, w_next, tau);
   const double alpha = 0.6 / std::pow(1.0 + tau, 0.5);
   for (std::size_t d = 0; d < w_prev.size(); ++d) {
-    const float expected =
-        static_cast<float>((1.0 - alpha) * w_prev[d] + alpha * (d == 0 ? 3.0f : d == 1 ? 0.0f : -1.0f));
+    const float expected = static_cast<float>((1.0 - alpha) * w_prev[d] +
+                                              alpha * (d == 0 ? 3.0f : d == 1 ? 0.0f : -1.0f));
     EXPECT_EQ(w_next[d], expected) << "dim " << d;
   }
 }

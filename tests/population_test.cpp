@@ -1,8 +1,7 @@
 // Population scale-out correctness: pooled worker state + shared shard
-// views + calendar event queue must reproduce the digests pinned when every
-// worker was materialized up front — Metrics::digest() bit-equal across
-// event-queue backend and lane counts — while keeping memory bounded by
-// the pool, not the population.
+// views must reproduce the digests pinned when every worker was
+// materialized up front — Metrics::digest() bit-equal across lane counts —
+// while keeping memory bounded by the pool, not the population.
 //
 // NOTE: the RSS ceiling test must run FIRST in this binary. VmHWM is a
 // process-wide high-water mark, so no earlier test may raise it.
@@ -40,8 +39,7 @@ double peak_rss_mib() {
 /// Reduced-budget population scenario: `workers` over `shards` label-skew
 /// shards (batch < shard size, so every local step consumes the worker's
 /// private RNG — the stream a recycled worker must replay).
-scenario::ScenarioSpec pop_spec(std::size_t workers, std::size_t shards,
-                                const std::string& event_queue, std::size_t threads,
+scenario::ScenarioSpec pop_spec(std::size_t workers, std::size_t shards, std::size_t threads,
                                 std::size_t cohort_size,
                                 const std::string& mechanism = "fedavg") {
   scenario::ScenarioSpec spec;
@@ -55,7 +53,6 @@ scenario::ScenarioSpec pop_spec(std::size_t workers, std::size_t shards,
   spec.batch_size = 8;  // shards leave >= 20 samples each; 8 < 20 forces sampling
   spec.local_steps = 2;
   spec.cohort_size = cohort_size;
-  spec.event_queue = event_queue;
   spec.threads = threads;
   spec.time_budget = 1e9;
   spec.max_rounds = 8;
@@ -78,8 +75,7 @@ std::string run_digest(const scenario::ScenarioSpec& spec) { return run_metrics(
 
 TEST(Population, RunAt100kStaysUnderRssCeiling) {
   if (peak_rss_mib() < 0) GTEST_SKIP() << "VmHWM requires /proc/self/status (Linux)";
-  const std::string digest =
-      run_digest(pop_spec(100000, 100, "calendar", 2, 32));
+  const std::string digest = run_digest(pop_spec(100000, 100, 2, 32));
   EXPECT_FALSE(digest.empty());
   const double peak = peak_rss_mib();
   // The worker pool keeps live replicas at O(pool) regardless of N; 1e5
@@ -96,27 +92,24 @@ TEST(Population, ChurnAt100kQueuesNoPerWorkerAvailabilityEvents) {
   // per worker: the queue holds the cohort's own events. The digest is the
   // golden captured on the event-per-worker protocol.
   std::string reference;
-  for (const char* queue : {"heap", "calendar"}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      scenario::ScenarioSpec spec = pop_spec(100000, 100, queue, threads, 32, "airfedavg");
-      spec.substrate.kind = "churn";
-      const fl::Metrics m = run_metrics(spec);
-      if (reference.empty()) reference = m.digest();
-      EXPECT_EQ(m.digest(), reference) << queue << ", threads=" << threads;
-      const obs::MetricsSnapshot::HistogramData* pending = nullptr;
-      for (const auto& h : m.obs_snapshot().histograms)
-        if (h.name == "eventq.pending") pending = &h;
-      ASSERT_NE(pending, nullptr);
-      ASSERT_GT(pending->count, 0u);
-      EXPECT_LE(pending->sum / static_cast<double>(pending->count), 2.0)
-          << queue << ", threads=" << threads;
-    }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    scenario::ScenarioSpec spec = pop_spec(100000, 100, threads, 32, "airfedavg");
+    spec.substrate.kind = "churn";
+    const fl::Metrics m = run_metrics(spec);
+    if (reference.empty()) reference = m.digest();
+    EXPECT_EQ(m.digest(), reference) << "threads=" << threads;
+    const obs::MetricsSnapshot::HistogramData* pending = nullptr;
+    for (const auto& h : m.obs_snapshot().histograms)
+      if (h.name == "eventq.pending") pending = &h;
+    ASSERT_NE(pending, nullptr);
+    ASSERT_GT(pending->count, 0u);
+    EXPECT_LE(pending->sum / static_cast<double>(pending->count), 2.0) << "threads=" << threads;
   }
   SKIP_UNLESS_GLIBC();
   EXPECT_EQ(reference, "0f5e98bfc0ea619e");
 }
 
-// ---- digest identity: pinned goldens, backends, lane counts ------------
+// ---- digest identity: pinned goldens, lane counts -----------------------
 //
 // The goldens below were captured while the Driver could still materialize
 // every worker up front, and matched the pooled layout bit for bit.
@@ -126,21 +119,17 @@ TEST(Population, DigestsAt100kMatchPinnedGoldens) {
   const std::vector<std::pair<const char*, const char*>> goldens = {
       {"fedavg", "3e7120e9cb808083"}, {"airfedavg", "9ac3078ce80061c6"}};
   for (const auto& [mech, golden] : goldens) {
-    const std::string digest = run_digest(pop_spec(100000, 100, "calendar", 2, 32, mech));
+    const std::string digest = run_digest(pop_spec(100000, 100, 2, 32, mech));
     EXPECT_FALSE(digest.empty()) << mech;
     EXPECT_EQ(digest, golden) << mech;
   }
 }
 
-TEST(Population, DigestsInvariantAcrossThreadsAndBackends) {
-  const std::string reference = run_digest(pop_spec(100000, 100, "heap", 1, 32));
+TEST(Population, DigestsInvariantAcrossThreads) {
+  const std::string reference = run_digest(pop_spec(100000, 100, 1, 32));
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    EXPECT_EQ(reference, run_digest(pop_spec(100000, 100, "heap", threads, 32)))
+    EXPECT_EQ(reference, run_digest(pop_spec(100000, 100, threads, 32)))
         << "threads=" << threads;
-  }
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    EXPECT_EQ(reference, run_digest(pop_spec(100000, 100, "calendar", threads, 32)))
-        << "calendar, threads=" << threads;
   }
 }
 
@@ -151,7 +140,7 @@ TEST(Population, RecyclingReplaysRngStreams) {
   // RNG streams reproduce the exact engine state.
   std::string reference;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    scenario::ScenarioSpec spec = pop_spec(64, 8, "heap", threads, 4);
+    scenario::ScenarioSpec spec = pop_spec(64, 8, threads, 4);
     spec.max_rounds = 40;
     const std::string digest = run_digest(spec);
     if (reference.empty()) reference = digest;
@@ -165,14 +154,9 @@ TEST(Population, SemiAsyncWarmReleaseIsPinned) {
   // Semi-async restarts a worker's training before its buffered model
   // aggregates, so release must skip pending jobs and re-lease warm; any
   // mistake there shows up as a digest mismatch.
-  std::string reference;
-  for (const char* queue : {"heap", "calendar"}) {
-    scenario::ScenarioSpec spec = pop_spec(40, 10, queue, 2, 0, "semiasync");
-    spec.max_rounds = 12;
-    const std::string digest = run_digest(spec);
-    if (reference.empty()) reference = digest;
-    EXPECT_EQ(digest, reference) << queue;
-  }
+  scenario::ScenarioSpec spec = pop_spec(40, 10, 2, 0, "semiasync");
+  spec.max_rounds = 12;
+  const std::string reference = run_digest(spec);
   SKIP_UNLESS_GLIBC();
   EXPECT_EQ(reference, "e55d4ed1cc2ed87a");
 }
@@ -278,16 +262,16 @@ TEST(PopulationConfig, ValidateRejectsBadShapes) {
   PoolEnv env(5);
   EXPECT_THROW(fl::Driver{env.cfg}, std::invalid_argument);
 
-  scenario::ScenarioSpec spec = pop_spec(100, 200, "heap", 1, 0);
+  scenario::ScenarioSpec spec = pop_spec(100, 200, 1, 0);
   EXPECT_THROW(spec.validate(), std::invalid_argument);  // shards > workers
 
-  spec = pop_spec(100000, 100, "heap", 1, 0);
+  spec = pop_spec(100000, 100, 1, 0);
   spec.partition.shards = 0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);  // 1e5 one-sample shards don't exist
   spec.partition.shards = 100;
   EXPECT_NO_THROW(spec.validate());  // ... but 1e5 workers over 100 shards do
 
-  spec = pop_spec(100, 10, "heap", 1, 0);
+  spec = pop_spec(100, 10, 1, 0);
   spec.worker_state = "bogus";
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec.worker_state = "eager";
@@ -298,7 +282,7 @@ TEST(PopulationConfig, ValidateRejectsBadShapes) {
 
   // Cohort sampling contradicts group/buffer membership semantics.
   for (const char* mech : {"airfedga", "semiasync"}) {
-    scenario::ScenarioSpec bad = pop_spec(100, 10, "heap", 1, 8, mech);
+    scenario::ScenarioSpec bad = pop_spec(100, 10, 1, 8, mech);
     EXPECT_THROW(bad.validate(), std::invalid_argument) << mech;
   }
 }
@@ -317,8 +301,9 @@ TEST(PopulationConfig, LoopRejectsCohortSamplingForBufferTriggers) {
 }
 
 TEST(PopulationConfig, SpecRoundTripsNewKnobs) {
-  scenario::ScenarioSpec spec = pop_spec(12345, 67, "calendar", 3, 9);
+  scenario::ScenarioSpec spec = pop_spec(12345, 67, 3, 9);
   spec.worker_state = "lazy";
+  spec.event_queue = "calendar";
   const scenario::ScenarioSpec back = scenario::ScenarioSpec::from_json(spec.to_json());
   EXPECT_EQ(back.partition.workers, 12345u);
   EXPECT_EQ(back.partition.shards, 67u);

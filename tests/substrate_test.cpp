@@ -1,10 +1,10 @@
 // Tests for the time-varying substrate layer: the generator kinds
 // (churn / energy / csi_error) in isolation, the static substrate's
 // bit-identity acceptance check — every mechanism's pre-refactor golden
-// digest reproduced across lane counts x event-queue backends — the
-// realism generators' per-seed determinism (engine-knob-invariant
-// digests), the substrate observability counters, and the scenario-layer
-// substrate section (round-trip + validation).
+// digest reproduced across lane counts — the realism generators'
+// per-seed determinism (lane-count-invariant digests), the substrate
+// observability counters, and the scenario-layer substrate section
+// (round-trip + validation).
 
 #include "sim/substrate.hpp"
 
@@ -386,19 +386,8 @@ const std::vector<MechanismCase>& mechanism_cases() {
   return cases;
 }
 
-/// Every engine-knob combination a digest must be invariant to.
-struct EngineKnobs {
-  std::size_t threads;
-  sim::QueueBackend queue;
-};
-
-std::vector<EngineKnobs> engine_grid() {
-  std::vector<EngineKnobs> grid;
-  for (std::size_t threads : {1UL, 2UL, 4UL})
-    for (auto queue : {sim::QueueBackend::kBinaryHeap, sim::QueueBackend::kCalendar})
-      grid.push_back({threads, queue});
-  return grid;
-}
+/// Every lane count a digest must be invariant to.
+constexpr std::size_t kLaneCounts[] = {1, 2, 4};
 
 /// Run shape on top of the fixture's defaults.
 struct Shape {
@@ -408,28 +397,27 @@ struct Shape {
 };
 
 std::string run_digest(const MechanismCase& mc, const SubstrateOptions& opts,
-                       const EngineKnobs& k, const Shape& shape = {}) {
+                       std::size_t threads, const Shape& shape = {}) {
   Fixture f(7, shape.workers);
   f.cfg.cluster.base_seconds = shape.base_seconds;
   f.cfg.max_rounds = shape.max_rounds;
   f.cfg.substrate = opts;
-  f.cfg.threads = k.threads;
-  f.cfg.event_queue = k.queue;
+  f.cfg.threads = threads;
   return mc.run(f.cfg).digest();
 }
 
 // The refactor's acceptance check: with the default (static) substrate the
 // loop must replay the pre-refactor event sequence exactly, so every
-// mechanism reproduces its golden digest under every engine-knob
-// combination. Off glibc only the invariance half runs.
+// mechanism reproduces its golden digest at every lane count. Off glibc
+// only the invariance half runs.
 TEST(SubstrateDigests, StaticSubstrateReproducesPreRefactorGoldens) {
   std::map<std::string, std::string> got;
   for (const auto& mc : mechanism_cases()) {
     std::string& reference = got[mc.label];
-    for (const auto& k : engine_grid()) {
-      const std::string digest = run_digest(mc, SubstrateOptions{}, k);
+    for (std::size_t threads : kLaneCounts) {
+      const std::string digest = run_digest(mc, SubstrateOptions{}, threads);
       if (reference.empty()) reference = digest;
-      EXPECT_EQ(digest, reference) << mc.label << " @" << k.threads << " lanes";
+      EXPECT_EQ(digest, reference) << mc.label << " @" << threads << " lanes";
     }
   }
   SKIP_UNLESS_GLIBC();
@@ -437,8 +425,7 @@ TEST(SubstrateDigests, StaticSubstrateReproducesPreRefactorGoldens) {
 }
 
 // Realism generators must be deterministic per seed: whatever the lane
-// count or event-queue backend, the digest depends
-// only on (scenario, seed). The churn and all kinds are also pinned to
+// count, the digest depends only on (scenario, seed). The churn and all kinds are also pinned to
 // x86-64 goldens captured while availability still ran as one queued
 // transition event per worker: they prove that waking parked cohorts from
 // the availability trace replays that schedule bit for bit.
@@ -480,10 +467,10 @@ TEST(SubstrateDigests, RealismDigestsAreEngineKnobInvariant) {
     for (const auto& [kind, opts] : kinds) {
       const std::string key = std::string(mc.label) + "/" + kind;
       std::string& reference = got[key];
-      for (const auto& k : engine_grid()) {
-        const std::string digest = run_digest(mc, opts, k);
+      for (std::size_t threads : kLaneCounts) {
+        const std::string digest = run_digest(mc, opts, threads);
         if (reference.empty()) reference = digest;
-        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes";
+        EXPECT_EQ(digest, reference) << key << " @" << threads << " lanes";
       }
     }
   }
@@ -531,10 +518,10 @@ TEST(SubstrateDigests, WakeHeavyChurnIsPinnedAndEngineKnobInvariant) {
     for (const auto& [kind, opts] : kinds) {
       const std::string key = std::string(mc.label) + "/" + kind;
       std::string& reference = got[key];
-      for (const auto& k : engine_grid()) {
-        const std::string digest = run_digest(mc, opts, k, wake_heavy);
+      for (std::size_t threads : kLaneCounts) {
+        const std::string digest = run_digest(mc, opts, threads, wake_heavy);
         if (reference.empty()) reference = digest;
-        EXPECT_EQ(digest, reference) << key << " @" << k.threads << " lanes";
+        EXPECT_EQ(digest, reference) << key << " @" << threads << " lanes";
       }
     }
   }
@@ -549,9 +536,8 @@ TEST(SubstrateDigests, RealismChangesTheTraceStaticDoesNot) {
   stress.churn_on_fraction = 0.6;
   stress.energy = true;
   stress.energy_budget = 30.0;
-  const EngineKnobs serial{1, sim::QueueBackend::kBinaryHeap};
   const auto& mc = mechanism_cases().front();  // fedavg
-  EXPECT_NE(run_digest(mc, stress, serial), run_digest(mc, SubstrateOptions{}, serial));
+  EXPECT_NE(run_digest(mc, stress, 1), run_digest(mc, SubstrateOptions{}, 1));
 }
 
 // ------------------------------------------------------- obs instruments --
