@@ -173,6 +173,7 @@ const ConvLayer kConvLayers[] = {
 
 struct ConvResult {
   double forward_us = 0;   ///< training-mode forward, per call
+  double weights_us = 0;   ///< backward without dx: dW and the bias gradient
   double backward_us = 0;  ///< dW and the bias gradient, plus dx unless `first`
 };
 
@@ -181,13 +182,15 @@ ConvResult bench_conv(const ConvLayer& l, double budget_ms) {
   ml::Conv2D conv(l.cin, l.cout, l.kernel, l.pad);
   util::Rng rng(5);
   conv.init(rng);
-  conv.set_input_grad(!l.first);
   const auto out = conv.out_height(l.image);
   const ml::Tensor x = ml::Tensor::randn({kBatch, l.cin, l.image, l.image}, rng);
   const ml::Tensor g = ml::Tensor::randn({kBatch, l.cout, out, out}, rng);
   ConvResult r;
   r.forward_us = 1e6 * time_per_call(budget_ms, [&] { conv.forward(x); });
   conv.forward(x);
+  conv.set_input_grad(false);
+  r.weights_us = 1e6 * time_per_call(budget_ms, [&] { conv.backward(g); });
+  conv.set_input_grad(!l.first);
   r.backward_us = 1e6 * time_per_call(budget_ms, [&] { conv.backward(g); });
   return r;
 }
@@ -336,15 +339,17 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   std::printf("\n=== Conv2D passes at batch 16 (single thread) ===\n");
-  util::Table tc({"figure", "layer", "forward us", "backward us"});
+  util::Table tc({"figure", "layer", "forward us", "weights us", "backward us"});
   {
     util::ThreadPool::SerialRegion serial;
     for (const auto& l : kConvLayers) {
       const auto r = bench_conv(l, budget_ms);
       tc.add_row({l.figure, l.layer, util::Table::fmt(r.forward_us, 1),
+                  util::Table::fmt(r.weights_us, 1),
                   util::Table::fmt(r.backward_us, 1) + (l.first ? " (no dx)" : "")});
-      for (const auto& [pass, us] : {std::pair{"forward", r.forward_us},
-                                     std::pair{"backward", r.backward_us}}) {
+      for (const auto& [pass, us] :
+           {std::pair{"forward", r.forward_us}, std::pair{"weights", r.weights_us},
+            std::pair{"backward", r.backward_us}}) {
         scenario::Json rec = scenario::Json::object();
         rec.set("kind", "conv_pass");
         rec.set("figure", l.figure);
@@ -356,6 +361,8 @@ int main(int argc, char** argv) {
     }
   }
   tc.print(std::cout);
+  std::printf("(weights: backward without the input gradient, i.e. dW and the bias gradient; "
+              "backward - weights is dx)\n");
 
   std::printf("\n=== Training step: wall time and heap traffic (steady state) ===\n");
   util::Table ts({"preset", "model", "batch", "ms/step", "~GF/s", "allocs/step", "bytes/step",

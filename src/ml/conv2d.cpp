@@ -5,6 +5,11 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
+
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
 
 #include "ml/gemm.hpp"
 #include "ml/kernel_clones.hpp"
@@ -50,6 +55,11 @@ constexpr std::size_t kKC = gemm_blocking().kc;
 constexpr std::size_t kPieces = 4;
 constexpr std::size_t kPiece = kNR / kPieces;
 
+/// Tallest tiles on the avx512f clone, whose 32 registers hold tile_kernel's
+/// rows, or dx_kernel's twice (chain and running sum), at two a row plus B.
+constexpr std::size_t kWideRows = 14;
+constexpr std::size_t kWideDxRows = 7;
+
 /// Zeroed floats after the last plane a pass reads B from in place: a
 /// piece starts on a position its tile uses and reads kPiece floats.
 constexpr std::size_t kSlack = kPiece;
@@ -74,33 +84,100 @@ std::size_t chunk_samples(std::size_t batch, std::size_t per_sample) {
   return std::max<std::size_t>(1, std::min(batch, fit));
 }
 
-/// Packs all of the stored m x k matrix A into KC slices of MR-row panels:
-/// slice p0's panel ir starts at ap + panel_offset(m, p0, kc, ir).
-void pack_a_slices(const float* a, std::size_t m, std::size_t k, float* ap) {
-  const std::size_t mp = (m + kMR - 1) / kMR;
-  for (std::size_t p0 = 0; p0 < k; p0 += kKC)
-    pack_a_panels(Trans::N, a, k, 0, m, p0, std::min(kKC, k - p0), ap + mp * kMR * p0);
+/// Row stride of a packed A operand of m rows: m rounded up to kMR.
+std::size_t packed_stride(std::size_t m) { return (m + kMR - 1) / kMR * kMR; }
+
+/// Packs the m x kc matrix A (row stride lda) depth-major for the tiles:
+/// ap[p * ld + i] = A(i, p), zero for the rows m <= i < ld.
+void pack_a(const float* a, std::size_t lda, std::size_t m, std::size_t kc, std::size_t ld,
+            float* ap) {
+  for (std::size_t i = 0; i < ld; i += 4) {
+    std::size_t p = 0;
+#if defined(__SSE__)
+    // Four rows (zeros past m) by four depth steps: a 4x4 transpose.
+    for (; p + 4 <= kc; p += 4) {
+      __m128 x[4];
+      for (std::size_t r = 0; r < 4; ++r)
+        x[r] = i + r < m ? _mm_loadu_ps(a + (i + r) * lda + p) : _mm_setzero_ps();
+      _MM_TRANSPOSE4_PS(x[0], x[1], x[2], x[3]);
+      for (std::size_t r = 0; r < 4; ++r) _mm_storeu_ps(ap + (p + r) * ld + i, x[r]);
+    }
+#endif
+    for (; p < kc; ++p)
+      for (std::size_t r = 0; r < 4; ++r)
+        ap[p * ld + i + r] = i + r < m ? a[(i + r) * lda + p] : 0.0f;
+  }
 }
 
-std::size_t panel_offset(std::size_t m, std::size_t p0, std::size_t kc, std::size_t ir) {
-  return (m + kMR - 1) / kMR * kMR * p0 + ir * kc * kMR;
+/// How a pass splits `count` channels into n balanced row panels of at
+/// most `tallest` rows, the first count % n one row taller: one register
+/// tile each, as tall as its panel on the avx512f clone. The 8-float clones
+/// keep kMR-row tiles, where a taller one would spill, and drop the rows
+/// past the panel (the last one's end by `count` rounded up to kMR).
+struct Panels {
+  std::size_t n, base, extra;
+  Panels(bool wide, std::size_t count, std::size_t tallest)
+      : n((count + (wide ? tallest : kMR) - 1) / (wide ? tallest : kMR)),
+        base(count / n),
+        extra(count % n) {}
+  [[nodiscard]] std::size_t start(std::size_t i) const { return i * base + std::min(i, extra); }
+  [[nodiscard]] std::size_t rows(std::size_t i) const { return base + (i < extra ? 1 : 0); }
+};
+
+/// Calls f.operator()<true, rows>() for 1 <= rows <= kRows.
+template <std::size_t kRows, typename F>
+[[gnu::always_inline]] inline void with_wide_height(std::size_t rows, F& f) {
+  if constexpr (kRows > 1)
+    if (rows < kRows) return with_wide_height<kRows - 1>(rows, f);
+  f.template operator()<true, kRows>();
+}
+
+/// Calls f.operator()<kWide, kRows>() with a panel of `rows` rows' tile
+/// height kRows: `rows` (at most kTallest) on the avx512f clone, else kMR.
+template <std::size_t kTallest, typename F>
+[[gnu::always_inline]] inline void with_tile_height(bool wide, std::size_t rows, F&& f) {
+  if (wide)
+    with_wide_height<kTallest>(rows, f);
+  else
+    f.template operator()<false, kMR>();
 }
 
 using Piece = float __attribute__((vector_size(kPiece * sizeof(float))));
 using TwoPieces = float __attribute__((vector_size(2 * kPiece * sizeof(float))));
+using Quad = float __attribute__((vector_size(kMR * sizeof(float))));
 
-/// acc += the MR x NR register tile over kc depth rows: row p of B is the
-/// kPieces runs of kPiece floats at b + at[i] + off[p], one after the
-/// other, and A one packed MR-row panel; one fused multiply-add per step,
-/// in ascending depth, as in ml::sgemm's micro-kernel. `kWide` stages each
-/// B row as two 16-float vectors (the avx512f clone), else as four 8-float
-/// ones: the compiler turns the other staging into scalar shuffles.
-template <bool kWide>
+/// sums[l] += a[p * ld + l] over the rows p < kc in order for the first
+/// kQuads * kMR columns l, one chain per column, all side by side.
+template <std::size_t kQuads>
+void add_rows(const float* a, std::size_t ld, std::size_t kc, float* sums) {
+  Quad sum[kQuads];
+  std::memcpy(sum, sums, sizeof sum);
+  for (std::size_t p = 0; p < kc; ++p)
+    for (std::size_t q = 0; q < kQuads; ++q) {
+      Quad x;
+      std::memcpy(&x, a + p * ld + q * kMR, sizeof x);
+      sum[q] += x;
+    }
+  std::memcpy(sums, sum, sizeof sum);
+}
+
+/// A tile of kRows rows that the compiler keeps in vector registers: a row
+/// is two 16-float vectors on the avx512f clone, four 8-float ones else.
+template <bool kWide, std::size_t kRows>
+using TileRegs = std::conditional_t<kWide, TwoPieces[kRows][2], Piece[kRows][4]>;
+
+/// acc += the kRows x NR register tile over kc depth rows: row p of B is
+/// the kPieces runs of kPiece floats at b + at[i] + off[p], one after the
+/// other, and row p of A the kRows floats at ap + p * lda; one fused
+/// multiply-add per step, in ascending depth, as in ml::sgemm's
+/// micro-kernel. Each B row is loaded and staged once for all kRows rows:
+/// as two 16-float vectors on the avx512f clone, else as four 8-float ones.
+template <bool kWide, std::size_t kRows>
 [[gnu::always_inline]] inline void accumulate_tile(std::size_t kc, const float* __restrict ap,
-                                                   const float* __restrict b,
+                                                   std::size_t lda, const float* __restrict b,
                                                    const std::size_t* __restrict at,
                                                    const std::size_t* __restrict off,
-                                                   float* __restrict acc) {
+                                                   TileRegs<kWide, kRows>& acc) {
   static_assert(kPieces == 4);
   const float* q0 = b + at[0];
   const float* q1 = b + at[1];
@@ -127,30 +204,34 @@ template <bool kWide>
 #else
     std::memcpy(row_b, x, sizeof x);
 #endif
-    const float* a = ap + p * kMR;
-    for (std::size_t i = 0; i < kMR; ++i) {
-      const float ai = a[i];
-      float* row = acc + i * kNR;
-      for (std::size_t j = 0; j < kNR; ++j) row[j] = __builtin_fmaf(ai, row_b[j], row[j]);
+    const float* a = ap + p * lda;
+    // Via a float row, which the loop vectorizer turns into vector FMAs.
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < kRows; ++i) {
+      float row[kNR];
+      std::memcpy(row, acc[i], sizeof row);
+      for (std::size_t j = 0; j < kNR; ++j) row[j] = __builtin_fmaf(a[i], row_b[j], row[j]);
+      std::memcpy(acc[i], row, sizeof row);
     }
   }
 }
 
-[[gnu::always_inline]] inline void accumulate_tile(bool wide, std::size_t kc, const float* ap,
-                                                   const float* b, const std::size_t* at,
-                                                   const std::size_t* off, float* acc) {
-  if (wide)
-    accumulate_tile<true>(kc, ap, b, at, off, acc);
-  else
-    accumulate_tile<false>(kc, ap, b, at, off, acc);
+/// Copies a tile out of its registers, row stride NR.
+template <bool kWide, std::size_t kRows>
+[[gnu::always_inline]] inline void spill_tile(const TileRegs<kWide, kRows>& acc, float* out) {
+  constexpr std::size_t kVecs = std::extent_v<TileRegs<kWide, kRows>, 1>;
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < kRows; ++i)
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kVecs; ++v)
+      std::memcpy(out + (i * kVecs + v) * (kNR / kVecs), &acc[i][v], sizeof acc[i][v]);
 }
 
 }  // namespace
 
 [[gnu::always_inline]] inline void Conv2D::store_tile(const float* acc, const TileStore& store) {
-  for (std::size_t i = 0; i < kMR; ++i) {
-    float* c = store.rows[i];
-    if (c == nullptr) continue;
+  for (std::size_t i = 0; i < store.rows; ++i) {
+    float* c = store.c + i * store.ldc;
     const float* row = acc + i * kNR;
     for (const Run* r = store.run0; r != store.run1; ++r) {
       float* d = c + r->dst;
@@ -168,61 +249,76 @@ template <bool kWide>
 }
 
 AIRFEDGA_KERNEL_CLONES
-void Conv2D::tile_kernel(bool wide, std::size_t kc, const float* __restrict ap,
+void Conv2D::tile_kernel(bool wide, std::size_t kc, const float* __restrict ap, std::size_t lda,
                          const float* __restrict b, const std::size_t* __restrict at,
                          const std::size_t* __restrict off, const TileStore& store) {
-  float acc[kMR * kNR] = {};
-  accumulate_tile(wide, kc, ap, b, at, off, acc);
-  if (store.prior != nullptr)
-    for (std::size_t j = 0; j < kMR * kNR; ++j) acc[j] = store.prior[j] + acc[j];
-  store_tile(acc, store);
+  const auto tile = [&]<bool kWide, std::size_t kRows>() __attribute__((always_inline)) {
+    TileRegs<kWide, kRows> acc = {};
+    accumulate_tile<kWide, kRows>(kc, ap, lda, b, at, off, acc);
+    float out[kRows * kNR];
+    spill_tile<kWide, kRows>(acc, out);
+    if (store.prior != nullptr)
+      for (std::size_t j = 0; j < store.rows * kNR; ++j) out[j] = store.prior[j] + out[j];
+    store_tile(out, store);
+  };
+  with_tile_height<kWideRows>(wide, store.rows, tile);
 }
 
 AIRFEDGA_KERNEL_CLONES
 void Conv2D::dx_kernel(bool wide, std::size_t cout, std::uint32_t k, std::uint32_t oh,
-                       std::uint32_t ow, const float* __restrict ap, const float* __restrict b,
-                       const std::size_t* __restrict at, const std::size_t* __restrict off,
-                       const std::size_t* __restrict shift, const std::uint32_t* __restrict ly,
-                       const std::uint32_t* __restrict lx, const TileStore& store) {
-  float sum[kMR * kNR] = {};
-  for (std::uint32_t ki = 0; ki < k; ++ki) {
-    for (std::uint32_t kj = 0; kj < k; ++kj) {
-      const std::size_t t = ki * k + kj;
-      // The patch-matrix gradient of rows (c, ki, kj) at the lanes' output
-      // pixels: the chain over the output channels, in KC slices summed as
-      // ml::sgemm sums them.
-      float d[kMR * kNR] = {};
-      accumulate_tile(wide, std::min(kKC, cout), ap + t * cout * kMR, b + shift[t], at, off, d);
-      for (std::size_t o0 = kKC; o0 < cout; o0 += kKC) {
-        float acc[kMR * kNR] = {};
-        accumulate_tile(wide, std::min(kKC, cout - o0), ap + (t * cout + o0) * kMR,
-                        b + shift[t], at, off + o0, acc);
-        for (std::size_t j = 0; j < kMR * kNR; ++j) d[j] += acc[j];
-      }
-      // Lanes whose output pixel (y + pad - ki, x + pad - kj) exists add it.
-      for (std::size_t j = 0; j < kNR; ++j) {
-        const bool live = ly[j] - ki < oh && lx[j] - kj < ow;
-        for (std::size_t i = 0; i < kMR; ++i)
-          sum[i * kNR + j] = live ? sum[i * kNR + j] + d[i * kNR + j] : sum[i * kNR + j];
+                       std::uint32_t ow, const float* __restrict ap, std::size_t lda,
+                       const float* __restrict b, const std::size_t* __restrict at,
+                       const std::size_t* __restrict off, const std::size_t* __restrict shift,
+                       const std::uint32_t* __restrict ly, const std::uint32_t* __restrict lx,
+                       const TileStore& store) {
+  const auto dx = [&]<bool kWide, std::size_t kRows>() __attribute__((always_inline)) {
+    TileRegs<kWide, kRows> sum = {};
+    for (std::uint32_t ki = 0; ki < k; ++ki) {
+      for (std::uint32_t kj = 0; kj < k; ++kj) {
+        const std::size_t t = ki * k + kj;
+        // The patch-matrix gradient of rows (c, ki, kj) at the lanes' output
+        // pixels: the chain over the output channels, in KC slices summed as
+        // ml::sgemm sums them.
+        TileRegs<kWide, kRows> d = {};
+        accumulate_tile<kWide, kRows>(std::min(kKC, cout), ap + t * cout * lda, lda, b + shift[t],
+                                      at, off, d);
+        for (std::size_t o0 = kKC; o0 < cout; o0 += kKC) {
+          TileRegs<kWide, kRows> acc = {};
+          accumulate_tile<kWide, kRows>(std::min(kKC, cout - o0), ap + (t * cout + o0) * lda,
+                                        lda, b + shift[t], at, off + o0, acc);
+          for (std::size_t i = 0; i < kRows; ++i)
+            for (std::size_t v = 0; v < std::size(d[i]); ++v) d[i][v] += acc[i][v];
+        }
+        // Add it where the output pixel (y + pad - ki, x + pad - kj) exists.
+        float s[kRows][kNR], dv[kRows][kNR];
+        std::memcpy(s, sum, sizeof s);
+        std::memcpy(dv, d, sizeof dv);
+        for (std::size_t j = 0; j < kNR; ++j) {
+          const bool live = ly[j] - ki < oh && lx[j] - kj < ow;
+          for (std::size_t i = 0; i < kRows; ++i) s[i][j] = live ? s[i][j] + dv[i][j] : s[i][j];
+        }
+        std::memcpy(sum, s, sizeof s);
       }
     }
-  }
-  store_tile(sum, store);
+    float out[kRows * kNR];
+    spill_tile<kWide, kRows>(sum, out);
+    store_tile(out, store);
+  };
+  with_tile_height<kWideDxRows>(wide, store.rows, dx);
 }
 
-void Conv2D::tile_over_depth(bool wide, std::size_t k, std::size_t m, std::size_t ir,
-                             const float* ap, const float* b, const std::size_t* at,
-                             const std::size_t* off, TileStore store) {
+void Conv2D::tile_over_depth(bool wide, std::size_t k, const float* ap, std::size_t lda,
+                             const float* b, const std::size_t* at, const std::size_t* off,
+                             TileStore store) {
   static constexpr Run kWhole{0, kNR, 0};
-  alignas(64) float sum[kMR * kNR];
-  TileStore partial{{sum, sum + kNR, sum + 2 * kNR, sum + 3 * kNR}, &kWhole, &kWhole + 1};
+  alignas(64) float sum[kWideRows * kNR];
+  TileStore partial{sum, kNR, store.rows, &kWhole, &kWhole + 1};
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t kc = std::min(kKC, k - p0);
     const bool last = p0 + kc == k;
     partial.add = p0 > 0;
     if (last) store.prior = p0 > 0 ? sum : nullptr;
-    tile_kernel(wide, kc, ap + panel_offset(m, p0, kc, ir), b, at, off + p0,
-                last ? store : partial);
+    tile_kernel(wide, kc, ap + p0 * lda, lda, b, at, off + p0, last ? store : partial);
   }
 }
 
@@ -294,8 +390,10 @@ void Conv2D::plan_grid(std::size_t width, std::size_t plane_rows, std::size_t li
 void Conv2D::forward_samples(const float* ap, const float* xp, std::size_t s0, std::size_t s1,
                              std::size_t np, std::size_t padded) {
   const std::size_t rows = cin_ * k_ * k_;
+  const std::size_t lda = packed_stride(cout_);
   const float* pb = bias_.data().data();
   const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  const Panels panels(wide, cout_, kWideRows);
   const std::size_t tiles = tiles_.size();
   const std::size_t units = (s1 - s0) * tiles;
   // Units (sample, tile) write disjoint outputs, so how parallel_for splits
@@ -308,13 +406,12 @@ void Conv2D::forward_samples(const float* ap, const float* xp, std::size_t s0, s
           const Tile& t = tiles_[u % tiles];
           const float* xs = xp + (n - s0) * padded;
           float* ys = out_.data().data() + n * cout_ * np;
-          for (std::size_t o0 = 0; o0 < cout_; o0 += kMR) {
-            TileStore store{{}, runs_.data() + t.run0, runs_.data() + t.run1};
-            for (std::size_t i = 0; i < std::min(kMR, cout_ - o0); ++i)
-              store.rows[i] = ys + (o0 + i) * np;
+          for (std::size_t i = 0; i < panels.n; ++i) {
+            const std::size_t o0 = panels.start(i);
+            TileStore store{ys + o0 * np, np, panels.rows(i), runs_.data() + t.run0,
+                            runs_.data() + t.run1};
             store.bias = pb + o0;
-            tile_over_depth(wide, rows, cout_, o0 / kMR, ap, xs, t.at.data(), row_off_.data(),
-                            store);
+            tile_over_depth(wide, rows, ap + o0, lda, xs, t.at.data(), row_off_.data(), store);
           }
         }
       },
@@ -341,8 +438,8 @@ const Tensor& Conv2D::forward(const Tensor& x) {
 
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  float* ap = ws.floats((cout_ + kMR - 1) / kMR * kMR * rows);
-  pack_a_slices(weight_.data().data(), cout_, rows, ap);
+  float* ap = ws.floats(packed_stride(cout_) * rows);
+  pack_a(weight_.data().data(), rows, cout_, rows, packed_stride(cout_), ap);
   // A training forward pads the whole batch into xpad_, where dW reads it
   // again; an eval forward pads each chunk into the workspace.
   if (training_) {
@@ -384,38 +481,29 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
   // padded: depth row q starts at q's top-left input pixel, and the tile
   // columns are runs of each channel's padded grid from there, whose
   // positions past the k x k window are computed and dropped.
-  //
-  // The bias gradient sums each channel's gy row in column order, one
-  // accumulator per channel; four channels' sums run side by side (a
-  // missing channel re-reads the last row and is discarded).
-  float* pbg = bias_grad_.data().data();
-  for (std::size_t c0 = 0; c0 < cout_; c0 += 4) {
-    float acc[4] = {};
-    for (std::size_t n = 0; n < batch; ++n) {
-      const float* row[4];
-      for (std::size_t j = 0; j < 4; ++j)
-        row[j] = pg + (n * cout_ + std::min(c0 + j, cout_ - 1)) * np;
-      for (std::size_t q = 0; q < np; ++q)
-        for (std::size_t j = 0; j < 4; ++j) acc[j] += row[j][q];
-    }
-    for (std::size_t j = 0; j < 4 && c0 + j < cout_; ++j) pbg[c0 + j] += acc[j];
-  }
-
   plan_grid(wp, hp, k_, k_, cin_);
-  const std::size_t mp = (cout_ + kMR - 1) / kMR;
-  const std::size_t units = tiles_.size() * mp;
+  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  const Panels panels(wide, cout_, kWideRows);
+  const std::size_t lda = packed_stride(cout_);
+  const std::size_t units = tiles_.size() * panels.n;
   float* pdw = weight_grad_.data().data();
   const float* xp = xpad_.data().data();
-  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
-  // Units (tile, MR-row panel) write disjoint dW entries, and each walks the
+  // The bias gradient sums each channel's gy row in column order from +0,
+  // one accumulator per channel, all of them side by side: the chunk that
+  // holds unit 0 adds each packed gy slice's depth rows into db.
+  Workspace& ws = Workspace::tls();
+  Workspace::Scope scope(ws);
+  float* db = ws.floats(lda);
+  std::fill_n(db, lda, 0.0f);
+  // Units (tile, row panel) write disjoint dW entries, and each walks the
   // slices in ascending order, so how parallel_for splits them cannot move
   // bits. Each chunk packs gy's slices into its own thread's arena.
   util::parallel_for(
       units,
       [&](std::size_t lo, std::size_t hi) {
-        Workspace& ws = Workspace::tls();
-        Workspace::Scope scope(ws);
-        float* ap = ws.floats(mp * kMR * std::min(kKC, ncols));
+        Workspace& chunk_ws = Workspace::tls();
+        Workspace::Scope chunk_scope(chunk_ws);
+        float* ap = chunk_ws.floats(lda * std::min(kKC, ncols));
         std::array<std::size_t, kKC> coff;
         std::size_t n = 0, oi = 0, oj = 0;  // the pixel of the next depth row
         for (std::size_t p0 = 0; p0 < ncols; p0 += kKC) {
@@ -425,10 +513,7 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
             // grad_out's planes of sample n.
             const std::size_t pix = oi * ow + oj;
             const std::size_t len = std::min(kc - p, np - pix);
-            for (std::size_t ir = 0; ir < mp; ++ir)
-              pack_a_panels(Trans::N, pg + (n * cout_ + ir * kMR) * np, np, 0,
-                            std::min(kMR, cout_ - ir * kMR), pix, len,
-                            ap + (ir * kc + p) * kMR);
+            pack_a(pg + n * cout_ * np + pix, np, cout_, len, lda, ap + p * lda);
             for (const std::size_t end = p + len; p < end; ++p) {
               coff[p] = n * padded + oi * wp + oj;
               if (++oj == ow) {
@@ -440,18 +525,20 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
               }
             }
           }
+          for (std::size_t o0 = 0; lo == 0 && o0 < lda; o0 += 2 * kMR)
+            (o0 + 2 * kMR <= lda ? add_rows<2> : add_rows<1>)(ap + o0, lda, kc, db + o0);
           for (std::size_t u = lo; u < hi; ++u) {
-            const Tile& t = tiles_[u / mp];
-            const std::size_t o0 = u % mp * kMR;
-            TileStore store{{}, runs_.data() + t.run0, runs_.data() + t.run1};
-            for (std::size_t i = 0; i < std::min(kMR, cout_ - o0); ++i)
-              store.rows[i] = pdw + (o0 + i) * rows;
+            const Tile& t = tiles_[u / panels.n];
+            const std::size_t o0 = panels.start(u % panels.n);
+            TileStore store{pdw + o0 * rows, rows, panels.rows(u % panels.n), runs_.data() + t.run0,
+                            runs_.data() + t.run1};
             store.add = true;
-            tile_kernel(wide, kc, ap + o0 * kc, xp, t.at.data(), coff.data(), store);
+            tile_kernel(wide, kc, ap + o0, lda, xp, t.at.data(), coff.data(), store);
           }
         }
       },
-      task_grain(units, 2 * kMR * kNR * ncols));
+      task_grain(units, 2 * panels.base * kNR * ncols));
+  for (std::size_t o = 0; o < cout_; ++o) bias_grad_.data()[o] += db[o];
   // A model's first layer skips dx: nothing reads its input gradient.
   if (!input_grad_) return no_input_grad();
   backward_input(pg, hp, wp);
@@ -466,8 +553,8 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
   // order and starting from zero, the patch-matrix gradient entry of row
   // (c, ki, kj) at output pixel (y + pad - ki, x + pad - kj) where that
   // pixel exists: col2im's sum. Each entry is W^T gy's fma chain over the
-  // output channels, so a tile of MR channels x NR dx pixels runs one chain
-  // per offset and keeps the running sums in registers. B reads the
+  // output channels, so a tile of a panel's channels x NR dx pixels runs
+  // one chain per offset and keeps the running sums in registers. B reads the
   // gradient planes in place from a copy `gpad` (gh x gw cells a plane) in
   // which offset (ki, kj) of pixel (y, x) is cell (y + k-1 - ki, x + k-1 -
   // kj): gradient row or column q sits at q - skip + lead, where the first
@@ -491,18 +578,15 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
   dx_.resize_uninitialized(in_shape_);
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  // A: for each panel of MR input channels and each offset t, the cout x MR
-  // block W[o][c][t], rows past cin zero.
-  const std::size_t panels = (cin_ + kMR - 1) / kMR;
-  float* ap = ws.floats(panels * kk * cout_ * kMR);
+  // A: for each offset t, W[o][c][t] at depth o of input channel c, packed
+  // as pack_a packs (rows past cin zero).
+  const std::size_t lda = packed_stride(cin_);
+  float* ap = ws.floats(kk * cout_ * lda);
   const float* pw = weight_.data().data();
-  for (std::size_t cp = 0; cp < panels; ++cp)
-    for (std::size_t t = 0; t < kk; ++t)
-      for (std::size_t o = 0; o < cout_; ++o)
-        for (std::size_t i = 0; i < kMR; ++i) {
-          const std::size_t c = cp * kMR + i;
-          ap[((cp * kk + t) * cout_ + o) * kMR + i] = c < cin_ ? pw[(o * cin_ + c) * kk + t] : 0.0f;
-        }
+  for (std::size_t t = 0; t < kk; ++t)
+    for (std::size_t o = 0; o < cout_; ++o)
+      for (std::size_t c = 0; c < lda; ++c)
+        ap[(t * cout_ + o) * lda + c] = c < cin_ ? pw[(o * cin_ + c) * kk + t] : 0.0f;
   // gpad holds every sample's planes, filled before the tiles run: a
   // plane's gradient cells at rows and columns [lead, lead + live), zeros
   // around them, and kSlack zeros after the last plane.
@@ -521,30 +605,30 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
   }
   std::memset(gpad + batch * cout_ * plane, 0, kSlack * sizeof(float));
   const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  const Panels panels(wide, cin_, kWideDxRows);
   const std::size_t tiles = tiles_.size();
-  const std::size_t units = batch * tiles * panels;
+  const std::size_t units = batch * tiles * panels.n;
   // Units (sample, tile, channel panel) write disjoint dx pixels, so how
   // parallel_for splits them cannot move bits.
   util::parallel_for(
       units,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t u = lo; u < hi; ++u) {
-          const std::size_t n = u / (tiles * panels);
-          const std::size_t t = u / panels % tiles;
-          const std::size_t cp = u % panels;
+          const std::size_t n = u / (tiles * panels.n);
+          const std::size_t t = u / panels.n % tiles;
+          const std::size_t c0 = panels.start(u % panels.n);
           const Tile& tile = tiles_[t];
           const std::uint32_t* lane = lanes_.data() + 2 * kNR * t;
-          float* dxs = dx_.data().data() + n * cin_ * h * w;
-          TileStore store{{}, runs_.data() + tile.run0, runs_.data() + tile.run1};
-          for (std::size_t i = 0; i < std::min(kMR, cin_ - cp * kMR); ++i)
-            store.rows[i] = dxs + (cp * kMR + i) * h * w;
+          const TileStore store{dx_.data().data() + (n * cin_ + c0) * h * w, h * w,
+                                panels.rows(u % panels.n), runs_.data() + tile.run0,
+                                runs_.data() + tile.run1};
           dx_kernel(wide, cout_, static_cast<std::uint32_t>(k_), static_cast<std::uint32_t>(oh),
-                    static_cast<std::uint32_t>(ow), ap + cp * kk * cout_ * kMR,
-                    gpad + n * cout_ * plane, tile.at.data(), offsets_.data(),
-                    offsets_.data() + cout_, lane, lane + kNR, store);
+                    static_cast<std::uint32_t>(ow), ap + c0, lda, gpad + n * cout_ * plane,
+                    tile.at.data(), offsets_.data(), offsets_.data() + cout_, lane, lane + kNR,
+                    store);
         }
       },
-      task_grain(units, 2 * kMR * kNR * kk * cout_));
+      task_grain(units, 2 * panels.base * kNR * kk * cout_));
 }
 
 std::vector<ParamView> Conv2D::params() {

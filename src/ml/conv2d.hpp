@@ -11,8 +11,10 @@ namespace airfedga::ml {
 
 /// 2-D convolution over NCHW activations (stride 1, symmetric zero padding)
 /// as implicit GEMMs: no patch matrix is ever stored or packed. Every pass
-/// runs ml::sgemm's MR x NR register tile with its B operand read in place,
-/// each depth row as four NR/4-float pieces at per-row offsets:
+/// runs a register tile of NR columns, and of as many rows as its channel
+/// count and the clone's registers allow (tile_kernel), ml::sgemm's fused
+/// chain per entry, with its B operand read in place, each depth row as
+/// four NR/4-float pieces at per-row offsets, staged once for all rows:
 ///  * forward: W times the patch matrix, B read from the zero-padded input.
 ///    The pieces cover output rows in the padded grid; their columns past
 ///    the row are computed and dropped. The tile stores NCHW plus the bias.
@@ -23,8 +25,9 @@ namespace airfedga::ml {
 ///    in the padded grid.
 ///  * dx: col2im(W^T gy) one tile of input channels x dx pixels at a time
 ///    (dx_kernel): for each kernel offset, the chain over output channels
-///    from a zero-padded copy of the gradient planes, summed in registers
-///    in col2im's order.
+///    from a zero-padded copy of the gradient planes, kept with the running
+///    sums in registers and summed in col2im's order.
+///  * db: every channel's sum in column order, side by side.
 /// Every output float comes from the operations, in the order, of ml::sgemm
 /// over the stored patch matrix followed by col2im: the bits are the same.
 /// Each pass splits its tiles over util::parallel_for into units that write
@@ -84,49 +87,53 @@ class Conv2D : public Layer {
   struct Run {
     std::size_t col, len, dst;
   };
-  /// Where tile_kernel writes: tile row i goes to rows[i] (skipped when
-  /// null) through the runs [run0, run1), as `C = value + bias[i]`, `C =
+  /// Where tile_kernel writes: the tile's first `rows` rows, row i to c +
+  /// i * ldc through the runs [run0, run1), as `C = value + bias[i]`, `C =
   /// value` when bias is null, or `C += value` with `add`. value is the
   /// tile's sum over its depth slice, added to `prior` (the sum over the
-  /// earlier slices) when that is set.
+  /// earlier slices, row stride NR) when that is set.
   struct TileStore {
-    std::array<float*, gemm_blocking().mr> rows;
+    float* c;
+    std::size_t ldc, rows;
     const Run* run0;
     const Run* run1;
     const float* prior = nullptr;
     const float* bias = nullptr;
     bool add = false;
   };
-  /// The MR x NR register tile of a GEMM whose B operand is read in place,
-  /// over one KC slice: depth row p of B is the four runs of NR/4 floats
-  /// at b + at[i] + off[p], one after the other, and A is one packed MR-row
-  /// panel. Each entry is the ascending-depth chain of fused multiply-adds
-  /// from +0 that ml::sgemm's micro-kernel computes, stored through
-  /// `store`. `wide` says the avx512f clone runs (see kernel_clones.hpp).
-  static void tile_kernel(bool wide, std::size_t kc, const float* ap, const float* b,
-                          const std::size_t* at, const std::size_t* off,
+  /// The register tile of `store.rows` rows x NR columns of a GEMM whose B
+  /// operand is read in place, over one KC slice: depth row p of B is the
+  /// four runs of NR/4 floats at b + at[i] + off[p], one after the other,
+  /// and of A the rows' floats at ap + p * lda. Each entry is the
+  /// ascending-depth chain of fused multiply-adds from +0 that ml::sgemm's
+  /// micro-kernel computes, stored through `store`. `wide` says the
+  /// avx512f clone runs (see kernel_clones.hpp): its tile is as tall as the
+  /// rows, up to 14, while the 8-float clones compute 4 rows.
+  static void tile_kernel(bool wide, std::size_t kc, const float* ap, std::size_t lda,
+                          const float* b, const std::size_t* at, const std::size_t* off,
                           const TileStore& store);
-  /// The dx tile of MR input channels x NR pixels (see backward_input):
-  /// for each kernel offset t = (ki, kj), ascending, the chain over the
-  /// cout output channels (A at ap + t*cout*MR, B pieces at b + at[i] +
-  /// shift[t] + off[o]) is added to the running sum of every lane whose
-  /// output pixel exists: lane j's padded coordinates are (ly[j], lx[j]),
-  /// and its pixel for (ki, kj) exists when ly[j] - ki < oh and lx[j] - kj
-  /// < ow. The sums are stored through `store`.
+  /// The dx tile of `store.rows` input channels x NR pixels (see
+  /// backward_input), up to 7 channels on the avx512f clone and 4 on the
+  /// others: for each kernel offset t = (ki, kj), ascending, the chain over
+  /// the cout output channels (A rows at ap + (t*cout + o) * lda, B pieces
+  /// at b + at[i] + shift[t] + off[o]) is added to the running sum of every
+  /// lane whose output pixel exists: lane j's padded coordinates are (ly[j],
+  /// lx[j]), and its pixel for (ki, kj) exists when ly[j] - ki < oh and
+  /// lx[j] - kj < ow. The sums are stored through `store`.
   static void dx_kernel(bool wide, std::size_t cout, std::uint32_t k, std::uint32_t oh,
-                        std::uint32_t ow, const float* ap, const float* b,
+                        std::uint32_t ow, const float* ap, std::size_t lda, const float* b,
                         const std::size_t* at, const std::size_t* off,
                         const std::size_t* shift, const std::uint32_t* ly,
                         const std::uint32_t* lx, const TileStore& store);
-  /// Writes an MR x NR tile (row stride NR) through `store`.
+  /// Writes a tile (row stride NR) through `store`.
   static void store_tile(const float* acc, const TileStore& store);
-  /// The tile of A panel `ir` (of the m-row operand packed in KC slices)
-  /// over all k depth rows: the slices before the last sum into a scratch
-  /// tile, exactly as ml::sgemm sums them into C, and the last stores the
-  /// total through `store`.
-  static void tile_over_depth(bool wide, std::size_t k, std::size_t m, std::size_t ir,
-                              const float* ap, const float* b, const std::size_t* at,
-                              const std::size_t* off, TileStore store);
+  /// The tile over all k depth rows of the A operand packed at ap (row
+  /// stride lda): the slices before the last sum into a scratch tile,
+  /// exactly as ml::sgemm sums them into C, and the last stores the total
+  /// through `store`.
+  static void tile_over_depth(bool wide, std::size_t k, const float* ap, std::size_t lda,
+                              const float* b, const std::size_t* at, const std::size_t* off,
+                              TileStore store);
 
   std::size_t cin_, cout_, k_, pad_;
   Tensor weight_;       // (cout, cin*k*k) flattened kernel matrix

@@ -25,7 +25,7 @@ namespace {
 // 512-bit, 16 at 256-bit — which auto-vectorizes cleanly at every x86
 // vector width (measured: narrower NR collapses under AVX-512 codegen).
 // The constants live in gemm.hpp (gemm_blocking): Conv2D's in-place tiles
-// use the same register tile and depth slices.
+// use the same tile width and depth slices (and MR on the 8-float clones).
 constexpr std::size_t kMR = gemm_blocking().mr;
 constexpr std::size_t kNR = gemm_blocking().nr;
 constexpr std::size_t kMC = gemm_blocking().mc;
@@ -48,8 +48,6 @@ inline std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) /
 inline float load_a(Trans ta, const float* a, std::size_t lda, std::size_t i, std::size_t p) {
   return ta == Trans::N ? a[i * lda + p] : a[p * lda + i];
 }
-
-}  // namespace
 
 /// Packs A rows [i0, i0+mc) x depth [p0, p0+kc) into MR-row micro-panels:
 /// panel `ir` holds kc groups of MR consecutive-row elements (zero-padded
@@ -108,8 +106,6 @@ void pack_a_panels(Trans ta, const float* a, std::size_t lda, std::size_t i0, st
     }
   }
 }
-
-namespace {
 
 /// Packs B depth [p0, p0+kc) x columns [j0, j0+nc) into NR-column
 /// micro-panels (zero-padded past nc), stride-1 for the micro-kernel.

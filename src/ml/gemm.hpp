@@ -13,7 +13,7 @@ enum class Trans : unsigned char {
 /// Blocking geometry of the packed kernels. Exported so callers can derive
 /// parallel grain sizes from panel sizes (instead of guessing), so tests
 /// can aim edge shapes at the tile boundaries, and so Conv2D's in-place
-/// tiles use the micro-kernel's register tile and depth slices.
+/// tiles use the micro-kernel's tile width and depth slices.
 struct GemmBlocking {
   std::size_t mc;  ///< row-panel height (rows of C per tile)
   std::size_t kc;  ///< depth-panel length (k-extent packed per pass)
@@ -24,14 +24,6 @@ struct GemmBlocking {
 
 /// The compiled-in blocking constants.
 [[nodiscard]] constexpr GemmBlocking gemm_blocking() { return {64, 256, 256, 4, 32}; }
-
-/// Packs rows [i0, i0+mc) x depth [p0, p0+kc) of op(A) into the A panels
-/// the micro-kernel reads: ceil(mc / MR) micro-panels of kc x MR floats,
-/// panel `ir` at `ap + ir*kc*MR` holding `ap[ir*kc*MR + p*MR + r] =
-/// op(A)(i0+ir*MR+r, p0+p)`, zero for rows at or past mc. op(A) is A stored
-/// (m,k) with row stride `lda` when `ta == N`, stored (k,m) when `ta == T`.
-void pack_a_panels(Trans ta, const float* a, std::size_t lda, std::size_t i0, std::size_t mc,
-                   std::size_t p0, std::size_t kc, float* ap);
 
 /// C(m,n) = opA(A) · opB(B) + beta·C, row-major, single precision.
 ///

@@ -1,14 +1,15 @@
 // Conv training-step goldens and the lowering checks behind them.
 //
 // The lowering checks build the patch matrix naively and require
-// Conv2D's forward and backward to equal ml::sgemm over it bit for bit,
+// Conv2D's forward and backward to equal ml::sgemm over it bit for bit
+// (and the bias gradient a plain per-channel sum),
 // across kernel sizes, paddings, non-square images, channel counts and
 // batch sizes, and across the batches that an earlier KC-aligned chunk
 // rule lowered in several chunks (cut off mid-batch, on planes whose
 // OH*OW does not divide KC, or with a KC alignment larger than the batch);
 // those cases stay as they were. A further case set aims at the in-place
 // register tiles: output rows shorter or longer than a tile's pieces,
-// output channel counts around the register tile's rows, depth past one KC
+// input and output channel counts around the tile heights, depth past one KC
 // slice, and an output that ends inside a tile. Backward reuses the
 // training forward's padded input; the reuse tests show that an eval
 // forward in between changes nothing, and the workspace test bounds what
@@ -246,11 +247,15 @@ std::vector<float> dx_reference(const ConvCase& c, std::size_t cout, const float
 }
 
 /// Conv2D's dW and dx must equal one sgemm each over the whole batch's
-/// naive patch matrix, bit for bit.
+/// naive patch matrix, and db each channel's plain sum of grad_out over
+/// samples then pixels from +0, added to its prior value: bit for bit.
 void check_backward(const ConvCase& c, std::size_t cout = kCout) {
   Conv2D conv(c.cin, cout, c.k, c.pad);
   util::Rng rng(37);
   conv.init(rng);
+  auto params = conv.params();
+  for (float& g : params[1].grad) g = static_cast<float>(rng.normal());
+  const std::vector<float> db_prior(params[1].grad.begin(), params[1].grad.end());
   const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
   conv.forward(x);
   const Tensor g = Tensor::randn({c.batch, cout, c.oh(), c.ow()}, rng);
@@ -259,7 +264,16 @@ void check_backward(const ConvCase& c, std::size_t cout = kCout) {
   const std::size_t ncols = c.ncols(), rows = c.rows();
   const std::vector<float> gy = gather_gy(c, cout, g);
   const std::vector<float> cols = naive_patches(c, x);
-  auto params = conv.params();
+  const std::size_t np = c.oh() * c.ow();
+  for (std::size_t o = 0; o < cout; ++o) {
+    float sum = 0.0f;
+    for (std::size_t n = 0; n < c.batch; ++n)
+      for (std::size_t i = 0; i < np; ++i) sum += g[(n * cout + o) * np + i];
+    float db = db_prior[o];
+    db += sum;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(params[1].grad[o]), std::bit_cast<std::uint32_t>(db))
+        << "db " << o;
+  }
 
   std::vector<float> dw(cout * rows, 0.0f);
   sgemm(Trans::N, Trans::T, cout, rows, ncols, gy.data(), ncols, cols.data(), ncols, 1.0f,
@@ -318,14 +332,17 @@ TEST(ConvLowering, ChunkedLoweringEqualsSgemmOverNaivePatchMatrix) {
 }
 
 /// Cases aimed at the in-place register tiles (pieces of 8 columns, 4
-/// output rows a tile, 256-deep slices): every pairing of an output-channel
+/// output rows a tile on the 8-float clones, 256-deep slices): every pairing of an output-channel
 /// count around the tile's rows with an output width shorter than, equal
 /// to or longer than a piece, at batch 1, with k and the padding (0 to 2,
 /// also wider than k - 1) cycling; an odd OH keeps batch*OH*OW off a
 /// multiple of 32, so the output ends inside a tile (OH > 2 * pad keeps
 /// the input at least one pixel high). Then 12 channels of
 /// 5x5 (300 patch rows: the forward spans two KC slices) and 257 output
-/// channels (dx spans two).
+/// channels (dx spans two). Last, channel counts at and around the tile
+/// heights the avx512f clone picks (up to 14 output channels a tile, 7
+/// input channels a dx tile, larger counts in balanced panels), for input
+/// and output channels alike.
 std::vector<std::pair<ConvCase, std::size_t>> tile_cases() {
   std::vector<std::pair<ConvCase, std::size_t>> cases;  // (shape, cout)
   const std::size_t couts[] = {1, 4, 6, 13, 17, 33};
@@ -342,6 +359,13 @@ std::vector<std::pair<ConvCase, std::size_t>> tile_cases() {
   cases.push_back({{5, 2, 12, 1, 5, 8}, 6});
   cases.push_back({{5, 2, 12, 1, 5, 8}, 13});
   cases.push_back({{3, 1, 2, 1, 5, 7}, 257});
+  const std::size_t cins[] = {4, 5, 6, 7, 8, 13, 15, 16, 17};
+  const std::size_t tall_couts[] = {6, 13, 14, 15, 29};
+  for (std::size_t i = 0; i < std::size(cins); ++i) {
+    const std::size_t k = kernels[i % 3], pad = k / 2;
+    cases.push_back({{k, pad, cins[i], 1, 5, 9}, tall_couts[i % std::size(tall_couts)]});
+    cases.push_back({{k, pad, cins[i], 1, 3, 7}, tall_couts[(i + 2) % std::size(tall_couts)]});
+  }
   return cases;
 }
 
