@@ -156,7 +156,8 @@ ShapeResult bench_shape(const GemmShape& s, double budget_ms) {
 }
 
 /// A figure model's conv layer at its preset batch (16), timed through
-/// Conv2D: `first` marks a model's first layer, whose backward skips dx.
+/// Conv2D built as the zoo builds it (ReLU folded in): `first` marks a
+/// model's first layer, whose backward skips dx.
 struct ConvLayer {
   const char* figure;
   const char* layer;
@@ -179,7 +180,7 @@ struct ConvResult {
 
 ConvResult bench_conv(const ConvLayer& l, double budget_ms) {
   constexpr std::size_t kBatch = 16;
-  ml::Conv2D conv(l.cin, l.cout, l.kernel, l.pad);
+  ml::Conv2D conv(l.cin, l.cout, l.kernel, l.pad, /*relu=*/true);
   util::Rng rng(5);
   conv.init(rng);
   const auto out = conv.out_height(l.image);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -27,11 +28,12 @@
 namespace airfedga::ml {
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-               std::size_t padding)
+               std::size_t padding, bool relu)
     : cin_(in_channels),
       cout_(out_channels),
       k_(kernel),
       pad_(padding),
+      relu_(relu),
       weight_({out_channels, in_channels * kernel * kernel}),
       bias_({out_channels}),
       weight_grad_({out_channels, in_channels * kernel * kernel}),
@@ -52,11 +54,25 @@ namespace {
 constexpr std::size_t kMR = gemm_blocking().mr;
 constexpr std::size_t kNR = gemm_blocking().nr;
 constexpr std::size_t kKC = gemm_blocking().kc;
-constexpr std::size_t kPieces = 4;
-constexpr std::size_t kPiece = kNR / kPieces;
+/// An 8-float B piece, a 16-float vector, and dW's piece at k = 5 on the
+/// avx512f kernel: a window row, three a half (8 without shufflevector).
+constexpr std::size_t kPiece = kNR / 4;
+constexpr std::size_t kHalf = kNR / 2;
+#if defined(AIRFEDGA_HAS_SHUFFLEVECTOR)
+constexpr std::size_t kWindowRow = 5;
+#else
+constexpr std::size_t kWindowRow = kPiece;
+#endif
 
-/// Tallest tiles on the avx512f clone, whose 32 registers hold tile_kernel's
-/// rows, or dx_kernel's twice (chain and running sum), at two a row plus B.
+/// Pieces of `len` floats a tile stages, as many as fill each half, and
+/// the tile column where piece i starts.
+constexpr std::size_t piece_count(std::size_t len) { return 2 * (kHalf / len); }
+constexpr std::size_t piece_col(std::size_t len, std::size_t i) {
+  return i / (kHalf / len) * kHalf + i % (kHalf / len) * len;
+}
+
+/// Tallest tiles on the avx512f kernels, whose 32 registers hold a tile's
+/// rows, or a dx tile's twice (chain and running sum), at two a row plus B.
 constexpr std::size_t kWideRows = 14;
 constexpr std::size_t kWideDxRows = 7;
 
@@ -87,31 +103,56 @@ std::size_t chunk_samples(std::size_t batch, std::size_t per_sample) {
 /// Row stride of a packed A operand of m rows: m rounded up to kMR.
 std::size_t packed_stride(std::size_t m) { return (m + kMR - 1) / kMR * kMR; }
 
+/// ReLU's mask at its outputs `y`: 1 where y > 0, else 0 (NaN too), branch-free.
+float relu_mask(float y) {
+  return std::bit_cast<float>(-static_cast<std::uint32_t>(y > 0.0f) & 0x3f800000u);
+}
+#if defined(__SSE__)
+__m128 relu_mask(__m128 y) {
+  return _mm_and_ps(_mm_cmpgt_ps(y, _mm_setzero_ps()), _mm_set1_ps(1.0f));
+}
+#endif
+
+/// out[j] = g[j] * relu_mask(y[j]) for j < n; a copy of g without y.
+void relu_grad(const float* g, const float* y, std::size_t n, float* out) {
+  if (y == nullptr) return (void)std::memcpy(out, g, n * sizeof(float));
+  std::size_t j = 0;
+#if defined(__SSE__)
+  for (; j + 4 <= n; j += 4)
+    _mm_storeu_ps(out + j, _mm_mul_ps(_mm_loadu_ps(g + j), relu_mask(_mm_loadu_ps(y + j))));
+#endif
+  for (; j < n; ++j) out[j] = g[j] * relu_mask(y[j]);
+}
+
 /// Packs the m x kc matrix A (row stride lda) depth-major for the tiles:
-/// ap[p * ld + i] = A(i, p), zero for the rows m <= i < ld.
+/// ap[p * ld + i] = A(i, p), zero for the rows m <= i < ld. With `y` (the
+/// ReLU output A is the gradient of, same layout), A(i, p) * relu_mask.
 void pack_a(const float* a, std::size_t lda, std::size_t m, std::size_t kc, std::size_t ld,
-            float* ap) {
+            float* ap, const float* y = nullptr) {
   for (std::size_t i = 0; i < ld; i += 4) {
     std::size_t p = 0;
 #if defined(__SSE__)
     // Four rows (zeros past m) by four depth steps: a 4x4 transpose.
     for (; p + 4 <= kc; p += 4) {
       __m128 x[4];
-      for (std::size_t r = 0; r < 4; ++r)
+      for (std::size_t r = 0; r < 4; ++r) {
         x[r] = i + r < m ? _mm_loadu_ps(a + (i + r) * lda + p) : _mm_setzero_ps();
+        if (y != nullptr && i + r < m)
+          x[r] = _mm_mul_ps(x[r], relu_mask(_mm_loadu_ps(y + (i + r) * lda + p)));
+      }
       _MM_TRANSPOSE4_PS(x[0], x[1], x[2], x[3]);
       for (std::size_t r = 0; r < 4; ++r) _mm_storeu_ps(ap + (p + r) * ld + i, x[r]);
     }
 #endif
     for (; p < kc; ++p)
-      for (std::size_t r = 0; r < 4; ++r)
-        ap[p * ld + i + r] = i + r < m ? a[(i + r) * lda + p] : 0.0f;
+      for (std::size_t r = 0, at = i * lda + p; r < 4; ++r, at += lda)
+        ap[p * ld + i + r] = i + r >= m ? 0.0f : y ? a[at] * relu_mask(y[at]) : a[at];
   }
 }
 
 /// How a pass splits `count` channels into n balanced row panels of at
 /// most `tallest` rows, the first count % n one row taller: one register
-/// tile each, as tall as its panel on the avx512f clone. The 8-float clones
+/// tile each, as tall as its panel on the avx512f kernel. The 8-float clones
 /// keep kMR-row tiles, where a taller one would spill, and drop the rows
 /// past the panel (the last one's end by `count` rounded up to kMR).
 struct Panels {
@@ -124,22 +165,12 @@ struct Panels {
   [[nodiscard]] std::size_t rows(std::size_t i) const { return base + (i < extra ? 1 : 0); }
 };
 
-/// Calls f.operator()<true, rows>() for 1 <= rows <= kRows.
+/// Calls f.operator()<rows>() for 1 <= rows <= kRows.
 template <std::size_t kRows, typename F>
-[[gnu::always_inline]] inline void with_wide_height(std::size_t rows, F& f) {
+[[gnu::always_inline]] inline void with_height(std::size_t rows, F& f) {
   if constexpr (kRows > 1)
-    if (rows < kRows) return with_wide_height<kRows - 1>(rows, f);
-  f.template operator()<true, kRows>();
-}
-
-/// Calls f.operator()<kWide, kRows>() with a panel of `rows` rows' tile
-/// height kRows: `rows` (at most kTallest) on the avx512f clone, else kMR.
-template <std::size_t kTallest, typename F>
-[[gnu::always_inline]] inline void with_tile_height(bool wide, std::size_t rows, F&& f) {
-  if (wide)
-    with_wide_height<kTallest>(rows, f);
-  else
-    f.template operator()<false, kMR>();
+    if (rows < kRows) return with_height<kRows - 1>(rows, f);
+  f.template operator()<kRows>();
 }
 
 using Piece = float __attribute__((vector_size(kPiece * sizeof(float))));
@@ -162,36 +193,45 @@ void add_rows(const float* a, std::size_t ld, std::size_t kc, float* sums) {
 }
 
 /// A tile of kRows rows that the compiler keeps in vector registers: a row
-/// is two 16-float vectors on the avx512f clone, four 8-float ones else.
+/// is two 16-float vectors on the avx512f kernel, four 8-float ones else.
 template <bool kWide, std::size_t kRows>
 using TileRegs = std::conditional_t<kWide, TwoPieces[kRows][2], Piece[kRows][4]>;
 
 /// acc += the kRows x NR register tile over kc depth rows: row p of B is
-/// the kPieces runs of kPiece floats at b + at[i] + off[p], one after the
-/// other, and row p of A the kRows floats at ap + p * lda; one fused
-/// multiply-add per step, in ascending depth, as in ml::sgemm's
-/// micro-kernel. Each B row is loaded and staged once for all kRows rows:
-/// as two 16-float vectors on the avx512f clone, else as four 8-float ones.
-template <bool kWide, std::size_t kRows>
+/// the piece_count(kLen) runs of kLen floats at b + at[i] + off[p], each
+/// at tile column piece_col(kLen, i), and row p of A the kRows floats at
+/// ap + p * lda; one fused multiply-add per step, in ascending depth, as
+/// in ml::sgemm's micro-kernel. Each B row is loaded and staged once for
+/// all kRows rows: as two 16-float vectors on the avx512f kernel, else as
+/// four 8-float ones. A piece is read as 8 floats, whatever kLen.
+template <bool kWide, std::size_t kRows, std::size_t kLen = kPiece>
 [[gnu::always_inline]] inline void accumulate_tile(std::size_t kc, const float* __restrict ap,
                                                    std::size_t lda, const float* __restrict b,
                                                    const std::size_t* __restrict at,
                                                    const std::size_t* __restrict off,
                                                    TileRegs<kWide, kRows>& acc) {
-  static_assert(kPieces == 4);
-  const float* q0 = b + at[0];
-  const float* q1 = b + at[1];
-  const float* q2 = b + at[2];
-  const float* q3 = b + at[3];
+  constexpr std::size_t kCount = piece_count(kLen);
+  static_assert(kLen == kPiece || (kWide && kLen == kWindowRow));
   for (std::size_t p = 0; p < kc; ++p) {
-    Piece x[kPieces];
-    std::memcpy(&x[0], q0 + off[p], sizeof(Piece));
-    std::memcpy(&x[1], q1 + off[p], sizeof(Piece));
-    std::memcpy(&x[2], q2 + off[p], sizeof(Piece));
-    std::memcpy(&x[3], q3 + off[p], sizeof(Piece));
+    Piece x[kCount];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kCount; ++i) std::memcpy(&x[i], b + at[i] + off[p], sizeof(Piece));
     float row_b[kNR];
 #if defined(AIRFEDGA_HAS_SHUFFLEVECTOR)
-    if constexpr (kWide) {
+    if constexpr (kLen != kPiece) {
+      // A half of three 5-float pieces from x[i], its last lane unused.
+      const auto half = [&x](std::size_t i, float* out) __attribute__((always_inline)) {
+        const TwoPieces ab = __builtin_shufflevector(x[i], x[i + 1], 0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                                     9, 10, 11, 12, 13, 14, 15);
+        const TwoPieces c = __builtin_shufflevector(x[i + 2], x[i + 2], 0, 1, 2, 3, 4, 5, 6, 7,
+                                                    -1, -1, -1, -1, -1, -1, -1, -1);
+        const TwoPieces h = __builtin_shufflevector(ab, c, 0, 1, 2, 3, 4, 8, 9, 10, 11, 12, 16,
+                                                    17, 18, 19, 20, -1);
+        std::memcpy(out, &h, sizeof h);
+      };
+      half(0, row_b);
+      half(3, row_b + kHalf);
+    } else if constexpr (kWide) {
       const TwoPieces lo = __builtin_shufflevector(x[0], x[1], 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                                    11, 12, 13, 14, 15);
       const TwoPieces hi = __builtin_shufflevector(x[2], x[3], 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
@@ -227,20 +267,23 @@ template <bool kWide, std::size_t kRows>
       std::memcpy(out + (i * kVecs + v) * (kNR / kVecs), &acc[i][v], sizeof acc[i][v]);
 }
 
-}  // namespace
-
-[[gnu::always_inline]] inline void Conv2D::store_tile(const float* acc, const TileStore& store) {
+/// Writes a tile (row stride NR) through `store` (a Conv2D::TileStore).
+template <typename Store>
+[[gnu::always_inline]] inline void store_tile(const float* acc, const Store& store) {
   for (std::size_t i = 0; i < store.rows; ++i) {
     float* c = store.c + i * store.ldc;
     const float* row = acc + i * kNR;
-    for (const Run* r = store.run0; r != store.run1; ++r) {
+    for (auto r = store.run0; r != store.run1; ++r) {
       float* d = c + r->dst;
       const float* v = row + r->col;
       if (store.add) {
         for (std::size_t j = 0; j < r->len; ++j) d[j] += v[j];
       } else if (store.bias != nullptr) {
         const float bias = store.bias[i];
-        for (std::size_t j = 0; j < r->len; ++j) d[j] = v[j] + bias;
+        if (store.relu)
+          for (std::size_t j = 0; j < r->len; ++j) d[j] = std::max(0.0f, v[j] + bias);  // ReLU
+        else
+          for (std::size_t j = 0; j < r->len; ++j) d[j] = v[j] + bias;
       } else {
         for (std::size_t j = 0; j < r->len; ++j) d[j] = v[j];
       }
@@ -248,77 +291,98 @@ template <bool kWide, std::size_t kRows>
   }
 }
 
-AIRFEDGA_KERNEL_CLONES
-void Conv2D::tile_kernel(bool wide, std::size_t kc, const float* __restrict ap, std::size_t lda,
-                         const float* __restrict b, const std::size_t* __restrict at,
-                         const std::size_t* __restrict off, const TileStore& store) {
-  const auto tile = [&]<bool kWide, std::size_t kRows>() __attribute__((always_inline)) {
-    TileRegs<kWide, kRows> acc = {};
-    accumulate_tile<kWide, kRows>(kc, ap, lda, b, at, off, acc);
-    float out[kRows * kNR];
-    spill_tile<kWide, kRows>(acc, out);
-    if (store.prior != nullptr)
-      for (std::size_t j = 0; j < store.rows * kNR; ++j) out[j] = store.prior[j] + out[j];
-    store_tile(out, store);
-  };
-  with_tile_height<kWideRows>(wide, store.rows, tile);
+/// The kRows x NR tile over one KC slice (see Conv2D::Operands).
+template <bool kWide, std::size_t kRows, std::size_t kLen, typename Op, typename Store>
+[[gnu::always_inline]] inline void run_tile(const Op& op, const Store& store) {
+  TileRegs<kWide, kRows> acc = {};
+  accumulate_tile<kWide, kRows, kLen>(op.depth, op.ap, op.lda, op.b, op.at, op.off, acc);
+  float out[kRows * kNR];
+  spill_tile<kWide, kRows>(acc, out);
+  if (store.prior != nullptr)
+    for (std::size_t j = 0; j < store.rows * kNR; ++j) out[j] = store.prior[j] + out[j];
+  store_tile(out, store);
 }
 
-AIRFEDGA_KERNEL_CLONES
-void Conv2D::dx_kernel(bool wide, std::size_t cout, std::uint32_t k, std::uint32_t oh,
-                       std::uint32_t ow, const float* __restrict ap, std::size_t lda,
-                       const float* __restrict b, const std::size_t* __restrict at,
-                       const std::size_t* __restrict off, const std::size_t* __restrict shift,
-                       const std::uint32_t* __restrict ly, const std::uint32_t* __restrict lx,
-                       const TileStore& store) {
-  const auto dx = [&]<bool kWide, std::size_t kRows>() __attribute__((always_inline)) {
-    TileRegs<kWide, kRows> sum = {};
-    for (std::uint32_t ki = 0; ki < k; ++ki) {
-      for (std::uint32_t kj = 0; kj < k; ++kj) {
-        const std::size_t t = ki * k + kj;
-        // The patch-matrix gradient of rows (c, ki, kj) at the lanes' output
-        // pixels: the chain over the output channels, in KC slices summed as
-        // ml::sgemm sums them.
-        TileRegs<kWide, kRows> d = {};
-        accumulate_tile<kWide, kRows>(std::min(kKC, cout), ap + t * cout * lda, lda, b + shift[t],
-                                      at, off, d);
-        for (std::size_t o0 = kKC; o0 < cout; o0 += kKC) {
-          TileRegs<kWide, kRows> acc = {};
-          accumulate_tile<kWide, kRows>(std::min(kKC, cout - o0), ap + (t * cout + o0) * lda,
-                                        lda, b + shift[t], at, off + o0, acc);
-          for (std::size_t i = 0; i < kRows; ++i)
-            for (std::size_t v = 0; v < std::size(d[i]); ++v) d[i][v] += acc[i][v];
-        }
-        // Add it where the output pixel (y + pad - ki, x + pad - kj) exists.
-        float s[kRows][kNR], dv[kRows][kNR];
-        std::memcpy(s, sum, sizeof s);
-        std::memcpy(dv, d, sizeof dv);
-        for (std::size_t j = 0; j < kNR; ++j) {
-          const bool live = ly[j] - ki < oh && lx[j] - kj < ow;
-          for (std::size_t i = 0; i < kRows; ++i) s[i][j] = live ? s[i][j] + dv[i][j] : s[i][j];
-        }
-        std::memcpy(sum, s, sizeof s);
+/// The kRows x NR dx tile (see Conv2D::Operands).
+template <bool kWide, std::size_t kRows, typename Op, typename Store>
+[[gnu::always_inline]] inline void run_dx(const Op& op, const Store& store) {
+  const std::size_t cout = op.depth, lda = op.lda;
+  const std::uint32_t k = op.k, oh = op.oh, ow = op.ow;
+  const std::uint32_t *ly = op.ly, *lx = op.lx;
+  TileRegs<kWide, kRows> sum = {};
+  for (std::uint32_t ki = 0; ki < k; ++ki) {
+    for (std::uint32_t kj = 0; kj < k; ++kj) {
+      const std::size_t t = ki * k + kj;
+      const float* b = op.b + op.shift[t];
+      // The patch-matrix gradient of rows (c, ki, kj) at the lanes' output
+      // pixels: the chain over the output channels, in KC slices summed as
+      // ml::sgemm sums them.
+      TileRegs<kWide, kRows> d = {};
+      accumulate_tile<kWide, kRows>(std::min(kKC, cout), op.ap + t * cout * lda, lda, b, op.at,
+                                    op.off, d);
+      for (std::size_t o0 = kKC; o0 < cout; o0 += kKC) {
+        TileRegs<kWide, kRows> acc = {};
+        accumulate_tile<kWide, kRows>(std::min(kKC, cout - o0), op.ap + (t * cout + o0) * lda,
+                                      lda, b, op.at, op.off + o0, acc);
+        for (std::size_t i = 0; i < kRows; ++i)
+          for (std::size_t v = 0; v < std::size(d[i]); ++v) d[i][v] += acc[i][v];
       }
+      // Add it where the output pixel (y + pad - ki, x + pad - kj) exists.
+      float s[kRows][kNR], dv[kRows][kNR];
+      std::memcpy(s, sum, sizeof s);
+      std::memcpy(dv, d, sizeof dv);
+      for (std::size_t j = 0; j < kNR; ++j) {
+        const bool live = ly[j] - ki < oh && lx[j] - kj < ow;
+        for (std::size_t i = 0; i < kRows; ++i) s[i][j] = live ? s[i][j] + dv[i][j] : s[i][j];
+      }
+      std::memcpy(sum, s, sizeof s);
     }
-    float out[kRows * kNR];
-    spill_tile<kWide, kRows>(sum, out);
-    store_tile(out, store);
-  };
-  with_tile_height<kWideDxRows>(wide, store.rows, dx);
+  }
+  float out[kRows * kNR];
+  spill_tile<kWide, kRows>(sum, out);
+  store_tile(out, store);
 }
 
-void Conv2D::tile_over_depth(bool wide, std::size_t k, const float* ap, std::size_t lda,
-                             const float* b, const std::size_t* at, const std::size_t* off,
-                             TileStore store) {
+}  // namespace
+
+AIRFEDGA_KERNEL_CLONES
+void Conv2D::narrow_tile(const Operands& op, const TileStore& store) {
+  run_tile<false, kMR, kPiece>(op, store);
+}
+
+AIRFEDGA_KERNEL_CLONES
+void Conv2D::narrow_dx(const Operands& op, const TileStore& store) {
+  run_dx<false, kMR>(op, store);
+}
+
+AIRFEDGA_KERNEL_AVX512
+void Conv2D::wide_tile(const Operands& op, const TileStore& store) {
+  const auto tile = [&]<std::size_t kRows>() __attribute__((always_inline)) {
+    op.window_rows ? run_tile<true, kRows, kWindowRow>(op, store)
+                   : run_tile<true, kRows, kPiece>(op, store);
+  };
+  with_height<kWideRows>(store.rows, tile);
+}
+
+AIRFEDGA_KERNEL_AVX512
+void Conv2D::wide_dx(const Operands& op, const TileStore& store) {
+  const auto dx = [&]<std::size_t kRows>() __attribute__((always_inline)) {
+    run_dx<true, kRows>(op, store);
+  };
+  with_height<kWideDxRows>(store.rows, dx);
+}
+
+void Conv2D::tile_over_depth(bool wide, Operands op, TileStore store) {
   static constexpr Run kWhole{0, kNR, 0};
   alignas(64) float sum[kWideRows * kNR];
   TileStore partial{sum, kNR, store.rows, &kWhole, &kWhole + 1};
-  for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
-    const std::size_t kc = std::min(kKC, k - p0);
-    const bool last = p0 + kc == k;
+  const std::size_t k = op.depth;
+  for (std::size_t p0 = 0; p0 < k; p0 += kKC, op.ap += kKC * op.lda, op.off += kKC) {
+    op.depth = std::min(kKC, k - p0);
+    const bool last = p0 + op.depth == k;
     partial.add = p0 > 0;
     if (last) store.prior = p0 > 0 ? sum : nullptr;
-    tile_kernel(wide, kc, ap + p0 * lda, lda, b, at, off + p0, last ? store : partial);
+    (wide ? wide_tile : narrow_tile)(op, last ? store : partial);
   }
 }
 
@@ -341,12 +405,13 @@ void Conv2D::set_row_offsets(std::size_t hp, std::size_t wp) {
 }
 
 void Conv2D::plan_grid(std::size_t width, std::size_t plane_rows, std::size_t live_rows,
-                       std::size_t live_cols, std::size_t planes) {
+                       std::size_t live_cols, std::size_t planes, std::size_t len) {
   tiles_.clear();
   runs_.clear();
   const std::size_t plane = plane_rows * width;
+  const std::size_t pieces = piece_count(len);
   std::size_t pl = 0, row = 0, col = 0;  // the first position no piece covers yet
-  std::size_t piece = kPieces;           // pieces placed in the last tile
+  std::size_t piece = pieces;            // pieces placed in the last tile
   while (pl < planes) {
     // Skip to the next live position: a piece starts on one.
     if (row >= live_rows) {
@@ -360,17 +425,19 @@ void Conv2D::plan_grid(std::size_t width, std::size_t plane_rows, std::size_t li
       continue;
     }
     const std::size_t start = pl * plane + row * width + col;
-    if (piece == kPieces) {
+    if (piece == pieces) {
       // Pieces the tile never gets re-read its first one.
-      tiles_.push_back({{start, start, start, start}, runs_.size(), 0});
+      tiles_.push_back({{}, runs_.size(), 0});
+      tiles_.back().at.fill(start);
       piece = 0;
     }
     tiles_.back().at[piece] = start;
-    for (std::size_t j = 0; j < kPiece && pl < planes;) {
-      std::size_t step = std::min(kPiece - j, width - col);
+    for (std::size_t j = 0; j < len && pl < planes;) {
+      std::size_t step = std::min(len - j, width - col);
       if (row < live_rows && col < live_cols) {
         step = std::min(step, live_cols - col);
-        runs_.push_back({piece * kPiece + j, step, (pl * live_rows + row) * live_cols + col});
+        runs_.push_back(
+            {piece_col(len, piece) + j, step, (pl * live_rows + row) * live_cols + col});
       }
       j += step;
       col += step;
@@ -387,8 +454,8 @@ void Conv2D::plan_grid(std::size_t width, std::size_t plane_rows, std::size_t li
   }
 }
 
-void Conv2D::forward_samples(const float* ap, const float* xp, std::size_t s0, std::size_t s1,
-                             std::size_t np, std::size_t padded) {
+void Conv2D::forward_samples(const float* ap, const float* xp, float* y, std::size_t s0,
+                             std::size_t s1, std::size_t np, std::size_t padded) {
   const std::size_t rows = cin_ * k_ * k_;
   const std::size_t lda = packed_stride(cout_);
   const float* pb = bias_.data().data();
@@ -405,13 +472,12 @@ void Conv2D::forward_samples(const float* ap, const float* xp, std::size_t s0, s
           const std::size_t n = s0 + u / tiles;
           const Tile& t = tiles_[u % tiles];
           const float* xs = xp + (n - s0) * padded;
-          float* ys = out_.data().data() + n * cout_ * np;
+          float* ys = y + n * cout_ * np;
           for (std::size_t i = 0; i < panels.n; ++i) {
             const std::size_t o0 = panels.start(i);
-            TileStore store{ys + o0 * np, np, panels.rows(i), runs_.data() + t.run0,
-                            runs_.data() + t.run1};
-            store.bias = pb + o0;
-            tile_over_depth(wide, rows, ap + o0, lda, xs, t.at.data(), row_off_.data(), store);
+            const TileStore store{ys + o0 * np, np, panels.rows(i), runs_.data() + t.run0,
+                                  runs_.data() + t.run1, nullptr, pb + o0, false, relu_};
+            tile_over_depth(wide, {ap + o0, xs, t.at.data(), row_off_.data(), lda, rows}, store);
           }
         }
       },
@@ -427,14 +493,15 @@ const Tensor& Conv2D::forward(const Tensor& x) {
   const std::size_t oh = out_height(h), ow = out_width(w);
   const std::size_t padded = cin_ * hp * wp;  // floats per padded sample
   const std::size_t rows = cin_ * k_ * k_;
-  out_.resize_uninitialized({batch, cout_, oh, ow});
+  Tensor& y = training_ ? out_ : eval_out_;
+  y.resize_uninitialized({batch, cout_, oh, ow});
   set_row_offsets(hp, wp);
   // A tile's columns are four pieces of the padded grid (row stride wp),
   // each starting at an output pixel's top-left input: a piece covers a
   // whole output row when ow is a multiple of the piece, else it runs into
   // the row's padding or the next row, whose columns are computed and
   // dropped.
-  plan_grid(wp, oh, oh, ow, 1);
+  plan_grid(wp, oh, oh, ow, 1, kPiece);
 
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
@@ -446,8 +513,8 @@ const Tensor& Conv2D::forward(const Tensor& x) {
     in_shape_ = {batch, cin_, h, w};
     xpad_.resize_uninitialized({batch * padded + kSlack});
     pad_samples(x, 0, batch, xpad_.data().data());
-    forward_samples(ap, xpad_.data().data(), 0, batch, oh * ow, padded);
-    return out_;
+    forward_samples(ap, xpad_.data().data(), y.data().data(), 0, batch, oh * ow, padded);
+    return y;
   }
   const std::size_t chunk = chunk_samples(batch, padded);
   for (std::size_t s0 = 0; s0 < batch; s0 += chunk) {
@@ -455,9 +522,9 @@ const Tensor& Conv2D::forward(const Tensor& x) {
     Workspace::Scope chunk_scope(ws);
     float* xp = ws.floats((s1 - s0) * padded + kSlack);
     pad_samples(x, s0, s1, xp);
-    forward_samples(ap, xp, s0, s1, oh * ow, padded);
+    forward_samples(ap, xp, y.data().data(), s0, s1, oh * ow, padded);
   }
-  return out_;
+  return y;
 }
 
 const Tensor& Conv2D::backward(const Tensor& grad_out) {
@@ -480,14 +547,17 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
   // KC slices, and B is read in place from the input the training forward
   // padded: depth row q starts at q's top-left input pixel, and the tile
   // columns are runs of each channel's padded grid from there, whose
-  // positions past the k x k window are computed and dropped.
-  plan_grid(wp, hp, k_, k_, cin_);
+  // positions past the k x k window are computed and dropped (none at k =
+  // 5 on the avx512f kernel, whose pieces are the 5-float window rows).
   const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  const std::size_t len = wide && k_ == 5 ? kWindowRow : kPiece;
+  plan_grid(wp, hp, k_, k_, cin_, len);
   const Panels panels(wide, cout_, kWideRows);
   const std::size_t lda = packed_stride(cout_);
   const std::size_t units = tiles_.size() * panels.n;
   float* pdw = weight_grad_.data().data();
   const float* xp = xpad_.data().data();
+  const float* py = relu_ ? out_.data().data() : nullptr;  // ReLU's mask
   // The bias gradient sums each channel's gy row in column order from +0,
   // one accumulator per channel, all of them side by side: the chunk that
   // holds unit 0 adds each packed gy slice's depth rows into db.
@@ -512,9 +582,10 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
             // A run of the slice within sample n: gy's rows there are
             // grad_out's planes of sample n.
             const std::size_t pix = oi * ow + oj;
-            const std::size_t len = std::min(kc - p, np - pix);
-            pack_a(pg + n * cout_ * np + pix, np, cout_, len, lda, ap + p * lda);
-            for (const std::size_t end = p + len; p < end; ++p) {
+            const std::size_t run = std::min(kc - p, np - pix);
+            const std::size_t at = n * cout_ * np + pix;
+            pack_a(pg + at, np, cout_, run, lda, ap + p * lda, py ? py + at : nullptr);
+            for (const std::size_t end = p + run; p < end; ++p) {
               coff[p] = n * padded + oi * wp + oj;
               if (++oj == ow) {
                 oj = 0;
@@ -533,7 +604,8 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
             TileStore store{pdw + o0 * rows, rows, panels.rows(u % panels.n), runs_.data() + t.run0,
                             runs_.data() + t.run1};
             store.add = true;
-            tile_kernel(wide, kc, ap + o0, lda, xp, t.at.data(), coff.data(), store);
+            const Operands op{ap + o0, xp, t.at.data(), coff.data(), lda, kc, len != kPiece};
+            (wide ? wide_tile : narrow_tile)(op, store);
           }
         }
       },
@@ -563,7 +635,7 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
   const std::size_t skip = pad_ > k_ - 1 ? pad_ - (k_ - 1) : 0;
   const std::size_t lead = k_ - 1 + skip - pad_;
   const std::size_t rows_end = std::min(oh, h + pad_), cols_end = std::min(ow, w + pad_);
-  plan_grid(gw, h, h, w, 1);
+  plan_grid(gw, h, h, w, 1, kPiece);
   lanes_.resize(2 * kNR * tiles_.size());
   for (std::size_t t = 0; t < tiles_.size(); ++t)
     for (std::size_t j = 0; j < kNR; ++j) {
@@ -588,17 +660,18 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
       for (std::size_t c = 0; c < lda; ++c)
         ap[(t * cout_ + o) * lda + c] = c < cin_ ? pw[(o * cin_ + c) * kk + t] : 0.0f;
   // gpad holds every sample's planes, filled before the tiles run: a
-  // plane's gradient cells at rows and columns [lead, lead + live), zeros
-  // around them, and kSlack zeros after the last plane.
+  // plane's gradient cells (times ReLU's mask) at rows and columns [lead,
+  // lead + live), zeros around them, and kSlack zeros after the last plane.
   const std::size_t live_rows = rows_end - skip, live_cols = cols_end - skip;
   float* gpad = ws.floats(batch * cout_ * plane + kSlack);
   for (std::size_t pl = 0; pl < batch * cout_; ++pl) {
     float* g = gpad + pl * plane;
     const float* src = pg + pl * oh * ow + skip * ow + skip;
+    const float* y = out_.data().data() + (src - pg);
     std::memset(g, 0, lead * gw * sizeof(float));
-    for (std::size_t r = lead; r < lead + live_rows; ++r, src += ow) {
+    for (std::size_t r = lead; r < lead + live_rows; ++r, src += ow, y += ow) {
       std::memset(g + r * gw, 0, lead * sizeof(float));
-      std::memcpy(g + r * gw + lead, src, live_cols * sizeof(float));
+      relu_grad(src, relu_ ? y : nullptr, live_cols, g + r * gw + lead);
       std::memset(g + r * gw + lead + live_cols, 0, (gw - lead - live_cols) * sizeof(float));
     }
     std::memset(g + (lead + live_rows) * gw, 0, (gh - lead - live_rows) * gw * sizeof(float));
@@ -622,10 +695,11 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
           const TileStore store{dx_.data().data() + (n * cin_ + c0) * h * w, h * w,
                                 panels.rows(u % panels.n), runs_.data() + tile.run0,
                                 runs_.data() + tile.run1};
-          dx_kernel(wide, cout_, static_cast<std::uint32_t>(k_), static_cast<std::uint32_t>(oh),
-                    static_cast<std::uint32_t>(ow), ap + c0, lda, gpad + n * cout_ * plane,
-                    tile.at.data(), offsets_.data(), offsets_.data() + cout_, lane, lane + kNR,
-                    store);
+          const Operands op{ap + c0, gpad + n * cout_ * plane, tile.at.data(), offsets_.data(),
+                            lda, cout_, false, static_cast<std::uint32_t>(k_),
+                            static_cast<std::uint32_t>(oh), static_cast<std::uint32_t>(ow),
+                            offsets_.data() + cout_, lane, lane + kNR};
+          (wide ? wide_dx : narrow_dx)(op, store);
         }
       },
       task_grain(units, 2 * panels.base * kNR * kk * cout_));

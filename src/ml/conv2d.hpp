@@ -12,24 +12,31 @@ namespace airfedga::ml {
 /// 2-D convolution over NCHW activations (stride 1, symmetric zero padding)
 /// as implicit GEMMs: no patch matrix is ever stored or packed. Every pass
 /// runs a register tile of NR columns, and of as many rows as its channel
-/// count and the clone's registers allow (tile_kernel), ml::sgemm's fused
+/// count and the registers allow (narrow_*, wide_*), ml::sgemm's fused
 /// chain per entry, with its B operand read in place, each depth row as
-/// four NR/4-float pieces at per-row offsets, staged once for all rows:
+/// pieces at per-row offsets, staged once for all rows: four of NR/4
+/// floats, or on the avx512f kernel six of 5 (see dW):
 ///  * forward: W times the patch matrix, B read from the zero-padded input.
 ///    The pieces cover output rows in the padded grid; their columns past
-///    the row are computed and dropped. The tile stores NCHW plus the bias.
+///    the row are computed and dropped. The tile stores NCHW plus the bias,
+///    through ReLU (`t > 0 ? t : 0`) when the layer folds one in.
 ///  * dW: gy (grad_out as a cout x N*OH*OW matrix, packed from grad_out)
 ///    times the transposed patch matrix, over the whole batch's output
 ///    pixels in KC slices, B read from the padded input the training
 ///    forward kept. The tile columns are each channel's k x k window cells
-///    in the padded grid.
+///    in the padded grid, a window row a piece; at k = 5 the avx512f kernel
+///    packs three into each 16-float half (30 of 32 columns live, not 20).
 ///  * dx: col2im(W^T gy) one tile of input channels x dx pixels at a time
-///    (dx_kernel): for each kernel offset, the chain over output channels
+///    (Operands::shift set): for each kernel offset, the chain over output channels
 ///    from a zero-padded copy of the gradient planes, kept with the running
 ///    sums in registers and summed in col2im's order.
 ///  * db: every channel's sum in column order, side by side.
 /// Every output float comes from the operations, in the order, of ml::sgemm
 /// over the stored patch matrix followed by col2im: the bits are the same.
+/// With ReLU folded in (the zoo's conv blocks), gy is grad_out times ReLU's
+/// mask (1 where the training output is positive, else 0), as ReLU::backward
+/// has it, applied where gy is read: dW's packing, which db reads, and dx's
+/// gradient copy.
 /// Each pass splits its tiles over util::parallel_for into units that write
 /// disjoint outputs, so the split moves no bits either.
 ///
@@ -37,14 +44,16 @@ namespace airfedga::ml {
 /// again. An eval forward pads chunk by chunk into the thread-local
 /// workspace arena, at most 2^16 floats a chunk; dx copies the whole
 /// batch's gradient planes there, zero-padded. All three keep NR/4 zeroed
-/// floats after the last sample for the pieces' reads. Steady-state steps
-/// allocate nothing.
+/// floats after the last sample for the pieces' reads. An eval forward
+/// writes its own output buffer, so the training output (ReLU's mask)
+/// survives it. Steady-state steps allocate nothing.
 ///
 /// Kernel tensor shape: (out_channels, in_channels, k, k).
 class Conv2D : public Layer {
  public:
+  /// `relu` folds a following ReLU layer in: the same bits, fewer passes.
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-         std::size_t padding = 0);
+         std::size_t padding = 0, bool relu = false);
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& grad_out) override;
@@ -63,23 +72,23 @@ class Conv2D : public Layer {
   void set_row_offsets(std::size_t hp, std::size_t wp);
   /// Plans tiles over `planes` grids of plane_rows x width positions whose
   /// live cells are the first live_cols columns of the first live_rows
-  /// rows: each of a tile's four pieces covers NR/4 consecutive positions
-  /// from a live one, and a live cell's C offset is its index among the
-  /// live cells.
+  /// rows: each of a tile's pieces covers `len` consecutive positions from
+  /// a live one (four pieces of NR/4, or six of 5), and a live cell's C
+  /// offset is its index among the live cells.
   void plan_grid(std::size_t width, std::size_t plane_rows, std::size_t live_rows,
-                 std::size_t live_cols, std::size_t planes);
-  /// Computes out_ for samples [s0, s1), padded at `xp`, from the packed
-  /// weights `ap`.
-  void forward_samples(const float* ap, const float* xp, std::size_t s0, std::size_t s1,
-                       std::size_t np, std::size_t padded);
-  /// Computes dx_ from the output gradient `pg`.
+                 std::size_t live_cols, std::size_t planes, std::size_t len);
+  /// Computes samples [s0, s1) of the output `y`, padded at `xp`, from the
+  /// packed weights `ap`.
+  void forward_samples(const float* ap, const float* xp, float* y, std::size_t s0,
+                       std::size_t s1, std::size_t np, std::size_t padded);
+  /// Computes dx_ from the output gradient `pg` (before ReLU's mask).
   void backward_input(const float* pg, std::size_t hp, std::size_t wp);
 
-  /// One register tile of a pass: its four B pieces start at offsets `at`
-  /// of the operand (plus each depth row's offset), and runs_[run0, run1)
-  /// say where its columns go. A tile with fewer pieces re-reads its first.
+  /// One register tile of a pass: its B pieces start at offsets `at` of
+  /// the operand (plus each depth row's offset), and runs_[run0, run1) say
+  /// where its columns go. A tile with fewer pieces re-reads its first.
   struct Tile {
-    std::array<std::size_t, 4> at;
+    std::array<std::size_t, 6> at;
     std::size_t run0, run1;
   };
   /// `len` consecutive tile columns from `col` on, stored at offsets dst,
@@ -87,62 +96,62 @@ class Conv2D : public Layer {
   struct Run {
     std::size_t col, len, dst;
   };
-  /// Where tile_kernel writes: the tile's first `rows` rows, row i to c +
-  /// i * ldc through the runs [run0, run1), as `C = value + bias[i]`, `C =
-  /// value` when bias is null, or `C += value` with `add`. value is the
-  /// tile's sum over its depth slice, added to `prior` (the sum over the
-  /// earlier slices, row stride NR) when that is set.
+  /// Where a tile writes: its first `rows` rows, row i to c + i * ldc
+  /// through the runs [run0, run1), as `C = value + bias[i]` (through ReLU
+  /// with `relu`), `C = value` when bias is null, or `C += value` with
+  /// `add`. value is the tile's sum over its depth slice, added to `prior`
+  /// (the sum over the earlier slices, row stride NR) when that is set.
   struct TileStore {
     float* c;
     std::size_t ldc, rows;
-    const Run* run0;
-    const Run* run1;
+    const Run *run0, *run1;
     const float* prior = nullptr;
     const float* bias = nullptr;
     bool add = false;
+    bool relu = false;
   };
-  /// The register tile of `store.rows` rows x NR columns of a GEMM whose B
-  /// operand is read in place, over one KC slice: depth row p of B is the
-  /// four runs of NR/4 floats at b + at[i] + off[p], one after the other,
-  /// and of A the rows' floats at ap + p * lda. Each entry is the
-  /// ascending-depth chain of fused multiply-adds from +0 that ml::sgemm's
-  /// micro-kernel computes, stored through `store`. `wide` says the
-  /// avx512f clone runs (see kernel_clones.hpp): its tile is as tall as the
-  /// rows, up to 14, while the 8-float clones compute 4 rows.
-  static void tile_kernel(bool wide, std::size_t kc, const float* ap, std::size_t lda,
-                          const float* b, const std::size_t* at, const std::size_t* off,
-                          const TileStore& store);
-  /// The dx tile of `store.rows` input channels x NR pixels (see
-  /// backward_input), up to 7 channels on the avx512f clone and 4 on the
-  /// others: for each kernel offset t = (ki, kj), ascending, the chain over
-  /// the cout output channels (A rows at ap + (t*cout + o) * lda, B pieces
-  /// at b + at[i] + shift[t] + off[o]) is added to the running sum of every
-  /// lane whose output pixel exists: lane j's padded coordinates are (ly[j],
-  /// lx[j]), and its pixel for (ki, kj) exists when ly[j] - ki < oh and
-  /// lx[j] - kj < ow. The sums are stored through `store`.
-  static void dx_kernel(bool wide, std::size_t cout, std::uint32_t k, std::uint32_t oh,
-                        std::uint32_t ow, const float* ap, std::size_t lda, const float* b,
-                        const std::size_t* at, const std::size_t* off,
-                        const std::size_t* shift, const std::uint32_t* ly,
-                        const std::uint32_t* lx, const TileStore& store);
-  /// Writes a tile (row stride NR) through `store`.
-  static void store_tile(const float* acc, const TileStore& store);
-  /// The tile over all k depth rows of the A operand packed at ap (row
-  /// stride lda): the slices before the last sum into a scratch tile,
-  /// exactly as ml::sgemm sums them into C, and the last stores the total
-  /// through `store`.
-  static void tile_over_depth(bool wide, std::size_t k, const float* ap, std::size_t lda,
-                              const float* b, const std::size_t* at, const std::size_t* off,
-                              TileStore store);
+  /// A kernel call's operands. A tile (shift null): `store.rows` rows x NR
+  /// columns of a GEMM with B read in place, over a KC slice of `depth`
+  /// rows: row p of B is the pieces at b + at[i] + off[p], of A the rows'
+  /// floats at ap + p * lda; each entry is ml::sgemm's ascending fma chain
+  /// from +0. A dx tile (shift set; see backward_input): `store.rows` input
+  /// channels x NR pixels; for each kernel offset t = (ki, kj), ascending,
+  /// the chain over the depth = cout output channels (A rows at ap + (t *
+  /// cout + o) * lda, B at b + at[i] + shift[t] + off[o]) is added to each
+  /// lane whose output pixel exists: ly[j] - ki < oh and lx[j] - kj < ow,
+  /// for lane j's padded coordinates (ly[j], lx[j]).
+  struct Operands {
+    const float *ap, *b;
+    const std::size_t *at, *off;
+    std::size_t lda, depth;
+    bool window_rows = false;  // dW at k = 5 on the avx512f kernel: 5-float pieces
+    std::uint32_t k = 0, oh = 0, ow = 0;
+    const std::size_t* shift = nullptr;
+    const std::uint32_t *ly = nullptr, *lx = nullptr;
+  };
+  /// One tile through `store`: 4 rows from four 8-float pieces on the
+  /// 8-float clones; as tall as the rows (up to 14, or 7 for dx) from four
+  /// 8-float pieces or six 5-float ones (three a 16-float half) on the
+  /// avx512f kernel, which runs where AIRFEDGA_KERNEL_CLONE_AVX512() holds.
+  static void narrow_tile(const Operands& op, const TileStore& store);
+  static void narrow_dx(const Operands& op, const TileStore& store);
+  static void wide_tile(const Operands& op, const TileStore& store);
+  static void wide_dx(const Operands& op, const TileStore& store);
+  /// The tile over all op.depth rows: the slices before the last sum into
+  /// a scratch tile, exactly as ml::sgemm sums them into C, and the last
+  /// stores the total through `store`.
+  static void tile_over_depth(bool wide, Operands op, TileStore store);
 
   std::size_t cin_, cout_, k_, pad_;
+  bool relu_;
   Tensor weight_;       // (cout, cin*k*k) flattened kernel matrix
   Tensor bias_;         // (cout)
   Tensor weight_grad_;
   Tensor bias_grad_;
   Tensor xpad_;         // training forward's zero-padded input, for dW
   std::array<std::size_t, 4> in_shape_{};  // training forward's input shape
-  Tensor out_;          // (N, cout, OH, OW) forward output buffer
+  Tensor out_;          // (N, cout, OH, OW) training forward's output
+  Tensor eval_out_;     // (N, cout, OH, OW) eval forward's output
   Tensor dx_;           // (N, C, H, W) backward output buffer
 
   /// Offset in a padded input sample of each patch row (c, ki, kj).

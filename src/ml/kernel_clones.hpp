@@ -20,12 +20,15 @@
 #if defined(__x86_64__) && defined(__linux__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(AIRFEDGA_NO_KERNEL_CLONES)
 #define AIRFEDGA_KERNEL_CLONES __attribute__((target_clones("default", "fma", "avx512f")))
+/// A kernel called only where AIRFEDGA_KERNEL_CLONE_AVX512() holds: one body.
+#define AIRFEDGA_KERNEL_AVX512 __attribute__((target("avx512f")))
 /// Whether the kernels run their avx512f clone here: the clone resolver
-/// picks it by this feature bit. Kernels that gather their operands in
-/// pieces use it to stage them for 16-float vectors rather than 8-float
-/// ones; both stagings move the same floats.
+/// picks it by this feature bit, and callers an AIRFEDGA_KERNEL_AVX512
+/// kernel. Such kernels stage operands gathered in pieces for 16-float
+/// vectors rather than 8-float ones; both stagings move the same floats.
 #define AIRFEDGA_KERNEL_CLONE_AVX512() __builtin_cpu_supports("avx512f")
 #else
 #define AIRFEDGA_KERNEL_CLONES
+#define AIRFEDGA_KERNEL_AVX512
 #define AIRFEDGA_KERNEL_CLONE_AVX512() false
 #endif

@@ -22,6 +22,8 @@ const Tensor& MaxPool2D::forward(const Tensor& x) {
   const std::size_t oh = h / win_, ow = w / win_;
   out_.resize_uninitialized({batch, ch, oh, ow});
   if (training_) {
+    if (x.size() > (std::size_t{1} << 32))
+      throw std::length_error("MaxPool2D::forward: a training input holds over 2^32 floats");
     input_shape_.assign(x.shape().begin(), x.shape().end());
     argmax_.resize(out_.size());
   }
@@ -50,7 +52,7 @@ const Tensor& MaxPool2D::forward(const Tensor& x) {
             }
           }
           py[out_idx] = best;
-          if (training_) argmax_[out_idx] = best_idx;
+          if (training_) argmax_[out_idx] = static_cast<std::uint32_t>(best_idx);
         }
       }
     }
@@ -104,7 +106,8 @@ void MaxPool2D::forward_2x2(const float* px, float* py, std::size_t out_rows, st
     }
     if (training_)
       for (std::size_t j = 0; j < ow; ++j)
-        argmax_[r * ow + j] = 2 * r * w + 2 * j + (pick[j] & 1) + (pick[j] >> 1) * w;
+        argmax_[r * ow + j] =
+            static_cast<std::uint32_t>(2 * r * w + 2 * j + (pick[j] & 1) + (pick[j] >> 1) * w);
   }
 }
 
@@ -112,10 +115,30 @@ const Tensor& MaxPool2D::backward(const Tensor& grad_out) {
   if (!training_) throw std::logic_error("MaxPool2D::backward: requires a training-mode forward");
   if (grad_out.size() != argmax_.size())
     throw std::invalid_argument("MaxPool2D::backward: shape mismatch with cached forward");
-  dx_.resize_zero(input_shape_);
-  float* pd = dx_.data().data();
   const float* pg = grad_out.data().data();
-  for (std::size_t i = 0; i < grad_out.size(); ++i) pd[argmax_[i]] += pg[i];
+  if (win_ != 2) {
+    dx_.resize_zero(input_shape_);
+    float* pd = dx_.data().data();
+    for (std::size_t i = 0; i < grad_out.size(); ++i) pd[argmax_[i]] += pg[i];
+    return dx_;
+  }
+  dx_.resize_uninitialized(input_shape_);
+  const std::size_t w = input_shape_[3], ow = w / 2;
+  const auto wu = static_cast<std::uint32_t>(w);
+  for (std::size_t r = 0; r < grad_out.size() / ow; ++r) {
+    // dx rows 2r and 2r + 1; a pick is 0, 1, w or w + 1 past its window's first.
+    const float* __restrict g = pg + r * ow;
+    const std::uint32_t* __restrict a = argmax_.data() + r * ow;
+    float* __restrict d = dx_.data().data() + 2 * r * w;
+    for (std::size_t j = 0; j < ow; ++j) {  // vectorized by the compiler
+      const float v = 0.0f + g[j];
+      const std::uint32_t at = a[j] - static_cast<std::uint32_t>(2 * r * w + 2 * j);
+      d[2 * j] = at == 0 ? v : 0.0f;
+      d[2 * j + 1] = at == 1 ? v : 0.0f;
+      d[w + 2 * j] = at == wu ? v : 0.0f;
+      d[w + 2 * j + 1] = at == wu + 1 ? v : 0.0f;
+    }
+  }
   return dx_;
 }
 

@@ -41,11 +41,9 @@ Model make_cnn_mnist(double width_scale, std::size_t image) {
   const std::size_t c2 = scaled(50, width_scale, 4);
   const std::size_t fc = scaled(500, width_scale, 32);
   Model m;
-  m.add(std::make_unique<Conv2D>(1, c1, 5, /*padding=*/2));
-  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2D>(1, c1, 5, /*padding=*/2, /*relu=*/true));
   m.add(std::make_unique<MaxPool2D>(2));
-  m.add(std::make_unique<Conv2D>(c1, c2, 5, /*padding=*/2));
-  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2D>(c1, c2, 5, /*padding=*/2, /*relu=*/true));
   m.add(std::make_unique<MaxPool2D>(2));
   m.add(std::make_unique<Flatten>());
   m.add(std::make_unique<Dense>(c2 * (image / 4) * (image / 4), fc));
@@ -60,11 +58,9 @@ Model make_cnn_cifar(double width_scale, std::size_t image) {
   const std::size_t c2 = scaled(64, width_scale, 4);
   const std::size_t fc = scaled(512, width_scale, 32);
   Model m;
-  m.add(std::make_unique<Conv2D>(3, c1, 5, /*padding=*/2));
-  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2D>(3, c1, 5, /*padding=*/2, /*relu=*/true));
   m.add(std::make_unique<MaxPool2D>(2));
-  m.add(std::make_unique<Conv2D>(c1, c2, 5, /*padding=*/2));
-  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2D>(c1, c2, 5, /*padding=*/2, /*relu=*/true));
   m.add(std::make_unique<MaxPool2D>(2));
   m.add(std::make_unique<Flatten>());
   m.add(std::make_unique<Dense>(c2 * (image / 4) * (image / 4), fc));
@@ -81,22 +77,16 @@ Model make_vgg_style(std::size_t image, std::size_t num_classes, double width_sc
   const std::size_t fc = scaled(256, width_scale, 32);
   Model m;
   // Block 1
-  m.add(std::make_unique<Conv2D>(3, c1, 3, 1));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<Conv2D>(c1, c1, 3, 1));
-  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2D>(3, c1, 3, 1, /*relu=*/true));
+  m.add(std::make_unique<Conv2D>(c1, c1, 3, 1, /*relu=*/true));
   m.add(std::make_unique<MaxPool2D>(2));
   // Block 2
-  m.add(std::make_unique<Conv2D>(c1, c2, 3, 1));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<Conv2D>(c2, c2, 3, 1));
-  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2D>(c1, c2, 3, 1, /*relu=*/true));
+  m.add(std::make_unique<Conv2D>(c2, c2, 3, 1, /*relu=*/true));
   m.add(std::make_unique<MaxPool2D>(2));
   // Block 3
-  m.add(std::make_unique<Conv2D>(c2, c3, 3, 1));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<Conv2D>(c3, c3, 3, 1));
-  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2D>(c2, c3, 3, 1, /*relu=*/true));
+  m.add(std::make_unique<Conv2D>(c3, c3, 3, 1, /*relu=*/true));
   m.add(std::make_unique<MaxPool2D>(2));
   // Dense head
   m.add(std::make_unique<Flatten>());

@@ -16,6 +16,10 @@
 // one eval forward leaves in its thread's arena. A model's first layer
 // skips its input gradient; the skip tests show that this changes no
 // parameter gradient and that a layer used on its own still returns dx.
+// dW is checked across window-row counts on both sides of the avx512f
+// kernel's six-row tile at k = 5, and a Conv2D with ReLU folded in
+// against the Conv2D + ReLU pair it replaces, non-finite gradients and
+// an eval forward between forward and backward included.
 //
 // The goldens pin the parameters after K plain-SGD steps and one
 // compute_gradient vector for the CNN presets' models (fig04, fig05), an
@@ -43,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "ml/activation.hpp"
 #include "ml/conv2d.hpp"
 #include "ml/dense.hpp"
 #include "ml/gemm.hpp"
@@ -378,6 +383,20 @@ TEST(ConvLowering, RegisterTileEdgesEqualSgemmOverNaivePatchMatrix) {
   }
 }
 
+// dW's tile columns are the window cells of cin * k window rows: at k = 5
+// the avx512f kernel packs six window rows a tile, at k = 3 it keeps one a
+// piece. cin from 1 to 8 puts the last tile anywhere from one row to full,
+// and cout covers one-row, balanced and two-panel tiles.
+TEST(ConvLowering, WindowRowTilesEqualSgemmOverNaivePatchMatrix) {
+  for (std::size_t k : {3, 5})
+    for (std::size_t cin = 1; cin <= 8; ++cin)
+      for (std::size_t cout : {1, 6, 13, 15}) {
+        const ConvCase c{k, k / 2, cin, 2, 6, 7};
+        SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
+        check_backward(c, cout);
+      }
+}
+
 // A non-finite weight makes dcols entries inf or NaN. col2im adds an entry
 // only to the pixels its output pixel reaches, so dx must keep every other
 // pixel's bits too, NaN payloads included.
@@ -490,6 +509,69 @@ TEST(ConvLowering, FanOutOverThePoolEqualsSerialBitwise) {
     bits_equal(pf[0].grad, ps[0].grad, "dW");
     bits_equal(pf[1].grad, ps[1].grad, "db");
   }
+}
+
+/// The bits of a float vector, NaN payloads included.
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  return out;
+}
+
+// Conv2D(relu = true) must equal Conv2D followed by ReLU bit for bit:
+// forward (train and eval), dW, db and dx, with exact-zero pre-activations
+// (an all-zero sample through +0 and -0 biases) and NaN and +-inf in
+// grad_out at cells ReLU masks and cells it passes, and an eval forward
+// on other data between the training forward and backward. A NaN in
+// grad_out spreads over most of dW and dx, so each case also runs finite.
+TEST(ConvReluFold, EqualsConvThenReluBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const bool non_finite : {false, true})
+    for (const auto& [c, cout] : {std::pair{ConvCase{5, 2, 3, 3, 8, 8}, std::size_t{6}},
+                                  std::pair{ConvCase{5, 2, 6, 2, 8, 8}, std::size_t{13}},
+                                  std::pair{ConvCase{3, 1, 2, 2, 7, 9}, std::size_t{5}}}) {
+      SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout) + " non_finite=" +
+                   std::to_string(non_finite));
+      Conv2D folded(c.cin, cout, c.k, c.pad, /*relu=*/true), conv(c.cin, cout, c.k, c.pad);
+      ReLU relu;
+      util::Rng init_a(79), init_b(79), rng(83);
+      folded.init(init_a);
+      conv.init(init_b);
+      auto pf = folded.params(), pc = conv.params();
+      for (std::size_t o = 0; o < cout; ++o)
+        pf[1].value[o] = pc[1].value[o] = o % 3 == 0 ? 0.0f : o % 3 == 1 ? -0.0f : 0.1f;
+      Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+      for (std::size_t i = 0; i < c.cin * c.h * c.w; ++i) x[i] = 0.0f;  // sample 0
+      const Tensor x_eval = Tensor::randn({c.batch + 1, c.cin, c.h, c.w}, rng);
+      Tensor g = Tensor::randn({c.batch, cout, c.oh(), c.ow()}, rng);
+
+      const Tensor& y = folded.forward(x);
+      ASSERT_EQ(bits(y.data()), bits(relu.forward(conv.forward(x)).data())) << "train forward";
+      std::size_t zeros = 0, positives = 0;
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        const float bad[] = {nan, inf, -inf};
+        if ((y[i] > 0.0f ? positives++ < 3 : zeros++ < 3) && non_finite) g[i] = bad[i % 3];
+      }
+      ASSERT_GT(zeros, 3u);
+      ASSERT_GT(positives, 3u);
+
+      for (Layer* l : {static_cast<Layer*>(&folded), static_cast<Layer*>(&conv),
+                       static_cast<Layer*>(&relu)})
+        l->set_training(false);
+      ASSERT_EQ(bits(folded.forward(x_eval).data()),
+                bits(relu.forward(conv.forward(x_eval)).data()))
+          << "eval forward";
+      for (Layer* l : {static_cast<Layer*>(&folded), static_cast<Layer*>(&conv),
+                       static_cast<Layer*>(&relu)})
+        l->set_training(true);
+
+      const Tensor& dx = folded.backward(g);
+      const Tensor& dx_ref = conv.backward(relu.backward(g));
+      EXPECT_EQ(bits(dx.data()), bits(dx_ref.data())) << "dx";
+      EXPECT_EQ(bits(pf[0].grad), bits(pc[0].grad)) << "dW";
+      EXPECT_EQ(bits(pf[1].grad), bits(pc[1].grad)) << "db";
+    }
 }
 
 TEST(ConvLowering, BackwardWithoutATrainingForwardThrows) {

@@ -306,6 +306,40 @@ TEST(MaxPool, TwoByTwoMatchesTheFirstStrictMaximumScan) {
   for (std::size_t i = 0; i < dx.size(); ++i) EXPECT_EQ(dx[i], want_dx[i]) << "pixel " << i;
 }
 
+// The 2x2 backward writes every dx cell once: `+0 + g` at each window's
+// pick and +0 elsewhere, the bits of zero-filling dx and adding g there.
+// -0, NaN and +-inf gradients included, and a second backward into the same
+// buffer must leave nothing of the first.
+TEST(MaxPool, TwoByTwoBackwardHasTheBitsOfZeroFillAndAdd) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float grads[] = {-0.0f, 0.0f, std::nanf(""), inf, -inf, 1.5f, -2.25f};
+  for (const std::size_t w : {2, 10, 18}) {
+    const std::size_t h = 4;
+    util::Rng rng(13);
+    const Tensor x = Tensor::randn({2, 3, h, w}, rng);
+    MaxPool2D pool(2);
+    const Tensor& y = pool.forward(x);
+    for (std::size_t round = 0; round < 2; ++round) {
+      Tensor g(y.shape());
+      for (std::size_t i = 0; i < g.size(); ++i) g[i] = grads[(i + round) % std::size(grads)];
+      std::vector<float> want(x.size(), 0.0f);
+      for (std::size_t out = 0; out < y.size(); ++out) {
+        const std::size_t first = 2 * (out / (w / 2)) * w + 2 * (out % (w / 2));
+        for (const std::size_t idx : {first, first + 1, first + w, first + w + 1})
+          if (x[idx] == y[out]) {
+            want[idx] += g[out];
+            break;
+          }
+      }
+      const Tensor& dx = pool.backward(g);
+      ASSERT_EQ(dx.size(), want.size());
+      for (std::size_t i = 0; i < dx.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[i]), std::bit_cast<std::uint32_t>(want[i]))
+            << "w " << w << " round " << round << " pixel " << i;
+    }
+  }
+}
+
 TEST(SoftmaxCE, UniformLogitsGiveLogK) {
   SoftmaxCrossEntropy ce;
   Tensor logits({2, 4});
