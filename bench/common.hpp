@@ -136,11 +136,11 @@ inline void print_engine_summary(const std::vector<std::string>& names,
       if (name == "pool.warm_hits") warm = value;
       if (name == "pool.cold_replays") cold = value;
     }
-    std::printf("%-12s barriers=%zu barrier_s=%.2f evals=%zu eval_s=%.2f coop_gemms=%zu "
-                "helper_tiles=%zu pool_tasks=%llu warm_hits=%llu cold_replays=%llu\n",
+    std::printf("%-12s barriers=%zu barrier_s=%.2f evals=%zu eval_s=%.2f pool_tasks=%llu "
+                "warm_hits=%llu cold_replays=%llu\n",
                 names[i].c_str(), es.barriers, es.barrier_seconds, es.evals, es.eval_seconds,
-                es.coop_gemms, es.coop_helper_tiles, static_cast<unsigned long long>(tasks),
-                static_cast<unsigned long long>(warm), static_cast<unsigned long long>(cold));
+                static_cast<unsigned long long>(tasks), static_cast<unsigned long long>(warm),
+                static_cast<unsigned long long>(cold));
   }
 }
 

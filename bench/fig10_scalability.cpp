@@ -70,11 +70,7 @@ int run_thread_sweep(const std::string& list) {
   // simulation thread spent blocked at training barriers and inside
   // evaluation. Deadline scheduling shrinks the former; sharded evaluation
   // the latter.
-  // The coop columns report cooperative-GEMM activity: GEMMs that
-  // recruited idle lanes and the tiles those helpers computed (wall-time
-  // diagnostics — excluded from the bit-identical comparison).
-  util::Table engine_t(
-      {"threads", "mechanism", "barrier-stall(s)", "eval(s)", "coop-gemms", "coop-tiles"});
+  util::Table engine_t({"threads", "mechanism", "barrier-stall(s)", "eval(s)"});
   double baseline_wall = 0.0;
   for (std::size_t k = 0; k < sweep.by_threads.size(); ++k) {
     const auto& result = sweep.by_threads[k];
@@ -86,9 +82,7 @@ int run_thread_sweep(const std::string& list) {
       const auto& es = run.metrics.engine_stats();
       engine_t.add_row({util::Table::fmt_int(static_cast<long long>(result.spec.threads)),
                         run.mechanism, util::Table::fmt(es.barrier_seconds, 3),
-                        util::Table::fmt(es.eval_seconds, 3),
-                        util::Table::fmt_int(static_cast<long long>(es.coop_gemms)),
-                        util::Table::fmt_int(static_cast<long long>(es.coop_helper_tiles))});
+                        util::Table::fmt(es.eval_seconds, 3)});
     }
     if (k == 0) {
       baseline_wall = wall;

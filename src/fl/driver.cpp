@@ -249,16 +249,8 @@ void Driver::begin_training(const std::vector<std::size_t>& members,
       // pool's GEMM fan-out, like the seed engine — a wall-time choice
       // only: chunked kernels write disjoint output ranges, so either
       // schedule produces the same bits.
-      //
-      // Cooperative GEMM: with multiple lanes, installing the cooperation
-      // scope lets this worker's large GEMMs recruit lanes that currently
-      // have no training job (fewer runnable groups than lanes). Helpers
-      // compute fixed disjoint output tiles, so this too is a wall-time
-      // choice that cannot change bits.
       obs::Span span("worker", "worker.local_update");
       ScratchLease lease(*this);
-      std::optional<util::ThreadPool::CooperationScope> coop;
-      if (cfg_->cooperative_gemm && lanes_ > 1) coop.emplace(*pool_);
       w.local_update(lease.model(), *snapshot, lr, steps, batch);
     });
   }
@@ -404,21 +396,10 @@ ml::EvalResult Driver::evaluate_sharded(std::span<const float> model, std::size_
   return {loss_sum / static_cast<double>(n), acc_sum / static_cast<double>(n)};
 }
 
-EngineStats Driver::engine_stats() const {
-  EngineStats s = engine_stats_;
-  const auto coop = pool_->coop_counters();
-  s.coop_gemms = coop.regions;
-  s.coop_helper_tiles = coop.helper_tiles;
-  return s;
-}
-
 obs::MetricsSnapshot Driver::metrics_snapshot() {
-  const auto coop = pool_->coop_counters();
   registry_.counter("pool.lanes").set(lanes_);
   registry_.counter("pool.tasks").set(pool_->tasks_run());
   registry_.counter("pool.busy_ns").set(pool_->busy_ns());
-  registry_.counter("gemm.coop_regions").set(coop.regions);
-  registry_.counter("gemm.coop_helper_tiles").set(coop.helper_tiles);
   registry_.counter("substrate.depleted").set(substrate_->depleted_count());
   return registry_.snapshot();
 }

@@ -4,7 +4,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -86,13 +85,6 @@ struct FLConfig {
   /// on its own RNG stream and a leased scratch model, and all aggregation
   /// reductions run in fixed member order on the simulation thread.
   std::size_t threads = 0;
-
-  /// Cooperative GEMM: when fewer training jobs than lanes are runnable,
-  /// idle lanes donate themselves to the active workers' large GEMMs
-  /// (ThreadPool::cooperate via a scope the driver installs around local
-  /// training). Tile-to-output mapping is fixed, so cooperation changes
-  /// wall time only — results stay bit-identical for every lane count.
-  bool cooperative_gemm = true;
 
   /// Turns on the observability layer for this run: trace spans/instants
   /// into the per-thread ring buffers (obs::enable(), process-wide and
@@ -261,9 +253,8 @@ class Driver {
   ml::EvalResult evaluate(std::span<const float> model);
 
   /// Wall-clock engine instrumentation accumulated so far (barrier stalls,
-  /// evaluation time, cooperative-GEMM activity merged from the lane
-  /// pool's counters). Mechanisms copy this into their Metrics on return.
-  [[nodiscard]] EngineStats engine_stats() const;
+  /// evaluation time). Mechanisms copy this into their Metrics on return.
+  [[nodiscard]] EngineStats engine_stats() const { return engine_stats_; }
 
   /// This run's metric registry (counters/histograms the scheduling loop
   /// and mechanisms record into). One per Driver so snapshots attribute to

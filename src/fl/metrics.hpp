@@ -30,12 +30,10 @@ struct EngineStats {
   double eval_seconds = 0.0;     ///< wall time spent inside Driver::evaluate
   std::size_t barriers = 0;      ///< number of finish_training barriers
   std::size_t evals = 0;         ///< number of evaluate calls
-  /// Cooperative-GEMM activity: kernels that recruited idle lanes and the
-  /// tile count those helpers executed. Like the wall clocks these depend
-  /// on scheduling timing (how often lanes happened to be idle), so they
-  /// are run-to-run variable and excluded from `Metrics::bit_identical`.
-  std::size_t coop_gemms = 0;         ///< GEMMs that recruited at least one helper
-  std::size_t coop_helper_tiles = 0;  ///< output tiles computed by recruited helpers
+  /// Always 0: no kernel recruits idle lanes (util::parallel_for is the
+  /// only intra-op split). Kept because perfbench/harness.cpp reads them.
+  std::size_t coop_gemms = 0;
+  std::size_t coop_helper_tiles = 0;  ///< always 0, like coop_gemms
 };
 
 /// Time series recorded by every mechanism run; provides the queries the

@@ -1,7 +1,6 @@
 #include "ml/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
@@ -40,8 +39,6 @@ constexpr std::size_t kMinFlopsPerTask = std::size_t{1} << 21;
 // few hundred microseconds on one lane); smaller calls stay invisible so
 // the ring buffers hold the history that matters.
 constexpr std::size_t kGemmTraceMinFlops = std::size_t{1} << 20;
-
-std::atomic<std::size_t> g_coop_min_flops{std::size_t{1} << 23};
 
 inline std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
@@ -234,11 +231,6 @@ void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t ld
 
 }  // namespace
 
-std::size_t gemm_coop_min_flops() { return g_coop_min_flops.load(std::memory_order_relaxed); }
-void set_gemm_coop_min_flops(std::size_t flops) {
-  g_coop_min_flops.store(flops, std::memory_order_relaxed);
-}
-
 void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, const float* a,
            std::size_t lda, const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc) {
@@ -264,14 +256,6 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, cons
   };
   if (tiles == 1) {
     run_tile(0);
-    return;
-  }
-  if (auto* pool = util::ThreadPool::cooperation_pool();
-      pool != nullptr && flops >= gemm_coop_min_flops()) {
-    // Training lane with idle lanes possibly available: recruit them. The
-    // tile -> C-range mapping is fixed, so helper participation can only
-    // change wall time, never bits.
-    pool->cooperate(tiles, run_tile);
     return;
   }
   // Top-level data parallelism (serial under the nesting rule): grain sized

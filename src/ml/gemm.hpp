@@ -38,16 +38,13 @@ struct GemmBlocking {
 /// output element's floating-point accumulation order is a fixed function
 /// of (m, n, k) alone: the k loop always runs ascending in KC slices and
 /// parallelism only ever splits the *output* into disjoint tiles, so any
-/// thread count, tile assignment, or cooperative schedule produces
-/// bit-identical results. Each step of that sum is one fused multiply-add,
-/// so the bits do not depend on the CPU's instruction set either.
+/// thread count or tile assignment produces bit-identical results. Each
+/// step of that sum is one fused multiply-add, so the bits do not depend on
+/// the CPU's instruction set either.
 ///
-/// Execution policy: when a ThreadPool cooperation scope is installed on
-/// the calling thread (Driver training lanes) and the GEMM is large enough
-/// (`gemm_coop_min_flops`), idle lanes are recruited through
-/// ThreadPool::cooperate; otherwise the tile loop goes through
-/// util::parallel_for with a grain derived from the per-tile flop count
-/// (which serializes under the nesting rule or on tiny problems).
+/// Execution policy: the tile loop goes through util::parallel_for with a
+/// grain derived from the per-tile flop count (which serializes under the
+/// nesting rule, e.g. inside Driver training lanes, or on tiny problems).
 void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, const float* a,
            std::size_t lda, const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc);
@@ -58,12 +55,5 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, cons
 void sgemm_reference(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
                      const float* a, std::size_t lda, const float* b, std::size_t ldb, float beta,
                      float* c, std::size_t ldc);
-
-/// Minimum flop count (2·m·n·k) for a GEMM to recruit idle lanes through a
-/// cooperation scope. Settable so tests and benches can force cooperation
-/// on small problems; the default keeps sub-millisecond GEMMs from paying
-/// the enqueue/wakeup cost.
-[[nodiscard]] std::size_t gemm_coop_min_flops();
-void set_gemm_coop_min_flops(std::size_t flops);
 
 }  // namespace airfedga::ml

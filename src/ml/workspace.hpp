@@ -18,8 +18,8 @@ namespace airfedga::ml {
 ///
 /// Ownership/lifetime rules:
 ///  * One arena per thread (`tls()`); kernels never share arena memory
-///    across threads, so no synchronization is needed and cooperative GEMM
-///    helpers pack into their own thread's arena.
+///    across threads, so no synchronization is needed: a `parallel_for`
+///    chunk packs into its own thread's arena.
 ///  * Allocations live until the innermost enclosing `Scope` closes; scopes
 ///    nest (Conv2D's scope inside a Model::forward is fine). Blocks are
 ///    retained across scopes — closing a scope only rewinds the bump

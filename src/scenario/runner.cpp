@@ -224,18 +224,13 @@ Json result_record(const ScenarioResult& scenario, const MechanismResult& run,
   if (opts.timing) {
     engine.set("barrier_seconds", es.barrier_seconds);
     engine.set("eval_seconds", es.eval_seconds);
-    // Cooperation counters depend on when lanes happened to be idle, so
-    // they are wall-clock-like (run-to-run variable) and --no-timing must
-    // omit them to keep result files byte-comparable.
-    engine.set("coop_gemms", es.coop_gemms);
-    engine.set("coop_helper_tiles", es.coop_helper_tiles);
   }
   engine.set("barriers", es.barriers);
   engine.set("evals", es.evals);
   rec.set("engine_stats", std::move(engine));
 
   // Observability snapshot (docs/OBSERVABILITY.md). Timing-gated as a
-  // block: some values (pool.busy_ns, coop counts) are wall-clock- or
+  // block: some values (pool.busy_ns, pool.tasks) are wall-clock- or
   // lane-scheduling-dependent and --no-timing output must stay
   // byte-comparable across --jobs/threads.
   if (opts.timing && !m.obs_snapshot().empty()) {

@@ -743,7 +743,6 @@ BuiltScenario build(const ScenarioSpec& spec) {
   cfg.stop_at_accuracy = spec.stop_at_accuracy;
   cfg.seed = spec.seed;
   cfg.threads = spec.threads;
-  cfg.cooperative_gemm = spec.cooperative_gemm;
   cfg.cohort_size = spec.cohort_size;
   cfg.trace = spec.trace;
   cfg.validate();

@@ -134,8 +134,11 @@ struct ScenarioSpec {
   std::size_t eval_batch = 256;
   double stop_at_accuracy = -1.0;
   std::uint64_t seed = 42;
-  std::size_t threads = 0;       ///< training lanes (0 = hardware concurrency)
-  bool cooperative_gemm = true;  ///< idle lanes donate themselves to large GEMMs
+  std::size_t threads = 0;  ///< training lanes (0 = hardware concurrency)
+  /// Selects nothing: kernels split across lanes only through
+  /// util::parallel_for. Kept so existing specs parse and their config_hash
+  /// holds.
+  bool cooperative_gemm = true;
   /// "eager" | "lazy". Selects nothing: every run uses the pooled worker
   /// layout. Kept so existing specs parse and their config_hash holds.
   std::string worker_state = "eager";

@@ -16,14 +16,6 @@ namespace {
 // pool work (or a SerialRegion), checked by parallel_for's nesting rule.
 thread_local bool t_in_parallel_work = false;
 
-// Scheduling key of the task the current pool thread is running; cooperate
-// enqueues its helpers at this key so helping a group ranks exactly like
-// training that group (deadline-aware donation).
-thread_local double t_current_key = std::numeric_limits<double>::infinity();
-
-// Cooperation target installed by the innermost CooperationScope.
-thread_local ThreadPool* t_coop_pool = nullptr;
-
 // Min-heap comparator: std::*_heap keep the *greatest* element on top, so
 // "greater" here means "runs later" — larger key, then larger seq. The
 // `auto` parameters let it order ThreadPool::PendingTask without naming
@@ -78,13 +70,10 @@ void ThreadPool::worker_loop() {
     PendingTask task;
     {
       std::unique_lock lock(mutex_);
-      idle_.fetch_add(1, std::memory_order_relaxed);
       cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      idle_.fetch_sub(1, std::memory_order_relaxed);
       if (stop_ && tasks_.empty()) return;
       task = pop_task_locked();
     }
-    t_current_key = task.key;
     tasks_run_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) {
       obs::Span span("pool", "pool.task");
@@ -98,7 +87,6 @@ void ThreadPool::worker_loop() {
     } else {
       run(task);
     }
-    t_current_key = kNoDeadline;
   }
 }
 
@@ -176,83 +164,6 @@ void ThreadPool::parallel_for(std::size_t n, RangeFn fn, std::size_t grain) {
     latch.cv.wait(lock, [] { return latch.remaining == 0; });
   }
   if (error) std::rethrow_exception(error);
-}
-
-ThreadPool* ThreadPool::cooperation_pool() { return t_coop_pool; }
-
-ThreadPool::CooperationScope::CooperationScope(ThreadPool& pool) : prev_(t_coop_pool) {
-  t_coop_pool = &pool;
-}
-
-ThreadPool::CooperationScope::~CooperationScope() { t_coop_pool = prev_; }
-
-void ThreadPool::cooperate(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t helpers = std::min({idle_workers(), n - 1, threads_.size()});
-  if (helpers == 0) {
-    for (std::size_t t = 0; t < n; ++t) fn(t);
-    return;
-  }
-
-  // Shared by the caller and every recruited helper. Holds a *copy* of fn:
-  // a helper that wakes only after this call returned still dereferences
-  // valid state (it finds next >= n and exits without touching fn's
-  // captured pointers, which may be dead by then).
-  struct CoopState {
-    std::function<void(std::size_t)> fn;
-    std::size_t n = 0;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t next = 0;      ///< tiles claimed so far (guarded by mutex)
-    std::size_t finished = 0;  ///< tiles completed (guarded by mutex)
-    bool abort = false;        ///< stop claiming (first error wins)
-    std::exception_ptr error;  ///< first failure (guarded by mutex)
-  };
-  auto state = std::make_shared<CoopState>();
-  state->fn = fn;
-  state->n = n;
-
-  auto drain = [](CoopState& s) -> std::size_t {
-    std::size_t done = 0;
-    for (;;) {
-      std::size_t t;
-      {
-        std::scoped_lock lock(s.mutex);
-        if (s.abort || s.next >= s.n) return done;
-        t = s.next++;
-      }
-      try {
-        s.fn(t);
-        ++done;
-      } catch (...) {
-        std::scoped_lock lock(s.mutex);
-        if (!s.error) s.error = std::current_exception();
-        s.abort = true;
-      }
-      std::scoped_lock lock(s.mutex);
-      if (++s.finished == s.next && (s.abort || s.next >= s.n)) s.cv.notify_all();
-    }
-  };
-
-  coop_regions_.fetch_add(1, std::memory_order_relaxed);
-  const double key = t_current_key;  // inherit the donating task's deadline
-  for (std::size_t h = 0; h < helpers; ++h) {
-    enqueue(key, [this, state, drain] {
-      obs::Span span("pool", "pool.coop_help");
-      const std::size_t done = drain(*state);
-      if (done > 0) coop_helper_tiles_.fetch_add(done, std::memory_order_relaxed);
-    });
-  }
-
-  drain(*state);
-  std::unique_lock lock(state->mutex);
-  // Terminates: every claimed tile either finishes or records an error
-  // (both increment `finished`), and claims stop once next reaches n or a
-  // tile failed. Late helpers claim nothing and exit on their own.
-  state->cv.wait(lock, [&] {
-    return state->finished == state->next && (state->abort || state->next >= state->n);
-  });
-  if (state->error) std::rethrow_exception(state->error);
 }
 
 ThreadPool& global_pool() {

@@ -136,54 +136,8 @@ class ThreadPool {
   /// True iff the calling thread is a worker thread of *some* ThreadPool.
   [[nodiscard]] static bool on_worker_thread();
 
-  /// \brief Cooperative kernel region: idle lanes donate themselves.
-  ///
-  /// Runs `fn(t)` for every tile `t` in [0, n) using the calling thread
-  /// plus up to `idle_workers()` helpers recruited from this pool, then
-  /// blocks until every claimed tile finished. Helper tasks are enqueued at
-  /// the *calling task's* scheduling key (deadline-aware: helping an
-  /// earliest-deadline group ranks like training that group), so they never
-  /// overtake pending work with an earlier deadline; a helper that only
-  /// gets a lane after the tile list drained exits immediately. The caller
-  /// claims tiles itself throughout, so the region completes even when no
-  /// helper ever becomes free — no lane can deadlock waiting for another.
-  ///
-  /// Determinism contract: `fn` must write disjoint state per tile and
-  /// produce tile results independent of the claim order (the blocked GEMM
-  /// tiles satisfy both), in which case helper participation can only
-  /// change wall time, never results. Exceptions thrown by `fn` stop
-  /// further claims and rethrow on the calling thread after in-flight
-  /// tiles complete. With no workers (or none idle) the loop runs inline.
-  void cooperate(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Pool installed as the current thread's cooperation target by an
-  /// enclosing CooperationScope, or nullptr when kernels must not recruit
-  /// helpers (the default everywhere outside Driver training tasks).
-  [[nodiscard]] static ThreadPool* cooperation_pool();
-
-  /// Workers currently blocked waiting for a task. Approximate (relaxed
-  /// counter) — used only to size helper recruitment, never for
-  /// correctness.
-  [[nodiscard]] std::size_t idle_workers() const {
-    return idle_.load(std::memory_order_relaxed);
-  }
-
-  /// Cumulative cooperation activity of this pool (wall-time diagnostics:
-  /// like EngineStats wall clocks, these depend on scheduling timing and
-  /// are excluded from determinism comparisons).
-  struct CoopCounters {
-    std::uint64_t regions = 0;       ///< cooperate() calls that recruited helpers
-    std::uint64_t helper_tiles = 0;  ///< tiles executed by recruited helpers
-  };
-
-  /// Snapshot of the cooperation counters.
-  [[nodiscard]] CoopCounters coop_counters() const {
-    return {coop_regions_.load(std::memory_order_relaxed),
-            coop_helper_tiles_.load(std::memory_order_relaxed)};
-  }
-
   /// Tasks executed by pool workers since construction (parallel_for
-  /// chunks, submitted jobs, cooperation helpers). Always counted.
+  /// chunks and submitted jobs). Always counted.
   [[nodiscard]] std::uint64_t tasks_run() const {
     return tasks_run_.load(std::memory_order_relaxed);
   }
@@ -194,21 +148,6 @@ class ThreadPool {
   [[nodiscard]] std::uint64_t busy_ns() const {
     return busy_ns_.load(std::memory_order_relaxed);
   }
-
-  /// RAII guard installing `pool` as the calling thread's cooperation
-  /// target: ML kernels underneath the scope may call `pool.cooperate` to
-  /// recruit idle lanes. Installed by Driver around worker local training
-  /// (never around evaluation shards, which already occupy every lane).
-  class CooperationScope {
-   public:
-    explicit CooperationScope(ThreadPool& pool);  ///< installs `pool` for this thread
-    ~CooperationScope();                          ///< restores the previous target
-    CooperationScope(const CooperationScope&) = delete;             ///< scope guard: non-copyable
-    CooperationScope& operator=(const CooperationScope&) = delete;  ///< scope guard: non-copyable
-
-   private:
-    ThreadPool* prev_;
-  };
 
   /// RAII guard that marks the current thread as "inside parallel work" so
   /// nested `parallel_for` calls take the serial fallback. Use it to pin a
@@ -262,11 +201,8 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::atomic<std::size_t> idle_{0};                ///< workers blocked in the task wait
-  std::atomic<std::uint64_t> coop_regions_{0};      ///< cooperate() calls with helpers
-  std::atomic<std::uint64_t> coop_helper_tiles_{0}; ///< tiles run by helpers
-  std::atomic<std::uint64_t> tasks_run_{0};         ///< tasks executed by workers
-  std::atomic<std::uint64_t> busy_ns_{0};           ///< wall ns inside task bodies (traced runs)
+  std::atomic<std::uint64_t> tasks_run_{0};  ///< tasks executed by workers
+  std::atomic<std::uint64_t> busy_ns_{0};    ///< wall ns inside task bodies (traced runs)
 };
 
 /// Process-wide pool sized to the hardware concurrency (minus one for the

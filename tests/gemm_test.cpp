@@ -96,12 +96,11 @@ INSTANTIATE_TEST_SUITE_P(
                     std::make_tuple(13, 150, 70),                          // fig05 conv2-like
                     std::make_tuple(6, 200, 75)));                         // fig05 conv1-like
 
-// Cooperating lanes run the same tile loop over fixed disjoint C ranges, so
-// they must give the serial bits on every edge shape and operand layout.
-TEST_P(SgemmShapes, CooperativeEqualsSerialBitwise) {
+// A top-level sgemm splits its tiles over the global pool's parallel_for
+// (65x257x257 runs 4 tiles at grain 1); fixed disjoint C ranges must give
+// the serial bits on every edge shape and operand layout.
+TEST_P(SgemmShapes, FanOutEqualsSerialBitwise) {
   const auto [m, n, k] = GetParam();
-  const std::size_t saved = gemm_coop_min_flops();
-  util::ThreadPool pool(3);
   for (const Trans ta : {Trans::N, Trans::T}) {
     for (const Trans tb : {Trans::N, Trans::T}) {
       for (const float beta : {0.0f, 1.0f}) {
@@ -110,19 +109,13 @@ TEST_P(SgemmShapes, CooperativeEqualsSerialBitwise) {
         const std::size_t lda = ta == Trans::N ? k : m;
         const std::size_t ldb = tb == Trans::N ? n : k;
         const auto c0 = random_matrix(m, n, 3);
-        auto serial = c0, cooperative = c0;
+        auto serial = c0, fanned = c0;
         {
           util::ThreadPool::SerialRegion region;
           sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, serial.data(), n);
         }
-        set_gemm_coop_min_flops(0);
-        pool.submit([&] {
-              util::ThreadPool::CooperationScope coop(pool);
-              sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, cooperative.data(), n);
-            })
-            .get();
-        set_gemm_coop_min_flops(saved);
-        EXPECT_EQ(cooperative, serial)
+        sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, fanned.data(), n);
+        EXPECT_EQ(fanned, serial)
             << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
             << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
       }
@@ -452,67 +445,11 @@ TEST(ZeroAllocation, ParallelForChunksQueuedBehindBusyLanesDoNotTouchTheHeap) {
   for (const float v : out) ASSERT_EQ(v, 23.0f);
 }
 
-// ---------------------------------------------------------- cooperation ---
-
-TEST(CooperativeGemm, CooperateRunsEveryTileExactlyOnce) {
-  util::ThreadPool pool(3);
-  constexpr std::size_t kTiles = 64;
-  std::vector<std::atomic<int>> hits(kTiles);
-  for (auto& h : hits) h.store(0);
-  // Run from a pool task so helpers are recruited from genuinely idle
-  // workers, like a training lane would.
-  pool.submit([&] {
-      pool.cooperate(kTiles, [&](std::size_t t) { hits[t].fetch_add(1); });
-    }).get();
-  for (std::size_t t = 0; t < kTiles; ++t) EXPECT_EQ(hits[t].load(), 1) << "tile " << t;
-}
-
-TEST(CooperativeGemm, CooperatePropagatesExceptions) {
-  util::ThreadPool pool(2);
-  auto fut = pool.submit([&] {
-    pool.cooperate(16, [](std::size_t t) {
-      if (t == 7) throw std::runtime_error("tile failure");
-    });
-  });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(CooperativeGemm, InlineWhenNoWorkers) {
-  util::ThreadPool pool(0);
-  std::vector<int> hits(8, 0);
-  pool.cooperate(8, [&](std::size_t t) { ++hits[t]; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(CooperativeGemm, CooperativeResultIsBitIdenticalToSerial) {
-  const std::size_t m = 70, n = 300, k = 150;
-  const auto a = random_matrix(m, k, 31);
-  const auto b = random_matrix(k, n, 32);
-  std::vector<float> c_serial(m * n, 0.0f), c_coop(m * n, 0.0f);
-  {
-    util::ThreadPool::SerialRegion serial;
-    sgemm(Trans::N, Trans::N, m, n, k, a.data(), k, b.data(), n, 0.0f, c_serial.data(), n);
-  }
-  const std::size_t saved = gemm_coop_min_flops();
-  set_gemm_coop_min_flops(0);  // force cooperation regardless of size
-  util::ThreadPool pool(3);
-  pool.submit([&] {
-        util::ThreadPool::CooperationScope coop(pool);
-        sgemm(Trans::N, Trans::N, m, n, k, a.data(), k, b.data(), n, 0.0f, c_coop.data(), n);
-      })
-      .get();
-  set_gemm_coop_min_flops(saved);
-  for (std::size_t i = 0; i < c_serial.size(); ++i)
-    ASSERT_EQ(c_serial[i], c_coop[i]) << "element " << i;
-}
+// ------------------------------------------------------- lane counts ---
 
 // The acceptance criterion's digest sweep, at test scale: a CNN federated
-// run must produce bit-identical metrics across 1/2/4 training lanes with
-// cooperative GEMM forced on for every kernel call.
-TEST(CooperativeGemm, TrainingDigestsBitIdenticalAcrossLaneCounts) {
-  const std::size_t saved = gemm_coop_min_flops();
-  set_gemm_coop_min_flops(0);
-
+// run must produce bit-identical metrics across 1/2/4 training lanes.
+TEST(LaneCountDeterminism, TrainingDigestsBitIdenticalAcrossLaneCounts) {
   data::TrainTest data;
   data.train = data::make_synthetic_image(1, 8, 8, {240, 4, 1.0, 0.3, 41});
   data.test = data::make_synthetic_image(1, 8, 8, {80, 4, 1.0, 0.3, 42});
@@ -532,7 +469,6 @@ TEST(CooperativeGemm, TrainingDigestsBitIdenticalAcrossLaneCounts) {
   cfg.eval_batch = 20;
   cfg.max_rounds = 4;
   cfg.seed = 43;
-  cfg.cooperative_gemm = true;
 
   std::string reference;
   for (const std::size_t threads : {1UL, 2UL, 4UL}) {
@@ -546,7 +482,6 @@ TEST(CooperativeGemm, TrainingDigestsBitIdenticalAcrossLaneCounts) {
       EXPECT_EQ(metrics.digest(), reference) << "@" << threads << " lanes";
     }
   }
-  set_gemm_coop_min_flops(saved);
 }
 
 }  // namespace

@@ -304,11 +304,13 @@ TEST(PopulationConfig, SpecRoundTripsNewKnobs) {
   scenario::ScenarioSpec spec = pop_spec(12345, 67, 3, 9);
   spec.worker_state = "lazy";
   spec.event_queue = "calendar";
+  spec.cooperative_gemm = false;
   const scenario::ScenarioSpec back = scenario::ScenarioSpec::from_json(spec.to_json());
   EXPECT_EQ(back.partition.workers, 12345u);
   EXPECT_EQ(back.partition.shards, 67u);
   EXPECT_EQ(back.worker_state, "lazy");
   EXPECT_EQ(back.event_queue, "calendar");
+  EXPECT_FALSE(back.cooperative_gemm);
   EXPECT_EQ(back.cohort_size, 9u);
   EXPECT_EQ(spec.to_json().dump(), back.to_json().dump());
 }
