@@ -2,30 +2,22 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <type_traits>
 
 #if defined(__SSE__)
 #include <xmmintrin.h>
 #endif
 
-#include "ml/gemm.hpp"
 #include "ml/kernel_clones.hpp"
 #include "ml/workspace.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
-// gcc >= 12 and clang; without it B rows are staged as 8-float pieces only.
-#if defined(__has_builtin)
-#if __has_builtin(__builtin_shufflevector)
-#define AIRFEDGA_HAS_SHUFFLEVECTOR 1
-#endif
-#endif
-
 namespace airfedga::ml {
+
+using namespace tile;
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
                std::size_t padding, bool relu)
@@ -51,31 +43,6 @@ void Conv2D::init(util::Rng& rng) {
 
 namespace {
 
-constexpr std::size_t kMR = gemm_blocking().mr;
-constexpr std::size_t kNR = gemm_blocking().nr;
-constexpr std::size_t kKC = gemm_blocking().kc;
-/// An 8-float B piece, a 16-float vector, and dW's piece at k = 5 on the
-/// avx512f kernel: a window row, three a half (8 without shufflevector).
-constexpr std::size_t kPiece = kNR / 4;
-constexpr std::size_t kHalf = kNR / 2;
-#if defined(AIRFEDGA_HAS_SHUFFLEVECTOR)
-constexpr std::size_t kWindowRow = 5;
-#else
-constexpr std::size_t kWindowRow = kPiece;
-#endif
-
-/// Pieces of `len` floats a tile stages, as many as fill each half, and
-/// the tile column where piece i starts.
-constexpr std::size_t piece_count(std::size_t len) { return 2 * (kHalf / len); }
-constexpr std::size_t piece_col(std::size_t len, std::size_t i) {
-  return i / (kHalf / len) * kHalf + i % (kHalf / len) * len;
-}
-
-/// Tallest tiles on the avx512f kernels, whose 32 registers hold a tile's
-/// rows, or a dx tile's twice (chain and running sum), at two a row plus B.
-constexpr std::size_t kWideRows = 14;
-constexpr std::size_t kWideDxRows = 7;
-
 /// Zeroed floats after the last plane a pass reads B from in place: a
 /// piece starts on a position its tile uses and reads kPiece floats.
 constexpr std::size_t kSlack = kPiece;
@@ -83,35 +50,12 @@ constexpr std::size_t kSlack = kPiece;
 /// Workspace floats an eval forward chunk may take (256 KiB, L2-sized).
 constexpr std::size_t kChunkFloats = std::size_t{1} << 16;
 
-/// Flop floor per parallel_for chunk, as in ml::sgemm: dispatch costs
-/// microseconds, so a chunk must carry ~2 Mflop to be worth it.
-constexpr std::size_t kMinFlopsPerTask = std::size_t{1} << 21;
-
-/// Grain for parallel_for over n tasks of `task_flops` each.
-std::size_t task_grain(std::size_t n, std::size_t task_flops) {
-  return std::clamp<std::size_t>(kMinFlopsPerTask / std::max<std::size_t>(task_flops, 1), 1,
-                                 std::max<std::size_t>(n, 1));
-}
-
 /// Samples per chunk when each sample takes `per_sample` workspace floats:
 /// as many as fit the budget, at least one, at most the batch.
 std::size_t chunk_samples(std::size_t batch, std::size_t per_sample) {
   const std::size_t fit = kChunkFloats / std::max<std::size_t>(per_sample, 1);
   return std::max<std::size_t>(1, std::min(batch, fit));
 }
-
-/// Row stride of a packed A operand of m rows: m rounded up to kMR.
-std::size_t packed_stride(std::size_t m) { return (m + kMR - 1) / kMR * kMR; }
-
-/// ReLU's mask at its outputs `y`: 1 where y > 0, else 0 (NaN too), branch-free.
-float relu_mask(float y) {
-  return std::bit_cast<float>(-static_cast<std::uint32_t>(y > 0.0f) & 0x3f800000u);
-}
-#if defined(__SSE__)
-__m128 relu_mask(__m128 y) {
-  return _mm_and_ps(_mm_cmpgt_ps(y, _mm_setzero_ps()), _mm_set1_ps(1.0f));
-}
-#endif
 
 /// out[j] = g[j] * relu_mask(y[j]) for j < n; a copy of g without y.
 void relu_grad(const float* g, const float* y, std::size_t n, float* out) {
@@ -124,57 +68,6 @@ void relu_grad(const float* g, const float* y, std::size_t n, float* out) {
   for (; j < n; ++j) out[j] = g[j] * relu_mask(y[j]);
 }
 
-/// Packs the m x kc matrix A (row stride lda) depth-major for the tiles:
-/// ap[p * ld + i] = A(i, p), zero for the rows m <= i < ld. With `y` (the
-/// ReLU output A is the gradient of, same layout), A(i, p) * relu_mask.
-void pack_a(const float* a, std::size_t lda, std::size_t m, std::size_t kc, std::size_t ld,
-            float* ap, const float* y = nullptr) {
-  for (std::size_t i = 0; i < ld; i += 4) {
-    std::size_t p = 0;
-#if defined(__SSE__)
-    // Four rows (zeros past m) by four depth steps: a 4x4 transpose.
-    for (; p + 4 <= kc; p += 4) {
-      __m128 x[4];
-      for (std::size_t r = 0; r < 4; ++r) {
-        x[r] = i + r < m ? _mm_loadu_ps(a + (i + r) * lda + p) : _mm_setzero_ps();
-        if (y != nullptr && i + r < m)
-          x[r] = _mm_mul_ps(x[r], relu_mask(_mm_loadu_ps(y + (i + r) * lda + p)));
-      }
-      _MM_TRANSPOSE4_PS(x[0], x[1], x[2], x[3]);
-      for (std::size_t r = 0; r < 4; ++r) _mm_storeu_ps(ap + (p + r) * ld + i, x[r]);
-    }
-#endif
-    for (; p < kc; ++p)
-      for (std::size_t r = 0, at = i * lda + p; r < 4; ++r, at += lda)
-        ap[p * ld + i + r] = i + r >= m ? 0.0f : y ? a[at] * relu_mask(y[at]) : a[at];
-  }
-}
-
-/// How a pass splits `count` channels into n balanced row panels of at
-/// most `tallest` rows, the first count % n one row taller: one register
-/// tile each, as tall as its panel on the avx512f kernel. The 8-float clones
-/// keep kMR-row tiles, where a taller one would spill, and drop the rows
-/// past the panel (the last one's end by `count` rounded up to kMR).
-struct Panels {
-  std::size_t n, base, extra;
-  Panels(bool wide, std::size_t count, std::size_t tallest)
-      : n((count + (wide ? tallest : kMR) - 1) / (wide ? tallest : kMR)),
-        base(count / n),
-        extra(count % n) {}
-  [[nodiscard]] std::size_t start(std::size_t i) const { return i * base + std::min(i, extra); }
-  [[nodiscard]] std::size_t rows(std::size_t i) const { return base + (i < extra ? 1 : 0); }
-};
-
-/// Calls f.operator()<rows>() for 1 <= rows <= kRows.
-template <std::size_t kRows, typename F>
-[[gnu::always_inline]] inline void with_height(std::size_t rows, F& f) {
-  if constexpr (kRows > 1)
-    if (rows < kRows) return with_height<kRows - 1>(rows, f);
-  f.template operator()<kRows>();
-}
-
-using Piece = float __attribute__((vector_size(kPiece * sizeof(float))));
-using TwoPieces = float __attribute__((vector_size(2 * kPiece * sizeof(float))));
 using Quad = float __attribute__((vector_size(kMR * sizeof(float))));
 
 /// sums[l] += a[p * ld + l] over the rows p < kc in order for the first
@@ -192,199 +85,7 @@ void add_rows(const float* a, std::size_t ld, std::size_t kc, float* sums) {
   std::memcpy(sums, sum, sizeof sum);
 }
 
-/// A tile of kRows rows that the compiler keeps in vector registers: a row
-/// is two 16-float vectors on the avx512f kernel, four 8-float ones else.
-template <bool kWide, std::size_t kRows>
-using TileRegs = std::conditional_t<kWide, TwoPieces[kRows][2], Piece[kRows][4]>;
-
-/// acc += the kRows x NR register tile over kc depth rows: row p of B is
-/// the piece_count(kLen) runs of kLen floats at b + at[i] + off[p], each
-/// at tile column piece_col(kLen, i), and row p of A the kRows floats at
-/// ap + p * lda; one fused multiply-add per step, in ascending depth, as
-/// in ml::sgemm's micro-kernel. Each B row is loaded and staged once for
-/// all kRows rows: as two 16-float vectors on the avx512f kernel, else as
-/// four 8-float ones. A piece is read as 8 floats, whatever kLen.
-template <bool kWide, std::size_t kRows, std::size_t kLen = kPiece>
-[[gnu::always_inline]] inline void accumulate_tile(std::size_t kc, const float* __restrict ap,
-                                                   std::size_t lda, const float* __restrict b,
-                                                   const std::size_t* __restrict at,
-                                                   const std::size_t* __restrict off,
-                                                   TileRegs<kWide, kRows>& acc) {
-  constexpr std::size_t kCount = piece_count(kLen);
-  static_assert(kLen == kPiece || (kWide && kLen == kWindowRow));
-  for (std::size_t p = 0; p < kc; ++p) {
-    Piece x[kCount];
-#pragma GCC unroll 8
-    for (std::size_t i = 0; i < kCount; ++i) std::memcpy(&x[i], b + at[i] + off[p], sizeof(Piece));
-    float row_b[kNR];
-#if defined(AIRFEDGA_HAS_SHUFFLEVECTOR)
-    if constexpr (kLen != kPiece) {
-      // A half of three 5-float pieces from x[i], its last lane unused.
-      const auto half = [&x](std::size_t i, float* out) __attribute__((always_inline)) {
-        const TwoPieces ab = __builtin_shufflevector(x[i], x[i + 1], 0, 1, 2, 3, 4, 5, 6, 7, 8,
-                                                     9, 10, 11, 12, 13, 14, 15);
-        const TwoPieces c = __builtin_shufflevector(x[i + 2], x[i + 2], 0, 1, 2, 3, 4, 5, 6, 7,
-                                                    -1, -1, -1, -1, -1, -1, -1, -1);
-        const TwoPieces h = __builtin_shufflevector(ab, c, 0, 1, 2, 3, 4, 8, 9, 10, 11, 12, 16,
-                                                    17, 18, 19, 20, -1);
-        std::memcpy(out, &h, sizeof h);
-      };
-      half(0, row_b);
-      half(3, row_b + kHalf);
-    } else if constexpr (kWide) {
-      const TwoPieces lo = __builtin_shufflevector(x[0], x[1], 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                                   11, 12, 13, 14, 15);
-      const TwoPieces hi = __builtin_shufflevector(x[2], x[3], 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                                   11, 12, 13, 14, 15);
-      std::memcpy(row_b, &lo, sizeof lo);
-      std::memcpy(row_b + 2 * kPiece, &hi, sizeof hi);
-    } else {
-      std::memcpy(row_b, x, sizeof x);
-    }
-#else
-    std::memcpy(row_b, x, sizeof x);
-#endif
-    const float* a = ap + p * lda;
-    // Via a float row, which the loop vectorizer turns into vector FMAs.
-#pragma GCC unroll 16
-    for (std::size_t i = 0; i < kRows; ++i) {
-      float row[kNR];
-      std::memcpy(row, acc[i], sizeof row);
-      for (std::size_t j = 0; j < kNR; ++j) row[j] = __builtin_fmaf(a[i], row_b[j], row[j]);
-      std::memcpy(acc[i], row, sizeof row);
-    }
-  }
-}
-
-/// Copies a tile out of its registers, row stride NR.
-template <bool kWide, std::size_t kRows>
-[[gnu::always_inline]] inline void spill_tile(const TileRegs<kWide, kRows>& acc, float* out) {
-  constexpr std::size_t kVecs = std::extent_v<TileRegs<kWide, kRows>, 1>;
-#pragma GCC unroll 16
-  for (std::size_t i = 0; i < kRows; ++i)
-#pragma GCC unroll 4
-    for (std::size_t v = 0; v < kVecs; ++v)
-      std::memcpy(out + (i * kVecs + v) * (kNR / kVecs), &acc[i][v], sizeof acc[i][v]);
-}
-
-/// Writes a tile (row stride NR) through `store` (a Conv2D::TileStore).
-template <typename Store>
-[[gnu::always_inline]] inline void store_tile(const float* acc, const Store& store) {
-  for (std::size_t i = 0; i < store.rows; ++i) {
-    float* c = store.c + i * store.ldc;
-    const float* row = acc + i * kNR;
-    for (auto r = store.run0; r != store.run1; ++r) {
-      float* d = c + r->dst;
-      const float* v = row + r->col;
-      if (store.add) {
-        for (std::size_t j = 0; j < r->len; ++j) d[j] += v[j];
-      } else if (store.bias != nullptr) {
-        const float bias = store.bias[i];
-        if (store.relu)
-          for (std::size_t j = 0; j < r->len; ++j) d[j] = std::max(0.0f, v[j] + bias);  // ReLU
-        else
-          for (std::size_t j = 0; j < r->len; ++j) d[j] = v[j] + bias;
-      } else {
-        for (std::size_t j = 0; j < r->len; ++j) d[j] = v[j];
-      }
-    }
-  }
-}
-
-/// The kRows x NR tile over one KC slice (see Conv2D::Operands).
-template <bool kWide, std::size_t kRows, std::size_t kLen, typename Op, typename Store>
-[[gnu::always_inline]] inline void run_tile(const Op& op, const Store& store) {
-  TileRegs<kWide, kRows> acc = {};
-  accumulate_tile<kWide, kRows, kLen>(op.depth, op.ap, op.lda, op.b, op.at, op.off, acc);
-  float out[kRows * kNR];
-  spill_tile<kWide, kRows>(acc, out);
-  if (store.prior != nullptr)
-    for (std::size_t j = 0; j < store.rows * kNR; ++j) out[j] = store.prior[j] + out[j];
-  store_tile(out, store);
-}
-
-/// The kRows x NR dx tile (see Conv2D::Operands).
-template <bool kWide, std::size_t kRows, typename Op, typename Store>
-[[gnu::always_inline]] inline void run_dx(const Op& op, const Store& store) {
-  const std::size_t cout = op.depth, lda = op.lda;
-  const std::uint32_t k = op.k, oh = op.oh, ow = op.ow;
-  const std::uint32_t *ly = op.ly, *lx = op.lx;
-  TileRegs<kWide, kRows> sum = {};
-  for (std::uint32_t ki = 0; ki < k; ++ki) {
-    for (std::uint32_t kj = 0; kj < k; ++kj) {
-      const std::size_t t = ki * k + kj;
-      const float* b = op.b + op.shift[t];
-      // The patch-matrix gradient of rows (c, ki, kj) at the lanes' output
-      // pixels: the chain over the output channels, in KC slices summed as
-      // ml::sgemm sums them.
-      TileRegs<kWide, kRows> d = {};
-      accumulate_tile<kWide, kRows>(std::min(kKC, cout), op.ap + t * cout * lda, lda, b, op.at,
-                                    op.off, d);
-      for (std::size_t o0 = kKC; o0 < cout; o0 += kKC) {
-        TileRegs<kWide, kRows> acc = {};
-        accumulate_tile<kWide, kRows>(std::min(kKC, cout - o0), op.ap + (t * cout + o0) * lda,
-                                      lda, b, op.at, op.off + o0, acc);
-        for (std::size_t i = 0; i < kRows; ++i)
-          for (std::size_t v = 0; v < std::size(d[i]); ++v) d[i][v] += acc[i][v];
-      }
-      // Add it where the output pixel (y + pad - ki, x + pad - kj) exists.
-      float s[kRows][kNR], dv[kRows][kNR];
-      std::memcpy(s, sum, sizeof s);
-      std::memcpy(dv, d, sizeof dv);
-      for (std::size_t j = 0; j < kNR; ++j) {
-        const bool live = ly[j] - ki < oh && lx[j] - kj < ow;
-        for (std::size_t i = 0; i < kRows; ++i) s[i][j] = live ? s[i][j] + dv[i][j] : s[i][j];
-      }
-      std::memcpy(sum, s, sizeof s);
-    }
-  }
-  float out[kRows * kNR];
-  spill_tile<kWide, kRows>(sum, out);
-  store_tile(out, store);
-}
-
 }  // namespace
-
-AIRFEDGA_KERNEL_CLONES
-void Conv2D::narrow_tile(const Operands& op, const TileStore& store) {
-  run_tile<false, kMR, kPiece>(op, store);
-}
-
-AIRFEDGA_KERNEL_CLONES
-void Conv2D::narrow_dx(const Operands& op, const TileStore& store) {
-  run_dx<false, kMR>(op, store);
-}
-
-AIRFEDGA_KERNEL_AVX512
-void Conv2D::wide_tile(const Operands& op, const TileStore& store) {
-  const auto tile = [&]<std::size_t kRows>() __attribute__((always_inline)) {
-    op.window_rows ? run_tile<true, kRows, kWindowRow>(op, store)
-                   : run_tile<true, kRows, kPiece>(op, store);
-  };
-  with_height<kWideRows>(store.rows, tile);
-}
-
-AIRFEDGA_KERNEL_AVX512
-void Conv2D::wide_dx(const Operands& op, const TileStore& store) {
-  const auto dx = [&]<std::size_t kRows>() __attribute__((always_inline)) {
-    run_dx<true, kRows>(op, store);
-  };
-  with_height<kWideDxRows>(store.rows, dx);
-}
-
-void Conv2D::tile_over_depth(bool wide, Operands op, TileStore store) {
-  static constexpr Run kWhole{0, kNR, 0};
-  alignas(64) float sum[kWideRows * kNR];
-  TileStore partial{sum, kNR, store.rows, &kWhole, &kWhole + 1};
-  const std::size_t k = op.depth;
-  for (std::size_t p0 = 0; p0 < k; p0 += kKC, op.ap += kKC * op.lda, op.off += kKC) {
-    op.depth = std::min(kKC, k - p0);
-    const bool last = p0 + op.depth == k;
-    partial.add = p0 > 0;
-    if (last) store.prior = p0 > 0 ? sum : nullptr;
-    (wide ? wide_tile : narrow_tile)(op, last ? store : partial);
-  }
-}
 
 void Conv2D::pad_samples(const Tensor& x, std::size_t s0, std::size_t s1, float* xp) const {
   const std::size_t h = x.dim(2), w = x.dim(3);

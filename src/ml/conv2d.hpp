@@ -4,18 +4,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "ml/gemm.hpp"
 #include "ml/layer.hpp"
+#include "ml/tile.hpp"
 
 namespace airfedga::ml {
 
 /// 2-D convolution over NCHW activations (stride 1, symmetric zero padding)
 /// as implicit GEMMs: no patch matrix is ever stored or packed. Every pass
-/// runs a register tile of NR columns, and of as many rows as its channel
-/// count and the registers allow (narrow_*, wide_*), ml::sgemm's fused
-/// chain per entry, with its B operand read in place, each depth row as
-/// pieces at per-row offsets, staged once for all rows: four of NR/4
-/// floats, or on the avx512f kernel six of 5 (see dW):
+/// runs ml::sgemm's register tile (src/ml/tile.hpp: NR columns, and as many
+/// rows as its channel count and the registers allow) with its B operand
+/// read in place, each depth row as pieces at per-row offsets, staged once
+/// for all rows: four of NR/4 floats, or on the avx512f kernel six of 5
+/// (see dW):
 ///  * forward: W times the patch matrix, B read from the zero-padded input.
 ///    The pieces cover output rows in the padded grid; their columns past
 ///    the row are computed and dropped. The tile stores NCHW plus the bias,
@@ -27,9 +27,9 @@ namespace airfedga::ml {
 ///    in the padded grid, a window row a piece; at k = 5 the avx512f kernel
 ///    packs three into each 16-float half (30 of 32 columns live, not 20).
 ///  * dx: col2im(W^T gy) one tile of input channels x dx pixels at a time
-///    (Operands::shift set): for each kernel offset, the chain over output channels
-///    from a zero-padded copy of the gradient planes, kept with the running
-///    sums in registers and summed in col2im's order.
+///    (tile::Operands::shift set): for each kernel offset, the chain over
+///    output channels from a zero-padded copy of the gradient planes, kept
+///    with the running sums in registers and summed in col2im's order.
 ///  * db: every channel's sum in column order, side by side.
 /// Every output float comes from the operations, in the order, of ml::sgemm
 /// over the stored patch matrix followed by col2im: the bits are the same.
@@ -91,56 +91,6 @@ class Conv2D : public Layer {
     std::array<std::size_t, 6> at;
     std::size_t run0, run1;
   };
-  /// `len` consecutive tile columns from `col` on, stored at offsets dst,
-  /// dst + 1, ... of a C row.
-  struct Run {
-    std::size_t col, len, dst;
-  };
-  /// Where a tile writes: its first `rows` rows, row i to c + i * ldc
-  /// through the runs [run0, run1), as `C = value + bias[i]` (through ReLU
-  /// with `relu`), `C = value` when bias is null, or `C += value` with
-  /// `add`. value is the tile's sum over its depth slice, added to `prior`
-  /// (the sum over the earlier slices, row stride NR) when that is set.
-  struct TileStore {
-    float* c;
-    std::size_t ldc, rows;
-    const Run *run0, *run1;
-    const float* prior = nullptr;
-    const float* bias = nullptr;
-    bool add = false;
-    bool relu = false;
-  };
-  /// A kernel call's operands. A tile (shift null): `store.rows` rows x NR
-  /// columns of a GEMM with B read in place, over a KC slice of `depth`
-  /// rows: row p of B is the pieces at b + at[i] + off[p], of A the rows'
-  /// floats at ap + p * lda; each entry is ml::sgemm's ascending fma chain
-  /// from +0. A dx tile (shift set; see backward_input): `store.rows` input
-  /// channels x NR pixels; for each kernel offset t = (ki, kj), ascending,
-  /// the chain over the depth = cout output channels (A rows at ap + (t *
-  /// cout + o) * lda, B at b + at[i] + shift[t] + off[o]) is added to each
-  /// lane whose output pixel exists: ly[j] - ki < oh and lx[j] - kj < ow,
-  /// for lane j's padded coordinates (ly[j], lx[j]).
-  struct Operands {
-    const float *ap, *b;
-    const std::size_t *at, *off;
-    std::size_t lda, depth;
-    bool window_rows = false;  // dW at k = 5 on the avx512f kernel: 5-float pieces
-    std::uint32_t k = 0, oh = 0, ow = 0;
-    const std::size_t* shift = nullptr;
-    const std::uint32_t *ly = nullptr, *lx = nullptr;
-  };
-  /// One tile through `store`: 4 rows from four 8-float pieces on the
-  /// 8-float clones; as tall as the rows (up to 14, or 7 for dx) from four
-  /// 8-float pieces or six 5-float ones (three a 16-float half) on the
-  /// avx512f kernel, which runs where AIRFEDGA_KERNEL_CLONE_AVX512() holds.
-  static void narrow_tile(const Operands& op, const TileStore& store);
-  static void narrow_dx(const Operands& op, const TileStore& store);
-  static void wide_tile(const Operands& op, const TileStore& store);
-  static void wide_dx(const Operands& op, const TileStore& store);
-  /// The tile over all op.depth rows: the slices before the last sum into
-  /// a scratch tile, exactly as ml::sgemm sums them into C, and the last
-  /// stores the total through `store`.
-  static void tile_over_depth(bool wide, Operands op, TileStore store);
 
   std::size_t cin_, cout_, k_, pad_;
   bool relu_;
@@ -162,7 +112,7 @@ class Conv2D : public Layer {
   std::vector<std::uint32_t> lanes_;
   /// The running pass's tile plan.
   std::vector<Tile> tiles_;
-  std::vector<Run> runs_;
+  std::vector<tile::Run> runs_;
 };
 
 }  // namespace airfedga::ml

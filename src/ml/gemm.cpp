@@ -1,6 +1,7 @@
 #include "ml/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -9,103 +10,46 @@
 #endif
 
 #include "ml/kernel_clones.hpp"
+#include "ml/tile.hpp"
 #include "ml/workspace.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace airfedga::ml {
+
+using namespace tile;
+
 namespace {
 
 // BLIS-style blocking: an (mc x nc) output tile is produced per task; for
-// each KC depth slice the operands are packed into contiguous panels and an
-// MR x NR register tile accumulates over the slice. MC*KC floats of packed
-// A (~64 KiB) target L2, the NR-wide B micro-panels stream through L1.
-// MR=4 x NR=32 keeps the accumulator at 128 floats — 8 vector registers at
-// 512-bit, 16 at 256-bit — which auto-vectorizes cleanly at every x86
-// vector width (measured: narrower NR collapses under AVX-512 codegen).
-// The constants live in gemm.hpp (gemm_blocking): Conv2D's in-place tiles
-// use the same tile width and depth slices (and MR on the 8-float clones).
-constexpr std::size_t kMR = gemm_blocking().mr;
-constexpr std::size_t kNR = gemm_blocking().nr;
+// each KC depth slice A (~64 KiB at MC*KC, for L2) is packed depth-major a
+// row panel at a time and B into NR-column panels that stream through L1,
+// and the register tile of src/ml/tile.hpp, which Conv2D runs too,
+// accumulates each row panel over the slice: NR = 32 columns by 4 rows on
+// the 8-float clones, or by up to 14 on the avx512f kernel.
 constexpr std::size_t kMC = gemm_blocking().mc;
-constexpr std::size_t kKC = gemm_blocking().kc;
 constexpr std::size_t kNC = gemm_blocking().nc;
-
-// Flop target per parallel_for chunk: dispatch costs microseconds, so a
-// chunk must carry at least ~milliseconds of arithmetic to be worth it.
-constexpr std::size_t kMinFlopsPerTask = std::size_t{1} << 21;
 
 // A GEMM is worth a trace span only above this flop count (~1 Mflop, a
 // few hundred microseconds on one lane); smaller calls stay invisible so
 // the ring buffers hold the history that matters.
 constexpr std::size_t kGemmTraceMinFlops = std::size_t{1} << 20;
 
-inline std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+/// Where the tile reads a packed B panel: its four pieces at 0, 8, 16 and
+/// 24, depth row p at p * NR.
+constexpr std::array<std::size_t, 4> kPanelAt = {0, kPiece, 2 * kPiece, 3 * kPiece};
+constexpr auto kPanelOff = [] {
+  std::array<std::size_t, kKC> off{};
+  for (std::size_t p = 0; p < kKC; ++p) off[p] = p * kNR;
+  return off;
+}();
 
 inline float load_a(Trans ta, const float* a, std::size_t lda, std::size_t i, std::size_t p) {
   return ta == Trans::N ? a[i * lda + p] : a[p * lda + i];
 }
 
-/// Packs A rows [i0, i0+mc) x depth [p0, p0+kc) into MR-row micro-panels:
-/// panel `ir` holds kc groups of MR consecutive-row elements (zero-padded
-/// past mc), so the micro-kernel reads A with stride 1.
-void pack_a_panels(Trans ta, const float* a, std::size_t lda, std::size_t i0, std::size_t mc,
-                   std::size_t p0, std::size_t kc, float* ap) {
-  static_assert(kMR == 4, "the Trans::N path interleaves four rows");
-  const std::size_t mp = ceil_div(mc, kMR);
-  for (std::size_t ir = 0; ir < mp; ++ir) {
-    float* panel = ap + ir * kc * kMR;
-    const std::size_t rows = std::min(kMR, mc - ir * kMR);
-    if (ta == Trans::T) {
-      // Each depth step's MR elements are contiguous in a stored row.
-      const float* src = a + p0 * lda + i0 + ir * kMR;
-      for (std::size_t p = 0; p < kc; ++p) {
-        for (std::size_t r = 0; r < rows; ++r) panel[p * kMR + r] = src[p * lda + r];
-        for (std::size_t r = rows; r < kMR; ++r) panel[p * kMR + r] = 0.0f;
-      }
-      continue;
-    }
-    if (rows == kMR) {
-      // Walk the four stored rows in lockstep, four depth steps at a time
-      // through a 4x4 register transpose.
-      const float* r0 = a + (i0 + ir * kMR) * lda + p0;
-      const float* r1 = r0 + lda;
-      const float* r2 = r1 + lda;
-      const float* r3 = r2 + lda;
-      std::size_t p = 0;
-#if defined(__SSE__)
-      for (; p + 4 <= kc; p += 4) {
-        __m128 x0 = _mm_loadu_ps(r0 + p);
-        __m128 x1 = _mm_loadu_ps(r1 + p);
-        __m128 x2 = _mm_loadu_ps(r2 + p);
-        __m128 x3 = _mm_loadu_ps(r3 + p);
-        _MM_TRANSPOSE4_PS(x0, x1, x2, x3);
-        float* dst = panel + p * kMR;
-        _mm_storeu_ps(dst, x0);
-        _mm_storeu_ps(dst + 4, x1);
-        _mm_storeu_ps(dst + 8, x2);
-        _mm_storeu_ps(dst + 12, x3);
-      }
-#endif
-      for (; p < kc; ++p) {
-        float* dst = panel + p * kMR;
-        dst[0] = r0[p];
-        dst[1] = r1[p];
-        dst[2] = r2[p];
-        dst[3] = r3[p];
-      }
-      continue;
-    }
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t r = 0; r < rows; ++r)
-        panel[p * kMR + r] = a[(i0 + ir * kMR + r) * lda + p0 + p];
-      for (std::size_t r = rows; r < kMR; ++r) panel[p * kMR + r] = 0.0f;
-    }
-  }
-}
-
 /// Packs B depth [p0, p0+kc) x columns [j0, j0+nc) into NR-column
-/// micro-panels (zero-padded past nc), stride-1 for the micro-kernel.
+/// panels (zero-padded past nc), stride-1 for the tile.
 void pack_b_panels(Trans tb, const float* b, std::size_t ldb, std::size_t p0, std::size_t kc,
                    std::size_t j0, std::size_t nc, float* bp) {
   const std::size_t np = ceil_div(nc, kNR);
@@ -163,67 +107,47 @@ void pack_b_panels(Trans tb, const float* b, std::size_t ldb, std::size_t p0, st
   }
 }
 
-/// MR x NR micro-kernel over one packed KC slice. Always computes the full
-/// register tile (panels are zero-padded), then masks the store to the live
-/// mr x nr corner. `overwrite` selects C = acc vs C += acc — the only beta
-/// cases sgemm accepts.
-AIRFEDGA_KERNEL_CLONES
-void micro_kernel(std::size_t kc, const float* __restrict ap, const float* __restrict bp,
-                  float* __restrict c, std::size_t ldc, std::size_t mr, std::size_t nr,
-                  bool overwrite) {
-  float acc[kMR * kNR] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* b = bp + p * kNR;
-    const float* a = ap + p * kMR;
-    for (std::size_t i = 0; i < kMR; ++i) {
-      const float ai = a[i];
-      float* row = acc + i * kNR;
-      for (std::size_t j = 0; j < kNR; ++j) row[j] = __builtin_fmaf(ai, b[j], row[j]);
-    }
-  }
-  if (mr == kMR && nr == kNR) {
-    if (overwrite) {
-      for (std::size_t i = 0; i < kMR; ++i)
-        for (std::size_t j = 0; j < kNR; ++j) c[i * ldc + j] = acc[i * kNR + j];
-    } else {
-      for (std::size_t i = 0; i < kMR; ++i)
-        for (std::size_t j = 0; j < kNR; ++j) c[i * ldc + j] += acc[i * kNR + j];
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < mr; ++i)
-    for (std::size_t j = 0; j < nr; ++j) {
-      if (overwrite)
-        c[i * ldc + j] = acc[i * kNR + j];
-      else
-        c[i * ldc + j] += acc[i * kNR + j];
-    }
-}
-
 /// One (mc x nc) output tile: full ascending k loop in KC slices, packing
 /// into the calling thread's workspace. Tiles touch disjoint C ranges and
 /// each element's accumulation order depends only on k, so any assignment
 /// of tiles to threads yields identical bits.
-void gemm_tile(Trans ta, Trans tb, std::size_t k, const float* a, std::size_t lda,
+void gemm_tile(bool wide, Trans ta, Trans tb, std::size_t k, const float* a, std::size_t lda,
                const float* b, std::size_t ldb, float beta, float* c, std::size_t ldc,
                std::size_t i0, std::size_t mc, std::size_t j0, std::size_t nc) {
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  const std::size_t mp = ceil_div(mc, kMR);
+  const Panels panels(wide, mc, kWideRows);
+  // Each row panel's A is packed depth-major on its own, ld floats a depth
+  // row, so a tile reads its A as one stream: with all mc rows a depth row,
+  // fig03's 100x128x784 ran ~7% slower on an AVX-512 host.
+  const std::size_t ld = packed_stride(panels.rows(0));
   const std::size_t np = ceil_div(nc, kNR);
-  float* ap = ws.floats(mp * kMR * std::min(kKC, k));
+  float* ap = ws.floats(panels.n * ld * std::min(kKC, k));
   float* bp = ws.floats(np * kNR * std::min(kKC, k));
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t kc = std::min(kKC, k - p0);
     pack_b_panels(tb, b, ldb, p0, kc, j0, nc, bp);
-    pack_a_panels(ta, a, lda, i0, mc, p0, kc, ap);
-    const bool overwrite = p0 == 0 && beta == 0.0f;
+    for (std::size_t i = 0; i < panels.n; ++i) {
+      const std::size_t r0 = i0 + panels.start(i), rows = panels.rows(i);
+      float* pa = ap + i * ld * kc;
+      if (ta == Trans::N) {
+        pack_a(a + r0 * lda + p0, lda, rows, kc, ld, pa);
+        continue;
+      }
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::memcpy(pa + p * ld, a + (p0 + p) * lda + r0, rows * sizeof(float));
+        std::fill(pa + p * ld + rows, pa + (p + 1) * ld, 0.0f);
+      }
+    }
+    const bool add = !(p0 == 0 && beta == 0.0f);
     for (std::size_t jr = 0; jr < np; ++jr) {
-      const std::size_t nr = std::min(kNR, nc - jr * kNR);
-      for (std::size_t ir = 0; ir < mp; ++ir) {
-        const std::size_t mr = std::min(kMR, mc - ir * kMR);
-        micro_kernel(kc, ap + ir * kc * kMR, bp + jr * kc * kNR,
-                     c + (i0 + ir * kMR) * ldc + j0 + jr * kNR, ldc, mr, nr, overwrite);
+      const Run run{0, std::min(kNR, nc - jr * kNR), 0};
+      const float* pb = bp + jr * kc * kNR;
+      for (std::size_t i = 0; i < panels.n; ++i) {
+        float* ci = c + (i0 + panels.start(i)) * ldc + j0 + jr * kNR;
+        const TileStore store{ci, ldc, panels.rows(i), &run, &run + 1, nullptr, nullptr, add};
+        const Operands op{ap + i * ld * kc, pb, kPanelAt.data(), kPanelOff.data(), ld, kc};
+        (wide ? wide_tile : narrow_tile)(op, store);
       }
     }
   }
@@ -248,10 +172,11 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, cons
   // Span only above a FLOP floor: tiny GEMMs (bias-sized) would swamp the
   // ring buffers without adding attribution signal.
   obs::Span span("gemm", "gemm.sgemm", flops >= kGemmTraceMinFlops);
+  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
   auto run_tile = [=](std::size_t t) {
     const std::size_t i0 = (t / nb) * kMC;
     const std::size_t j0 = (t % nb) * kNC;
-    gemm_tile(ta, tb, k, a, lda, b, ldb, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
+    gemm_tile(wide, ta, tb, k, a, lda, b, ldb, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
               std::min(kNC, n - j0));
   };
   if (tiles == 1) {
@@ -261,16 +186,12 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, cons
   // Top-level data parallelism (serial under the nesting rule): grain sized
   // so each chunk carries at least kMinFlopsPerTask of arithmetic — derived
   // from the blocked tile size instead of the raw element count.
-  const std::size_t tile_flops =
-      2 * std::min(kMC, m) * std::min(kNC, n) * k;
-  const std::size_t grain =
-      std::clamp<std::size_t>(kMinFlopsPerTask / std::max<std::size_t>(tile_flops, 1), 1, tiles);
   util::parallel_for(
       tiles,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t t = lo; t < hi; ++t) run_tile(t);
       },
-      grain);
+      task_grain(tiles, 2 * std::min(kMC, m) * std::min(kNC, n) * k));
 }
 
 void sgemm_reference(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,

@@ -11,15 +11,15 @@ enum class Trans : unsigned char {
 };
 
 /// Blocking geometry of the packed kernels. Exported so callers can derive
-/// parallel grain sizes from panel sizes (instead of guessing), so tests
-/// can aim edge shapes at the tile boundaries, and so Conv2D's in-place
-/// tiles use the micro-kernel's tile width and depth slices.
+/// parallel grain sizes from panel sizes (instead of guessing), and so
+/// tests can aim edge shapes at the tile boundaries. The register tile
+/// (src/ml/tile.hpp) is sgemm's and Conv2D's both.
 struct GemmBlocking {
   std::size_t mc;  ///< row-panel height (rows of C per tile)
   std::size_t kc;  ///< depth-panel length (k-extent packed per pass)
   std::size_t nc;  ///< column-panel width (columns of C per tile)
-  std::size_t mr;  ///< micro-kernel register-tile rows
-  std::size_t nr;  ///< micro-kernel register-tile columns
+  std::size_t mr;  ///< register-tile rows on the 8-float clones (up to 14 on avx512f)
+  std::size_t nr;  ///< register-tile columns
 };
 
 /// The compiled-in blocking constants.
@@ -32,15 +32,17 @@ struct GemmBlocking {
 /// be 0 (overwrite C) or 1 (accumulate into C) — the only two cases the
 /// training step needs. C must not alias A or B.
 ///
-/// Implementation: cache-blocked and register-tiled — A and B are packed
-/// into contiguous MCxKC / KCxNC panels per (MCxNC) output tile and an
-/// MRxNR micro-kernel accumulates in registers over each KC slice. Every
-/// output element's floating-point accumulation order is a fixed function
-/// of (m, n, k) alone: the k loop always runs ascending in KC slices and
-/// parallelism only ever splits the *output* into disjoint tiles, so any
-/// thread count or tile assignment produces bit-identical results. Each
-/// step of that sum is one fused multiply-add, so the bits do not depend on
-/// the CPU's instruction set either.
+/// Implementation: cache-blocked and register-tiled — per (MCxNC) output
+/// tile and KC slice, A is packed depth-major and B into NR-column panels,
+/// and the register tile Conv2D runs too (src/ml/tile.hpp) accumulates a
+/// panel of rows x NR in registers over the slice. Every output element's
+/// floating-point accumulation order is a fixed function of (m, n, k)
+/// alone: each KC slice is an ascending chain from +0, added to C slice by
+/// slice (the first overwrites C when beta is 0), and parallelism only
+/// ever splits the *output* into disjoint tiles, so any thread count, tile
+/// assignment or tile height produces bit-identical results. Each step of
+/// a chain is one fused multiply-add, so the bits do not depend on the
+/// CPU's instruction set either.
 ///
 /// Execution policy: the tile loop goes through util::parallel_for with a
 /// grain derived from the per-tile flop count (which serializes under the

@@ -345,7 +345,7 @@ TEST(ConvLowering, ChunkedLoweringEqualsSgemmOverNaivePatchMatrix) {
 /// the input at least one pixel high). Then 12 channels of
 /// 5x5 (300 patch rows: the forward spans two KC slices) and 257 output
 /// channels (dx spans two). Last, channel counts at and around the tile
-/// heights the avx512f clone picks (up to 14 output channels a tile, 7
+/// heights the avx512f kernel picks (up to 14 output channels a tile, 7
 /// input channels a dx tile, larger counts in balanced panels), for input
 /// and output channels alike.
 std::vector<std::pair<ConvCase, std::size_t>> tile_cases() {

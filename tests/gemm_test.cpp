@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <tuple>
 #include <vector>
@@ -116,6 +119,55 @@ TEST_P(SgemmShapes, FanOutEqualsSerialBitwise) {
         }
         sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, fanned.data(), n);
         EXPECT_EQ(fanned, serial)
+            << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
+            << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
+      }
+    }
+  }
+}
+
+/// sgemm's bit contract as a scalar model: each C entry sums every KC
+/// depth slice as an ascending std::fmaf chain from +0, then adds the
+/// slices into C in order; the first overwrites C when beta is 0.
+void sgemm_model(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
+                 const float* a, std::size_t lda, const float* b, std::size_t ldb, float beta,
+                 float* c, std::size_t ldc) {
+  const std::size_t kc = gemm_blocking().kc;
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t p0 = 0; p0 < k; p0 += kc) {
+        float s = 0.0f;
+        for (std::size_t p = p0; p < std::min(k, p0 + kc); ++p)
+          s = std::fmaf(ta == Trans::N ? a[i * lda + p] : a[p * lda + i],
+                        tb == Trans::N ? b[p * ldb + j] : b[j * ldb + p], s);
+        float& out = c[i * ldc + j];
+        out = p0 == 0 && beta == 0.0f ? s : out + s;
+      }
+}
+
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+// sgemm against its contract bit for bit (signed zeros too), on every edge
+// shape and operand layout: the independent oracle for the register tile,
+// which Conv2D's tests cannot be, since Conv2D runs the same tile.
+TEST_P(SgemmShapes, MatchesFmaChainModelBitwise) {
+  const auto [m, n, k] = GetParam();
+  for (const Trans ta : {Trans::N, Trans::T}) {
+    for (const Trans tb : {Trans::N, Trans::T}) {
+      for (const float beta : {0.0f, 1.0f}) {
+        const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
+        const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
+        const std::size_t lda = ta == Trans::N ? k : m;
+        const std::size_t ldb = tb == Trans::N ? n : k;
+        auto c = random_matrix(m, n, 3);
+        auto model = c;
+        sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c.data(), n);
+        sgemm_model(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, model.data(), n);
+        EXPECT_EQ(bits(c), bits(model))
             << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
             << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
       }
