@@ -22,6 +22,7 @@
 #include "common.hpp"
 #include "ml/conv2d.hpp"
 #include "ml/gemm.hpp"
+#include "ml/tile.hpp"
 #include "ml/workspace.hpp"
 #include "scenario/json.hpp"
 #include "util/table.hpp"
@@ -306,6 +307,8 @@ int main(int argc, char** argv) {
   }
 
   std::vector<scenario::Json> records;
+  const char* body = ml::tile::kernel().name;  // the register-tile body every record timed
+  std::printf("kernel body: %s\n\n", body);
 
   std::printf("=== Blocked GEMM vs seed kernels (single thread) ===\n");
   util::Table t({"figure", "layer", "op", "m", "n", "k", "blocked GF/s", "naive GF/s",
@@ -324,6 +327,7 @@ int main(int argc, char** argv) {
                  util::Table::fmt(r.blocked_gflops / baseline, 2) + "x"});
       scenario::Json rec = scenario::Json::object();
       rec.set("kind", "gemm_shape");
+      rec.set("kernel", body);
       rec.set("figure", s.figure);
       rec.set("layer", s.layer);
       rec.set("op", op);
@@ -353,6 +357,7 @@ int main(int argc, char** argv) {
             std::pair{"backward", r.backward_us}}) {
         scenario::Json rec = scenario::Json::object();
         rec.set("kind", "conv_pass");
+        rec.set("kernel", body);
         rec.set("figure", l.figure);
         rec.set("layer", l.layer);
         rec.set("pass", pass);
@@ -379,6 +384,7 @@ int main(int argc, char** argv) {
                 util::Table::fmt_int(static_cast<long long>(r.eval_workspace_floats))});
     scenario::Json rec = scenario::Json::object();
     rec.set("kind", "train_step");
+    rec.set("kernel", body);
     rec.set("preset", r.preset);
     rec.set("model", r.model);
     rec.set("batch", r.batch);

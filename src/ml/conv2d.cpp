@@ -10,7 +10,6 @@
 #include <xmmintrin.h>
 #endif
 
-#include "ml/kernel_clones.hpp"
 #include "ml/workspace.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -155,13 +154,12 @@ void Conv2D::plan_grid(std::size_t width, std::size_t plane_rows, std::size_t li
   }
 }
 
-void Conv2D::forward_samples(const float* ap, const float* xp, float* y, std::size_t s0,
-                             std::size_t s1, std::size_t np, std::size_t padded) {
+void Conv2D::forward_samples(const Kernel& kern, const float* ap, const float* xp, float* y,
+                             std::size_t s0, std::size_t s1, std::size_t np, std::size_t padded) {
   const std::size_t rows = cin_ * k_ * k_;
   const std::size_t lda = packed_stride(cout_);
   const float* pb = bias_.data().data();
-  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
-  const Panels panels(wide, cout_, kWideRows);
+  const Panels panels(kern.wide, cout_, kWideRows);
   const std::size_t tiles = tiles_.size();
   const std::size_t units = (s1 - s0) * tiles;
   // Units (sample, tile) write disjoint outputs, so how parallel_for splits
@@ -178,7 +176,7 @@ void Conv2D::forward_samples(const float* ap, const float* xp, float* y, std::si
             const std::size_t o0 = panels.start(i);
             const TileStore store{ys + o0 * np, np, panels.rows(i), runs_.data() + t.run0,
                                   runs_.data() + t.run1, nullptr, pb + o0, false, relu_};
-            tile_over_depth(wide, {ap + o0, xs, t.at.data(), row_off_.data(), lda, rows}, store);
+            tile_over_depth(kern, {ap + o0, xs, t.at.data(), row_off_.data(), lda, rows}, store);
           }
         }
       },
@@ -204,6 +202,7 @@ const Tensor& Conv2D::forward(const Tensor& x) {
   // dropped.
   plan_grid(wp, oh, oh, ow, 1, kPiece);
 
+  const Kernel& kern = kernel();
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
   float* ap = ws.floats(packed_stride(cout_) * rows);
@@ -214,7 +213,7 @@ const Tensor& Conv2D::forward(const Tensor& x) {
     in_shape_ = {batch, cin_, h, w};
     xpad_.resize_uninitialized({batch * padded + kSlack});
     pad_samples(x, 0, batch, xpad_.data().data());
-    forward_samples(ap, xpad_.data().data(), y.data().data(), 0, batch, oh * ow, padded);
+    forward_samples(kern, ap, xpad_.data().data(), y.data().data(), 0, batch, oh * ow, padded);
     return y;
   }
   const std::size_t chunk = chunk_samples(batch, padded);
@@ -223,7 +222,7 @@ const Tensor& Conv2D::forward(const Tensor& x) {
     Workspace::Scope chunk_scope(ws);
     float* xp = ws.floats((s1 - s0) * padded + kSlack);
     pad_samples(x, s0, s1, xp);
-    forward_samples(ap, xp, y.data().data(), s0, s1, oh * ow, padded);
+    forward_samples(kern, ap, xp, y.data().data(), s0, s1, oh * ow, padded);
   }
   return y;
 }
@@ -249,11 +248,11 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
   // padded: depth row q starts at q's top-left input pixel, and the tile
   // columns are runs of each channel's padded grid from there, whose
   // positions past the k x k window are computed and dropped (none at k =
-  // 5 on the avx512f kernel, whose pieces are the 5-float window rows).
-  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
-  const std::size_t len = wide && k_ == 5 ? kWindowRow : kPiece;
+  // 5 on the wide body, whose pieces are the 5-float window rows).
+  const Kernel& kern = kernel();
+  const std::size_t len = kern.wide && k_ == 5 ? kWindowRow : kPiece;
   plan_grid(wp, hp, k_, k_, cin_, len);
-  const Panels panels(wide, cout_, kWideRows);
+  const Panels panels(kern.wide, cout_, kWideRows);
   const std::size_t lda = packed_stride(cout_);
   const std::size_t units = tiles_.size() * panels.n;
   float* pdw = weight_grad_.data().data();
@@ -306,7 +305,7 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
                             runs_.data() + t.run1};
             store.add = true;
             const Operands op{ap + o0, xp, t.at.data(), coff.data(), lda, kc, len != kPiece};
-            (wide ? wide_tile : narrow_tile)(op, store);
+            kern.tile(op, store);
           }
         }
       },
@@ -378,8 +377,8 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
     std::memset(g + (lead + live_rows) * gw, 0, (gh - lead - live_rows) * gw * sizeof(float));
   }
   std::memset(gpad + batch * cout_ * plane, 0, kSlack * sizeof(float));
-  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
-  const Panels panels(wide, cin_, kWideDxRows);
+  const Kernel& kern = kernel();
+  const Panels panels(kern.wide, cin_, kWideDxRows);
   const std::size_t tiles = tiles_.size();
   const std::size_t units = batch * tiles * panels.n;
   // Units (sample, tile, channel panel) write disjoint dx pixels, so how
@@ -400,7 +399,7 @@ void Conv2D::backward_input(const float* pg, std::size_t hp, std::size_t wp) {
                             lda, cout_, false, static_cast<std::uint32_t>(k_),
                             static_cast<std::uint32_t>(oh), static_cast<std::uint32_t>(ow),
                             offsets_.data() + cout_, lane, lane + kNR};
-          (wide ? wide_dx : narrow_dx)(op, store);
+          kern.dx(op, store);
         }
       },
       task_grain(units, 2 * panels.base * kNR * kk * cout_));

@@ -14,7 +14,7 @@ namespace airfedga::ml {
 /// runs ml::sgemm's register tile (src/ml/tile.hpp: NR columns, and as many
 /// rows as its channel count and the registers allow) with its B operand
 /// read in place, each depth row as pieces at per-row offsets, staged once
-/// for all rows: four of NR/4 floats, or on the avx512f kernel six of 5
+/// for all rows: four of NR/4 floats, or on the wide body six of 5
 /// (see dW):
 ///  * forward: W times the patch matrix, B read from the zero-padded input.
 ///    The pieces cover output rows in the padded grid; their columns past
@@ -24,7 +24,7 @@ namespace airfedga::ml {
 ///    times the transposed patch matrix, over the whole batch's output
 ///    pixels in KC slices, B read from the padded input the training
 ///    forward kept. The tile columns are each channel's k x k window cells
-///    in the padded grid, a window row a piece; at k = 5 the avx512f kernel
+///    in the padded grid, a window row a piece; at k = 5 the wide body
 ///    packs three into each 16-float half (30 of 32 columns live, not 20).
 ///  * dx: col2im(W^T gy) one tile of input channels x dx pixels at a time
 ///    (tile::Operands::shift set): for each kernel offset, the chain over
@@ -78,9 +78,9 @@ class Conv2D : public Layer {
   void plan_grid(std::size_t width, std::size_t plane_rows, std::size_t live_rows,
                  std::size_t live_cols, std::size_t planes, std::size_t len);
   /// Computes samples [s0, s1) of the output `y`, padded at `xp`, from the
-  /// packed weights `ap`.
-  void forward_samples(const float* ap, const float* xp, float* y, std::size_t s0,
-                       std::size_t s1, std::size_t np, std::size_t padded);
+  /// packed weights `ap`, on the body `kern`.
+  void forward_samples(const tile::Kernel& kern, const float* ap, const float* xp, float* y,
+                       std::size_t s0, std::size_t s1, std::size_t np, std::size_t padded);
   /// Computes dx_ from the output gradient `pg` (before ReLU's mask).
   void backward_input(const float* pg, std::size_t hp, std::size_t wp);
 

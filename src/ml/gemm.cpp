@@ -9,7 +9,6 @@
 #include <xmmintrin.h>
 #endif
 
-#include "ml/kernel_clones.hpp"
 #include "ml/tile.hpp"
 #include "ml/workspace.hpp"
 #include "obs/trace.hpp"
@@ -26,7 +25,7 @@ namespace {
 // row panel at a time and B into NR-column panels that stream through L1,
 // and the register tile of src/ml/tile.hpp, which Conv2D runs too,
 // accumulates each row panel over the slice: NR = 32 columns by 4 rows on
-// the 8-float clones, or by up to 14 on the avx512f kernel.
+// the 8-float bodies, or by up to 14 on the wide body.
 constexpr std::size_t kMC = gemm_blocking().mc;
 constexpr std::size_t kNC = gemm_blocking().nc;
 
@@ -111,12 +110,12 @@ void pack_b_panels(Trans tb, const float* b, std::size_t ldb, std::size_t p0, st
 /// into the calling thread's workspace. Tiles touch disjoint C ranges and
 /// each element's accumulation order depends only on k, so any assignment
 /// of tiles to threads yields identical bits.
-void gemm_tile(bool wide, Trans ta, Trans tb, std::size_t k, const float* a, std::size_t lda,
-               const float* b, std::size_t ldb, float beta, float* c, std::size_t ldc,
-               std::size_t i0, std::size_t mc, std::size_t j0, std::size_t nc) {
+void gemm_tile(const Kernel& kern, Trans ta, Trans tb, std::size_t k, const float* a,
+               std::size_t lda, const float* b, std::size_t ldb, float beta, float* c,
+               std::size_t ldc, std::size_t i0, std::size_t mc, std::size_t j0, std::size_t nc) {
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  const Panels panels(wide, mc, kWideRows);
+  const Panels panels(kern.wide, mc, kWideRows);
   // Each row panel's A is packed depth-major on its own, ld floats a depth
   // row, so a tile reads its A as one stream: with all mc rows a depth row,
   // fig03's 100x128x784 ran ~7% slower on an AVX-512 host.
@@ -147,7 +146,7 @@ void gemm_tile(bool wide, Trans ta, Trans tb, std::size_t k, const float* a, std
         float* ci = c + (i0 + panels.start(i)) * ldc + j0 + jr * kNR;
         const TileStore store{ci, ldc, panels.rows(i), &run, &run + 1, nullptr, nullptr, add};
         const Operands op{ap + i * ld * kc, pb, kPanelAt.data(), kPanelOff.data(), ld, kc};
-        (wide ? wide_tile : narrow_tile)(op, store);
+        kern.tile(op, store);
       }
     }
   }
@@ -172,11 +171,11 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, cons
   // Span only above a FLOP floor: tiny GEMMs (bias-sized) would swamp the
   // ring buffers without adding attribution signal.
   obs::Span span("gemm", "gemm.sgemm", flops >= kGemmTraceMinFlops);
-  const bool wide = AIRFEDGA_KERNEL_CLONE_AVX512();
+  const Kernel& kern = kernel();
   auto run_tile = [=](std::size_t t) {
     const std::size_t i0 = (t / nb) * kMC;
     const std::size_t j0 = (t % nb) * kNC;
-    gemm_tile(wide, ta, tb, k, a, lda, b, ldb, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
+    gemm_tile(kern, ta, tb, k, a, lda, b, ldb, beta, c, ldc, i0, std::min(kMC, m - i0), j0,
               std::min(kNC, n - j0));
   };
   if (tiles == 1) {

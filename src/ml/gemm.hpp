@@ -18,7 +18,7 @@ struct GemmBlocking {
   std::size_t mc;  ///< row-panel height (rows of C per tile)
   std::size_t kc;  ///< depth-panel length (k-extent packed per pass)
   std::size_t nc;  ///< column-panel width (columns of C per tile)
-  std::size_t mr;  ///< register-tile rows on the 8-float clones (up to 14 on avx512f)
+  std::size_t mr;  ///< register-tile rows on the 8-float bodies (up to 14 on the wide one)
   std::size_t nr;  ///< register-tile columns
 };
 

@@ -43,7 +43,7 @@ using Piece = float __attribute__((vector_size(kPiece * sizeof(float))));
 using TwoPieces = float __attribute__((vector_size(2 * kPiece * sizeof(float))));
 
 /// A tile of kRows rows that the compiler keeps in vector registers: a row
-/// is two 16-float vectors on the avx512f kernel, four 8-float ones else.
+/// is two 16-float vectors on the wide body, four 8-float ones else.
 template <bool kWide, std::size_t kRows>
 using TileRegs = std::conditional_t<kWide, TwoPieces[kRows][2], Piece[kRows][4]>;
 
@@ -52,7 +52,7 @@ using TileRegs = std::conditional_t<kWide, TwoPieces[kRows][2], Piece[kRows][4]>
 /// at tile column piece_col(kLen, i), and row p of A the kRows floats at
 /// ap + p * lda; one fused multiply-add per step, in ascending depth, so
 /// no entry's chain depends on kRows. Each B row is loaded and staged once
-/// for all kRows rows: as two 16-float vectors on the avx512f kernel, else as
+/// for all kRows rows: as two 16-float vectors on the wide body, else as
 /// four 8-float ones. A piece is read as 8 floats, whatever kLen.
 template <bool kWide, std::size_t kRows, std::size_t kLen = kPiece>
 [[gnu::always_inline]] inline void accumulate_tile(std::size_t kc, const float* __restrict ap,
@@ -192,20 +192,23 @@ template <bool kWide, std::size_t kRows>
   store_tile(out, store);
 }
 
-}  // namespace
-
-AIRFEDGA_KERNEL_NARROW
-void narrow_tile(const Operands& op, const TileStore& store) {
+// The bodies: the same tiles compiled per instruction set, one plain function each.
+void default_tile(const Operands& op, const TileStore& store) {
   run_tile<false, kMR, kPiece>(op, store);
 }
 
-AIRFEDGA_KERNEL_NARROW
-void narrow_dx(const Operands& op, const TileStore& store) {
+void default_dx(const Operands& op, const TileStore& store) { run_dx<false, kMR>(op, store); }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+[[gnu::target("fma")]] void fma_tile(const Operands& op, const TileStore& store) {
+  run_tile<false, kMR, kPiece>(op, store);
+}
+
+[[gnu::target("fma")]] void fma_dx(const Operands& op, const TileStore& store) {
   run_dx<false, kMR>(op, store);
 }
 
-AIRFEDGA_KERNEL_AVX512
-void wide_tile(const Operands& op, const TileStore& store) {
+[[gnu::target("avx512f")]] void wide_tile(const Operands& op, const TileStore& store) {
   const auto tile = [&]<std::size_t kRows>() __attribute__((always_inline)) {
     op.window_rows ? run_tile<true, kRows, kWindowRow>(op, store)
                    : run_tile<true, kRows, kPiece>(op, store);
@@ -213,15 +216,40 @@ void wide_tile(const Operands& op, const TileStore& store) {
   with_height<kWideRows>(store.rows, tile);
 }
 
-AIRFEDGA_KERNEL_AVX512
-void wide_dx(const Operands& op, const TileStore& store) {
+[[gnu::target("avx512f")]] void wide_dx(const Operands& op, const TileStore& store) {
   const auto dx = [&]<std::size_t kRows>() __attribute__((always_inline)) {
     run_dx<true, kRows>(op, store);
   };
   with_height<kWideDxRows>(store.rows, dx);
 }
 
-void tile_over_depth(bool wide, Operands op, TileStore store) {
+constexpr Kernel kKernels[] = {{Body::kDefault, "default", false, default_tile, default_dx},
+                               {Body::kFma, "fma", false, fma_tile, fma_dx},
+                               {Body::kWide, "wide", true, wide_tile, wide_dx}};
+
+/// How many bodies this host runs, slowest first. Static initialisation may
+/// get here before libgcc reads the CPU features, hence __builtin_cpu_init().
+const std::size_t g_runnable = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") ? 3 : __builtin_cpu_supports("fma") ? 2 : 1;
+}();
+#else
+constexpr Kernel kKernels[] = {{Body::kDefault, "default", false, default_tile, default_dx}};
+constexpr std::size_t g_runnable = 1;
+#endif
+const Kernel* g_kernel = &kKernels[g_runnable - 1];  // kernel(): the fastest, until forced
+
+}  // namespace
+
+const Kernel& kernel() { return *g_kernel; }
+
+bool force_body(Body body) {
+  if (static_cast<std::size_t>(body) >= g_runnable) return false;
+  g_kernel = &kKernels[static_cast<std::size_t>(body)];
+  return true;
+}
+
+void tile_over_depth(const Kernel& kern, Operands op, TileStore store) {
   static constexpr Run kWhole{0, kNR, 0};
   alignas(64) float sum[kWideRows * kNR];
   TileStore partial{sum, kNR, store.rows, &kWhole, &kWhole + 1};
@@ -231,7 +259,7 @@ void tile_over_depth(bool wide, Operands op, TileStore store) {
     const bool last = p0 + op.depth == k;
     partial.add = p0 > 0;
     if (last) store.prior = p0 > 0 ? sum : nullptr;
-    (wide ? wide_tile : narrow_tile)(op, last ? store : partial);
+    kern.tile(op, last ? store : partial);
   }
 }
 

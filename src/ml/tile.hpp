@@ -17,7 +17,6 @@
 #endif
 
 #include "ml/gemm.hpp"
-#include "ml/kernel_clones.hpp"
 
 // gcc >= 12 and clang; without it B rows are staged as 8-float pieces only.
 #if defined(__has_builtin)
@@ -32,7 +31,7 @@ constexpr std::size_t kMR = gemm_blocking().mr;
 constexpr std::size_t kNR = gemm_blocking().nr;
 constexpr std::size_t kKC = gemm_blocking().kc;
 /// An 8-float B piece, a 16-float vector, and dW's piece at k = 5 on the
-/// avx512f kernel: a window row, three a half (8 without shufflevector).
+/// wide body: a window row, three a half (8 without shufflevector).
 constexpr std::size_t kPiece = kNR / 4;
 constexpr std::size_t kHalf = kNR / 2;
 #if defined(AIRFEDGA_HAS_SHUFFLEVECTOR)
@@ -48,7 +47,7 @@ constexpr std::size_t piece_col(std::size_t len, std::size_t i) {
   return i / (kHalf / len) * kHalf + i % (kHalf / len) * len;
 }
 
-/// Tallest tiles on the avx512f kernels, whose 32 registers hold a tile's
+/// Tallest tiles on the wide body, whose 32 registers hold a tile's
 /// rows, or a dx tile's twice (chain and running sum), at two a row plus B.
 constexpr std::size_t kWideRows = 14;
 constexpr std::size_t kWideDxRows = 7;
@@ -86,7 +85,7 @@ void pack_a(const float* a, std::size_t lda, std::size_t m, std::size_t kc, std:
 
 /// How a pass splits `count` rows into n balanced row panels of at most
 /// `tallest` rows, the first count % n one row taller: one register tile
-/// each, as tall as its panel on the avx512f kernel. The 8-float clones
+/// each, as tall as its panel on the wide body. The 8-float bodies
 /// keep kMR-row tiles, where a taller one would spill, and drop the rows
 /// past the panel (the last one's end by `count` rounded up to kMR).
 struct Panels {
@@ -132,26 +131,37 @@ struct Operands {
   const float *ap, *b;
   const std::size_t *at, *off;
   std::size_t lda, depth;
-  bool window_rows = false;  // dW at k = 5 on the avx512f kernel: 5-float pieces
+  bool window_rows = false;  // dW at k = 5 on the wide body: 5-float pieces
   std::uint32_t k = 0, oh = 0, ow = 0;
   const std::size_t* shift = nullptr;
   const std::uint32_t *ly = nullptr, *lx = nullptr;
 };
 
-/// One tile through `store`: 4 rows from four 8-float pieces on the
-/// 8-float clones; as tall as the rows (up to 14, or 7 for dx) from four
-/// 8-float pieces or six 5-float ones (three a 16-float half) on the
-/// avx512f kernel, which runs where AIRFEDGA_KERNEL_CLONE_AVX512() holds.
-/// The narrow kernels' clones (AIRFEDGA_KERNEL_NARROW) are named on their
-/// definitions only: callers reach them through the one ifunc symbol.
-void narrow_tile(const Operands& op, const TileStore& store);
-void narrow_dx(const Operands& op, const TileStore& store);
-AIRFEDGA_KERNEL_AVX512 void wide_tile(const Operands& op, const TileStore& store);
-AIRFEDGA_KERNEL_AVX512 void wide_dx(const Operands& op, const TileStore& store);
+/// The register-tile bodies, slowest first, each with its kernels: `tile`
+/// and `dx` run one tile or dx tile through `store`. `default` calls libm's
+/// fmaf for each step and `fma` fuses 8-float vectors, in 4-row tiles;
+/// `wide` (avx512f) fuses 16-float ones in tiles as tall as the rows (up to
+/// 14, or 7 for dx) from four 8-float pieces or six 5-float ones (three a
+/// half). Every step rounds once in each body: they differ in speed, not bits.
+enum class Body : std::uint8_t { kDefault, kFma, kWide };
+struct Kernel {
+  Body body;
+  const char* name;  // "default", "fma" or "wide"
+  bool wide;         // tall tiles and 16-float staging: Panels, window rows
+  void (*tile)(const Operands& op, const TileStore& store);
+  void (*dx)(const Operands& op, const TileStore& store);
+};
+
+/// The fastest body this host runs, picked from its CPU features during
+/// static initialisation (so no static initializer may run a tile); a pass
+/// reads it once. force_body, a test seam, makes it `body` if the host runs
+/// that body, else returns false; never call it while a pass runs.
+const Kernel& kernel();
+bool force_body(Body body);
 
 /// The tile over all op.depth rows: the slices before the last sum into a
 /// scratch tile, exactly as ml::sgemm sums them into C, and the last
 /// stores the total through `store`.
-void tile_over_depth(bool wide, Operands op, TileStore store);
+void tile_over_depth(const Kernel& kern, Operands op, TileStore store);
 
 }  // namespace airfedga::ml::tile

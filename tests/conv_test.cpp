@@ -16,10 +16,11 @@
 // one eval forward leaves in its thread's arena. A model's first layer
 // skips its input gradient; the skip tests show that this changes no
 // parameter gradient and that a layer used on its own still returns dx.
-// dW is checked across window-row counts on both sides of the avx512f
-// kernel's six-row tile at k = 5, and a Conv2D with ReLU folded in
+// dW is checked across window-row counts on both sides of the wide
+// body's six-row tile at k = 5, and a Conv2D with ReLU folded in
 // against the Conv2D + ReLU pair it replaces, non-finite gradients and
-// an eval forward between forward and backward included.
+// an eval forward between forward and backward included. The goldens and
+// every lowering check run on each kernel body the host can run.
 //
 // The goldens pin the parameters after K plain-SGD steps and one
 // compute_gradient vector for the CNN presets' models (fig04, fig05), an
@@ -54,6 +55,7 @@
 #include "ml/model.hpp"
 #include "ml/workspace.hpp"
 #include "ml/zoo.hpp"
+#include "support/each_body.hpp"
 #include "support/golden.hpp"
 #include "util/thread_pool.hpp"
 
@@ -134,11 +136,13 @@ TEST(ConvGolden, TrainStepsAndGradientsMatchPinnedDigests) {
       {"mlp(64, 10, 32)", [] { return make_mlp(64, 10, 32); }, {64}, "96bf9370d8266c8d",
        "8816da64320b8f3d"},
   };
-  for (const auto& g : goldens) {
-    const GoldenRun r = golden_run(g.make(), g.sample_shape);
-    EXPECT_EQ(r.params, g.params) << g.label << " parameters after " << kSteps << " steps";
-    EXPECT_EQ(r.gradient, g.gradient) << g.label << " compute_gradient";
-  }
+  for_each_body([&] {
+    for (const auto& g : goldens) {
+      const GoldenRun r = golden_run(g.make(), g.sample_shape);
+      EXPECT_EQ(r.params, g.params) << g.label << " parameters after " << kSteps << " steps";
+      EXPECT_EQ(r.gradient, g.gradient) << g.label << " compute_gradient";
+    }
+  });
 }
 
 // ------------------------------------------------------------ lowering --
@@ -291,17 +295,21 @@ void check_backward(const ConvCase& c, std::size_t cout = kCout) {
 }
 
 TEST(ConvLowering, ForwardEqualsSgemmOverNaivePatchMatrix) {
-  for (const ConvCase& c : sweep()) {
-    SCOPED_TRACE(label(c));
-    check_forward(c);
-  }
+  for_each_body([&] {
+    for (const ConvCase& c : sweep()) {
+      SCOPED_TRACE(label(c));
+      check_forward(c);
+    }
+  });
 }
 
 TEST(ConvLowering, BackwardEqualsSgemmOverNaivePatchMatrix) {
-  for (const ConvCase& c : sweep()) {
-    SCOPED_TRACE(label(c));
-    check_backward(c);
-  }
+  for_each_body([&] {
+    for (const ConvCase& c : sweep()) {
+      SCOPED_TRACE(label(c));
+      check_backward(c);
+    }
+  });
 }
 
 /// Shapes that Conv2D lowers in several chunks, or in one because the KC
@@ -329,25 +337,27 @@ std::vector<ConvCase> chunked_cases() {
 }
 
 TEST(ConvLowering, ChunkedLoweringEqualsSgemmOverNaivePatchMatrix) {
-  for (const ConvCase& c : chunked_cases()) {
-    SCOPED_TRACE(label(c));
-    check_forward(c);
-    check_backward(c);
-  }
+  for_each_body([&] {
+    for (const ConvCase& c : chunked_cases()) {
+      SCOPED_TRACE(label(c));
+      check_forward(c);
+      check_backward(c);
+    }
+  });
 }
 
 /// Cases aimed at the in-place register tiles (pieces of 8 columns, 4
-/// output rows a tile on the 8-float clones, 256-deep slices): every pairing of an output-channel
-/// count around the tile's rows with an output width shorter than, equal
-/// to or longer than a piece, at batch 1, with k and the padding (0 to 2,
-/// also wider than k - 1) cycling; an odd OH keeps batch*OH*OW off a
-/// multiple of 32, so the output ends inside a tile (OH > 2 * pad keeps
-/// the input at least one pixel high). Then 12 channels of
-/// 5x5 (300 patch rows: the forward spans two KC slices) and 257 output
-/// channels (dx spans two). Last, channel counts at and around the tile
-/// heights the avx512f kernel picks (up to 14 output channels a tile, 7
-/// input channels a dx tile, larger counts in balanced panels), for input
-/// and output channels alike.
+/// output rows a tile on the 8-float bodies, 256-deep slices): every
+/// pairing of an output-channel count around the tile's rows with an
+/// output width shorter than, equal to or longer than a piece, at batch 1,
+/// with k and the padding (0 to 2, also wider than k - 1) cycling; an odd
+/// OH keeps batch*OH*OW off a multiple of 32, so the output ends inside a
+/// tile (OH > 2 * pad keeps the input at least one pixel high). Then 12
+/// channels of 5x5 (300 patch rows: the forward spans two KC slices) and
+/// 257 output channels (dx spans two). Last, channel counts at and around
+/// the tile heights the wide body picks (up to 14 output channels a tile,
+/// 7 input channels a dx tile, larger counts in balanced panels), for
+/// input and output channels alike.
 std::vector<std::pair<ConvCase, std::size_t>> tile_cases() {
   std::vector<std::pair<ConvCase, std::size_t>> cases;  // (shape, cout)
   const std::size_t couts[] = {1, 4, 6, 13, 17, 33};
@@ -375,140 +385,152 @@ std::vector<std::pair<ConvCase, std::size_t>> tile_cases() {
 }
 
 TEST(ConvLowering, RegisterTileEdgesEqualSgemmOverNaivePatchMatrix) {
-  for (const auto& [c, cout] : tile_cases()) {
-    ASSERT_NE(c.batch * c.oh() * c.ow() % 32, 0u) << label(c);
-    SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
-    check_forward(c, cout);
-    check_backward(c, cout);
-  }
+  for_each_body([&] {
+    for (const auto& [c, cout] : tile_cases()) {
+      ASSERT_NE(c.batch * c.oh() * c.ow() % 32, 0u) << label(c);
+      SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
+      check_forward(c, cout);
+      check_backward(c, cout);
+    }
+  });
 }
 
 // dW's tile columns are the window cells of cin * k window rows: at k = 5
-// the avx512f kernel packs six window rows a tile, at k = 3 it keeps one a
+// the wide body packs six window rows a tile, at k = 3 it keeps one a
 // piece. cin from 1 to 8 puts the last tile anywhere from one row to full,
 // and cout covers one-row, balanced and two-panel tiles.
 TEST(ConvLowering, WindowRowTilesEqualSgemmOverNaivePatchMatrix) {
-  for (std::size_t k : {3, 5})
-    for (std::size_t cin = 1; cin <= 8; ++cin)
-      for (std::size_t cout : {1, 6, 13, 15}) {
-        const ConvCase c{k, k / 2, cin, 2, 6, 7};
-        SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
-        check_backward(c, cout);
-      }
+  for_each_body([&] {
+    for (std::size_t k : {3, 5})
+      for (std::size_t cin = 1; cin <= 8; ++cin)
+        for (std::size_t cout : {1, 6, 13, 15}) {
+          const ConvCase c{k, k / 2, cin, 2, 6, 7};
+          SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
+          check_backward(c, cout);
+        }
+  });
 }
 
 // A non-finite weight makes dcols entries inf or NaN. col2im adds an entry
 // only to the pixels its output pixel reaches, so dx must keep every other
 // pixel's bits too, NaN payloads included.
 TEST(ConvLowering, DxWithANonFiniteWeightEqualsCol2imBitwise) {
-  for (const float bad : {std::numeric_limits<float>::infinity(),
-                          std::numeric_limits<float>::quiet_NaN()}) {
-    for (const ConvCase& c : {ConvCase{3, 1, 2, 2, 6, 9}, ConvCase{5, 2, 3, 1, 8, 8},
-                              ConvCase{3, 0, 1, 2, 7, 5}}) {
-      SCOPED_TRACE(label(c));
-      Conv2D conv(c.cin, kCout, c.k, c.pad);
-      util::Rng rng(73);
-      conv.init(rng);
-      auto params = conv.params();
-      params[0].value[(kCout / 2) * c.rows() + c.rows() / 2] = bad;
-      const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-      conv.forward(x);
-      const Tensor g = Tensor::randn({c.batch, kCout, c.oh(), c.ow()}, rng);
-      const Tensor& dx = conv.backward(g);
+  for_each_body([&] {
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+      for (const ConvCase& c : {ConvCase{3, 1, 2, 2, 6, 9}, ConvCase{5, 2, 3, 1, 8, 8},
+                                ConvCase{3, 0, 1, 2, 7, 5}}) {
+        SCOPED_TRACE(label(c));
+        Conv2D conv(c.cin, kCout, c.k, c.pad);
+        util::Rng rng(73);
+        conv.init(rng);
+        auto params = conv.params();
+        params[0].value[(kCout / 2) * c.rows() + c.rows() / 2] = bad;
+        const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+        conv.forward(x);
+        const Tensor g = Tensor::randn({c.batch, kCout, c.oh(), c.ow()}, rng);
+        const Tensor& dx = conv.backward(g);
 
-      const std::vector<float> dx_ref =
-          dx_reference(c, kCout, params[0].value.data(), gather_gy(c, kCout, g));
-      ASSERT_EQ(dx.size(), dx_ref.size());
-      for (std::size_t i = 0; i < dx_ref.size(); ++i)
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(dx[i]), std::bit_cast<std::uint32_t>(dx_ref[i]))
-            << "dx " << i;
+        const std::vector<float> dx_ref =
+            dx_reference(c, kCout, params[0].value.data(), gather_gy(c, kCout, g));
+        ASSERT_EQ(dx.size(), dx_ref.size());
+        for (std::size_t i = 0; i < dx_ref.size(); ++i)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(dx[i]), std::bit_cast<std::uint32_t>(dx_ref[i]))
+              << "dx " << i;
+      }
     }
-  }
+  });
 }
 
 TEST(ConvLowering, EvalForwardOfOneBatchEqualsForwardsOfItsSlices) {
-  Model model = make_cnn_cifar(0.2, 16);
-  util::Rng rng(47);
-  model.init(rng);
-  model.set_training(false);
-  constexpr std::size_t kEval = 256, kSlice = 16;
-  const Tensor x = Tensor::randn({kEval, 3, 16, 16}, rng);
-  const Tensor whole = model.forward(x);
-  const std::size_t per_sample = whole.size() / kEval;
-  std::vector<std::size_t> idx(kSlice);
-  for (std::size_t s0 = 0; s0 < kEval; s0 += kSlice) {
-    for (std::size_t i = 0; i < kSlice; ++i) idx[i] = s0 + i;
-    const Tensor& part = model.forward(gather_rows(x, idx));
-    for (std::size_t i = 0; i < part.size(); ++i)
-      ASSERT_EQ(part[i], whole[s0 * per_sample + i]) << "samples from " << s0 << ", entry " << i;
-  }
+  for_each_body([&] {
+    Model model = make_cnn_cifar(0.2, 16);
+    util::Rng rng(47);
+    model.init(rng);
+    model.set_training(false);
+    constexpr std::size_t kEval = 256, kSlice = 16;
+    const Tensor x = Tensor::randn({kEval, 3, 16, 16}, rng);
+    const Tensor whole = model.forward(x);
+    const std::size_t per_sample = whole.size() / kEval;
+    std::vector<std::size_t> idx(kSlice);
+    for (std::size_t s0 = 0; s0 < kEval; s0 += kSlice) {
+      for (std::size_t i = 0; i < kSlice; ++i) idx[i] = s0 + i;
+      const Tensor& part = model.forward(gather_rows(x, idx));
+      for (std::size_t i = 0; i < part.size(); ++i)
+        ASSERT_EQ(part[i], whole[s0 * per_sample + i]) << "samples from " << s0 << ", entry " << i;
+    }
+  });
 }
 
 TEST(ConvLowering, BackwardUsesTheLastTrainingForward) {
-  // A training forward at 16, an eval forward at 256 and a training forward
-  // at 8 on one layer; its backward must equal a fresh layer's after one
-  // forward at 8.
-  util::Rng rng(53);
-  const Tensor x16 = Tensor::randn({16, 3, 16, 16}, rng);
-  const Tensor x256 = Tensor::randn({256, 3, 16, 16}, rng);
-  const Tensor x8 = Tensor::randn({8, 3, 16, 16}, rng);
-  const Tensor g8 = Tensor::randn({8, kCout, 16, 16}, rng);
-  Conv2D reused(3, kCout, 5, 2), fresh(3, kCout, 5, 2);
-  util::Rng init_a(59), init_b(59);
-  reused.init(init_a);
-  fresh.init(init_b);
+  for_each_body([&] {
+    // A training forward at 16, an eval forward at 256 and a training forward
+    // at 8 on one layer; its backward must equal a fresh layer's after one
+    // forward at 8.
+    util::Rng rng(53);
+    const Tensor x16 = Tensor::randn({16, 3, 16, 16}, rng);
+    const Tensor x256 = Tensor::randn({256, 3, 16, 16}, rng);
+    const Tensor x8 = Tensor::randn({8, 3, 16, 16}, rng);
+    const Tensor g8 = Tensor::randn({8, kCout, 16, 16}, rng);
+    Conv2D reused(3, kCout, 5, 2), fresh(3, kCout, 5, 2);
+    util::Rng init_a(59), init_b(59);
+    reused.init(init_a);
+    fresh.init(init_b);
 
-  reused.forward(x16);
-  reused.set_training(false);
-  reused.forward(x256);
-  reused.set_training(true);
-  reused.forward(x8);
-  const Tensor dx_reused = reused.backward(g8);
-  fresh.forward(x8);
-  const Tensor& dx_fresh = fresh.backward(g8);
+    reused.forward(x16);
+    reused.set_training(false);
+    reused.forward(x256);
+    reused.set_training(true);
+    reused.forward(x8);
+    const Tensor dx_reused = reused.backward(g8);
+    fresh.forward(x8);
+    const Tensor& dx_fresh = fresh.backward(g8);
 
-  ASSERT_EQ(dx_reused.shape(), dx_fresh.shape());
-  for (std::size_t i = 0; i < dx_fresh.size(); ++i) ASSERT_EQ(dx_reused[i], dx_fresh[i]) << i;
-  const auto pr = reused.params(), pf = fresh.params();
-  for (std::size_t b = 0; b < pr.size(); ++b)
-    for (std::size_t i = 0; i < pf[b].grad.size(); ++i)
-      ASSERT_EQ(pr[b].grad[i], pf[b].grad[i]) << "param block " << b << " entry " << i;
+    ASSERT_EQ(dx_reused.shape(), dx_fresh.shape());
+    for (std::size_t i = 0; i < dx_fresh.size(); ++i) ASSERT_EQ(dx_reused[i], dx_fresh[i]) << i;
+    const auto pr = reused.params(), pf = fresh.params();
+    for (std::size_t b = 0; b < pr.size(); ++b)
+      for (std::size_t i = 0; i < pf[b].grad.size(); ++i)
+        ASSERT_EQ(pr[b].grad[i], pf[b].grad[i]) << "param block " << b << " entry " << i;
+  });
 }
 
 TEST(ConvLowering, FanOutOverThePoolEqualsSerialBitwise) {
-  // Large enough that every pass splits over the global pool's lanes (when
-  // it has any); the serial run takes the nesting rule's fallback.
-  util::Rng rng(71);
-  const Tensor x = Tensor::randn({16, 6, 16, 16}, rng);
-  const Tensor g = Tensor::randn({16, 16, 16, 16}, rng);
-  Conv2D serial(6, 16, 5, 2), fanned(6, 16, 5, 2);
-  util::Rng init_a(73), init_b(73);
-  serial.init(init_a);
-  fanned.init(init_b);
-  const auto bits_equal = [](std::span<const float> a, std::span<const float> b,
-                             const char* what) {
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i)
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]), std::bit_cast<std::uint32_t>(b[i]))
-          << what << " " << i;
-  };
-  for (int step = 0; step < 2; ++step) {  // the second backward adds to the first's gradients
-    std::vector<float> out_serial, dx_serial;
-    {
-      util::ThreadPool::SerialRegion region;
-      const auto out = serial.forward(x).data();
-      out_serial.assign(out.begin(), out.end());
-      const auto dx = serial.backward(g).data();
-      dx_serial.assign(dx.begin(), dx.end());
+  for_each_body([&] {
+    // Large enough that every pass splits over the global pool's lanes (when
+    // it has any); the serial run takes the nesting rule's fallback.
+    util::Rng rng(71);
+    const Tensor x = Tensor::randn({16, 6, 16, 16}, rng);
+    const Tensor g = Tensor::randn({16, 16, 16, 16}, rng);
+    Conv2D serial(6, 16, 5, 2), fanned(6, 16, 5, 2);
+    util::Rng init_a(73), init_b(73);
+    serial.init(init_a);
+    fanned.init(init_b);
+    const auto bits_equal = [](std::span<const float> a, std::span<const float> b,
+                               const char* what) {
+      ASSERT_EQ(a.size(), b.size()) << what;
+      for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]), std::bit_cast<std::uint32_t>(b[i]))
+            << what << " " << i;
+    };
+    for (int step = 0; step < 2; ++step) {  // the second backward adds to the first's gradients
+      std::vector<float> out_serial, dx_serial;
+      {
+        util::ThreadPool::SerialRegion region;
+        const auto out = serial.forward(x).data();
+        out_serial.assign(out.begin(), out.end());
+        const auto dx = serial.backward(g).data();
+        dx_serial.assign(dx.begin(), dx.end());
+      }
+      const Tensor& out_fanned = fanned.forward(x);
+      bits_equal(out_fanned.data(), out_serial, "out");
+      const Tensor& dx_fanned = fanned.backward(g);
+      bits_equal(dx_fanned.data(), dx_serial, "dx");
+      const auto ps = serial.params(), pf = fanned.params();
+      bits_equal(pf[0].grad, ps[0].grad, "dW");
+      bits_equal(pf[1].grad, ps[1].grad, "db");
     }
-    const Tensor& out_fanned = fanned.forward(x);
-    bits_equal(out_fanned.data(), out_serial, "out");
-    const Tensor& dx_fanned = fanned.backward(g);
-    bits_equal(dx_fanned.data(), dx_serial, "dx");
-    const auto ps = serial.params(), pf = fanned.params();
-    bits_equal(pf[0].grad, ps[0].grad, "dW");
-    bits_equal(pf[1].grad, ps[1].grad, "db");
-  }
+  });
 }
 
 /// The bits of a float vector, NaN payloads included.
@@ -525,65 +547,69 @@ std::vector<std::uint32_t> bits(std::span<const float> v) {
 // on other data between the training forward and backward. A NaN in
 // grad_out spreads over most of dW and dx, so each case also runs finite.
 TEST(ConvReluFold, EqualsConvThenReluBitwise) {
-  const float inf = std::numeric_limits<float>::infinity();
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (const bool non_finite : {false, true})
-    for (const auto& [c, cout] : {std::pair{ConvCase{5, 2, 3, 3, 8, 8}, std::size_t{6}},
-                                  std::pair{ConvCase{5, 2, 6, 2, 8, 8}, std::size_t{13}},
-                                  std::pair{ConvCase{3, 1, 2, 2, 7, 9}, std::size_t{5}}}) {
-      SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout) + " non_finite=" +
-                   std::to_string(non_finite));
-      Conv2D folded(c.cin, cout, c.k, c.pad, /*relu=*/true), conv(c.cin, cout, c.k, c.pad);
-      ReLU relu;
-      util::Rng init_a(79), init_b(79), rng(83);
-      folded.init(init_a);
-      conv.init(init_b);
-      auto pf = folded.params(), pc = conv.params();
-      for (std::size_t o = 0; o < cout; ++o)
-        pf[1].value[o] = pc[1].value[o] = o % 3 == 0 ? 0.0f : o % 3 == 1 ? -0.0f : 0.1f;
-      Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-      for (std::size_t i = 0; i < c.cin * c.h * c.w; ++i) x[i] = 0.0f;  // sample 0
-      const Tensor x_eval = Tensor::randn({c.batch + 1, c.cin, c.h, c.w}, rng);
-      Tensor g = Tensor::randn({c.batch, cout, c.oh(), c.ow()}, rng);
+  for_each_body([&] {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const bool non_finite : {false, true})
+      for (const auto& [c, cout] : {std::pair{ConvCase{5, 2, 3, 3, 8, 8}, std::size_t{6}},
+                                    std::pair{ConvCase{5, 2, 6, 2, 8, 8}, std::size_t{13}},
+                                    std::pair{ConvCase{3, 1, 2, 2, 7, 9}, std::size_t{5}}}) {
+        SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout) + " non_finite=" +
+                     std::to_string(non_finite));
+        Conv2D folded(c.cin, cout, c.k, c.pad, /*relu=*/true), conv(c.cin, cout, c.k, c.pad);
+        ReLU relu;
+        util::Rng init_a(79), init_b(79), rng(83);
+        folded.init(init_a);
+        conv.init(init_b);
+        auto pf = folded.params(), pc = conv.params();
+        for (std::size_t o = 0; o < cout; ++o)
+          pf[1].value[o] = pc[1].value[o] = o % 3 == 0 ? 0.0f : o % 3 == 1 ? -0.0f : 0.1f;
+        Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+        for (std::size_t i = 0; i < c.cin * c.h * c.w; ++i) x[i] = 0.0f;  // sample 0
+        const Tensor x_eval = Tensor::randn({c.batch + 1, c.cin, c.h, c.w}, rng);
+        Tensor g = Tensor::randn({c.batch, cout, c.oh(), c.ow()}, rng);
 
-      const Tensor& y = folded.forward(x);
-      ASSERT_EQ(bits(y.data()), bits(relu.forward(conv.forward(x)).data())) << "train forward";
-      std::size_t zeros = 0, positives = 0;
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        const float bad[] = {nan, inf, -inf};
-        if ((y[i] > 0.0f ? positives++ < 3 : zeros++ < 3) && non_finite) g[i] = bad[i % 3];
+        const Tensor& y = folded.forward(x);
+        ASSERT_EQ(bits(y.data()), bits(relu.forward(conv.forward(x)).data())) << "train forward";
+        std::size_t zeros = 0, positives = 0;
+        for (std::size_t i = 0; i < y.size(); ++i) {
+          const float bad[] = {nan, inf, -inf};
+          if ((y[i] > 0.0f ? positives++ < 3 : zeros++ < 3) && non_finite) g[i] = bad[i % 3];
+        }
+        ASSERT_GT(zeros, 3u);
+        ASSERT_GT(positives, 3u);
+
+        for (Layer* l : {static_cast<Layer*>(&folded), static_cast<Layer*>(&conv),
+                         static_cast<Layer*>(&relu)})
+          l->set_training(false);
+        ASSERT_EQ(bits(folded.forward(x_eval).data()),
+                  bits(relu.forward(conv.forward(x_eval)).data()))
+            << "eval forward";
+        for (Layer* l : {static_cast<Layer*>(&folded), static_cast<Layer*>(&conv),
+                         static_cast<Layer*>(&relu)})
+          l->set_training(true);
+
+        const Tensor& dx = folded.backward(g);
+        const Tensor& dx_ref = conv.backward(relu.backward(g));
+        EXPECT_EQ(bits(dx.data()), bits(dx_ref.data())) << "dx";
+        EXPECT_EQ(bits(pf[0].grad), bits(pc[0].grad)) << "dW";
+        EXPECT_EQ(bits(pf[1].grad), bits(pc[1].grad)) << "db";
       }
-      ASSERT_GT(zeros, 3u);
-      ASSERT_GT(positives, 3u);
-
-      for (Layer* l : {static_cast<Layer*>(&folded), static_cast<Layer*>(&conv),
-                       static_cast<Layer*>(&relu)})
-        l->set_training(false);
-      ASSERT_EQ(bits(folded.forward(x_eval).data()),
-                bits(relu.forward(conv.forward(x_eval)).data()))
-          << "eval forward";
-      for (Layer* l : {static_cast<Layer*>(&folded), static_cast<Layer*>(&conv),
-                       static_cast<Layer*>(&relu)})
-        l->set_training(true);
-
-      const Tensor& dx = folded.backward(g);
-      const Tensor& dx_ref = conv.backward(relu.backward(g));
-      EXPECT_EQ(bits(dx.data()), bits(dx_ref.data())) << "dx";
-      EXPECT_EQ(bits(pf[0].grad), bits(pc[0].grad)) << "dW";
-      EXPECT_EQ(bits(pf[1].grad), bits(pc[1].grad)) << "db";
-    }
+  });
 }
 
 TEST(ConvLowering, BackwardWithoutATrainingForwardThrows) {
-  Conv2D conv(3, kCout, 5, 2);
-  util::Rng rng(61);
-  conv.init(rng);
-  const Tensor g = Tensor::randn({2, kCout, 8, 8}, rng);
-  EXPECT_THROW(conv.backward(g), std::logic_error);
-  conv.set_training(false);
-  conv.forward(Tensor::randn({2, 3, 8, 8}, rng));
-  conv.set_training(true);
-  EXPECT_THROW(conv.backward(g), std::logic_error);
+  for_each_body([&] {
+    Conv2D conv(3, kCout, 5, 2);
+    util::Rng rng(61);
+    conv.init(rng);
+    const Tensor g = Tensor::randn({2, kCout, 8, 8}, rng);
+    EXPECT_THROW(conv.backward(g), std::logic_error);
+    conv.set_training(false);
+    conv.forward(Tensor::randn({2, 3, 8, 8}, rng));
+    conv.set_training(true);
+    EXPECT_THROW(conv.backward(g), std::logic_error);
+  });
 }
 
 TEST(ConvWorkspace, EvalForwardPinsAboutOneChunkInTheArena) {

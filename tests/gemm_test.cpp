@@ -22,6 +22,7 @@
 // operator new in this binary bumps the counters, so a test can assert
 // that a region of the training hot path performs zero heap allocations.
 #include "support/alloc_hook.hpp"
+#include "support/each_body.hpp"
 
 namespace {
 struct AllocStats {
@@ -61,26 +62,28 @@ class SgemmShapes
     : public testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t>> {};
 
 TEST_P(SgemmShapes, AllVariantsMatchScalarReference) {
-  const auto [m, n, k] = GetParam();
-  for (const Trans ta : {Trans::N, Trans::T}) {
-    for (const Trans tb : {Trans::N, Trans::T}) {
-      for (const float beta : {0.0f, 1.0f}) {
-        const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
-        const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
-        const std::size_t lda = ta == Trans::N ? k : m;
-        const std::size_t ldb = tb == Trans::N ? n : k;
-        auto c = random_matrix(m, n, 3);  // nonzero start exercises beta
-        auto c_ref = c;
-        sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c.data(), n);
-        sgemm_reference(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c_ref.data(), n);
-        expect_close(c, c_ref, k,
-                     "m=" + std::to_string(m) + " n=" + std::to_string(n) +
-                         " k=" + std::to_string(k) + " ta=" + (ta == Trans::N ? "N" : "T") +
-                         " tb=" + (tb == Trans::N ? "N" : "T") +
-                         " beta=" + std::to_string(beta));
+  for_each_body([&] {
+    const auto [m, n, k] = GetParam();
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        for (const float beta : {0.0f, 1.0f}) {
+          const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
+          const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
+          const std::size_t lda = ta == Trans::N ? k : m;
+          const std::size_t ldb = tb == Trans::N ? n : k;
+          auto c = random_matrix(m, n, 3);  // nonzero start exercises beta
+          auto c_ref = c;
+          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c.data(), n);
+          sgemm_reference(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c_ref.data(), n);
+          expect_close(c, c_ref, k,
+                       "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                           " k=" + std::to_string(k) + " ta=" + (ta == Trans::N ? "N" : "T") +
+                           " tb=" + (tb == Trans::N ? "N" : "T") +
+                           " beta=" + std::to_string(beta));
+        }
       }
     }
-  }
+  });
 }
 
 // Edge shapes around every blocking boundary: single rows/columns, sizes
@@ -103,27 +106,29 @@ INSTANTIATE_TEST_SUITE_P(
 // (65x257x257 runs 4 tiles at grain 1); fixed disjoint C ranges must give
 // the serial bits on every edge shape and operand layout.
 TEST_P(SgemmShapes, FanOutEqualsSerialBitwise) {
-  const auto [m, n, k] = GetParam();
-  for (const Trans ta : {Trans::N, Trans::T}) {
-    for (const Trans tb : {Trans::N, Trans::T}) {
-      for (const float beta : {0.0f, 1.0f}) {
-        const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
-        const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
-        const std::size_t lda = ta == Trans::N ? k : m;
-        const std::size_t ldb = tb == Trans::N ? n : k;
-        const auto c0 = random_matrix(m, n, 3);
-        auto serial = c0, fanned = c0;
-        {
-          util::ThreadPool::SerialRegion region;
-          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, serial.data(), n);
+  for_each_body([&] {
+    const auto [m, n, k] = GetParam();
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        for (const float beta : {0.0f, 1.0f}) {
+          const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
+          const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
+          const std::size_t lda = ta == Trans::N ? k : m;
+          const std::size_t ldb = tb == Trans::N ? n : k;
+          const auto c0 = random_matrix(m, n, 3);
+          auto serial = c0, fanned = c0;
+          {
+            util::ThreadPool::SerialRegion region;
+            sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, serial.data(), n);
+          }
+          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, fanned.data(), n);
+          EXPECT_EQ(fanned, serial)
+              << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
+              << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
         }
-        sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, fanned.data(), n);
-        EXPECT_EQ(fanned, serial)
-            << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
-            << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
       }
     }
-  }
+  });
 }
 
 /// sgemm's bit contract as a scalar model: each C entry sums every KC
@@ -155,24 +160,26 @@ std::vector<std::uint32_t> bits(const std::vector<float>& v) {
 // shape and operand layout: the independent oracle for the register tile,
 // which Conv2D's tests cannot be, since Conv2D runs the same tile.
 TEST_P(SgemmShapes, MatchesFmaChainModelBitwise) {
-  const auto [m, n, k] = GetParam();
-  for (const Trans ta : {Trans::N, Trans::T}) {
-    for (const Trans tb : {Trans::N, Trans::T}) {
-      for (const float beta : {0.0f, 1.0f}) {
-        const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
-        const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
-        const std::size_t lda = ta == Trans::N ? k : m;
-        const std::size_t ldb = tb == Trans::N ? n : k;
-        auto c = random_matrix(m, n, 3);
-        auto model = c;
-        sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c.data(), n);
-        sgemm_model(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, model.data(), n);
-        EXPECT_EQ(bits(c), bits(model))
-            << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
-            << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
+  for_each_body([&] {
+    const auto [m, n, k] = GetParam();
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        for (const float beta : {0.0f, 1.0f}) {
+          const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
+          const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
+          const std::size_t lda = ta == Trans::N ? k : m;
+          const std::size_t ldb = tb == Trans::N ? n : k;
+          auto c = random_matrix(m, n, 3);
+          auto model = c;
+          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c.data(), n);
+          sgemm_model(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, model.data(), n);
+          EXPECT_EQ(bits(c), bits(model))
+              << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
+              << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
+        }
       }
     }
-  }
+  });
 }
 
 /// (rows, cols) row-major -> (cols, rows).
@@ -226,19 +233,50 @@ TEST(Sgemm, BlockingGeometryIsExported) {
   EXPECT_EQ(blk.nc % blk.nr, 0u);
 }
 
-// Every accumulation step is one fused multiply-add, whichever kernel clone
-// runs. With x = 1 + 2^-12, -1·1 + x·x is 2^-11 + 2^-24 exactly when fused;
+// Every accumulation step is one fused multiply-add, in every kernel body.
+// With x = 1 + 2^-12, -1·1 + x·x is 2^-11 + 2^-24 exactly when fused;
 // rounding x·x first (to 1 + 2^-11, a tie to even) would lose the 2^-24.
 TEST(Sgemm, AccumulatesWithOneRoundingPerStep) {
-  const float x = 1.0f + std::ldexp(1.0f, -12);
-  const std::vector<float> a = {-1.0f, x}, b = {1.0f, x};
-  for (const Trans ta : {Trans::N, Trans::T})
-    for (const Trans tb : {Trans::N, Trans::T}) {
-      const std::size_t lda = ta == Trans::N ? 2 : 1, ldb = tb == Trans::N ? 1 : 2;
-      float c = 0.0f;
-      sgemm(ta, tb, 1, 1, 2, a.data(), lda, b.data(), ldb, 0.0f, &c, 1);
-      EXPECT_EQ(c, std::ldexp(1.0f, -11) + std::ldexp(1.0f, -24));
+  for_each_body([&] {
+    const float x = 1.0f + std::ldexp(1.0f, -12);
+    const std::vector<float> a = {-1.0f, x}, b = {1.0f, x};
+    for (const Trans ta : {Trans::N, Trans::T})
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        const std::size_t lda = ta == Trans::N ? 2 : 1, ldb = tb == Trans::N ? 1 : 2;
+        float c = 0.0f;
+        sgemm(ta, tb, 1, 1, 2, a.data(), lda, b.data(), ldb, 0.0f, &c, 1);
+        EXPECT_EQ(c, std::ldexp(1.0f, -11) + std::ldexp(1.0f, -24));
+      }
+  });
+}
+
+// kernel() is the fastest body the CPU reports; force_body refuses a body
+// the host cannot run and, where it succeeds, sets kernel() until
+// for_each_body restores the resolved one.
+TEST(KernelDispatch, ResolvesTheFastestBodyAndForcesOnlyRunnableOnes) {
+  using tile::Body;
+  Body fastest = Body::kDefault;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("fma")) fastest = Body::kFma;
+  if (__builtin_cpu_supports("avx512f")) fastest = Body::kWide;
+#endif
+  ASSERT_EQ(tile::kernel().body, fastest);
+  for (const Body lacking : {Body::kFma, Body::kWide, static_cast<Body>(3)})
+    if (lacking > fastest) {
+      EXPECT_FALSE(tile::force_body(lacking)) << static_cast<int>(lacking);
+      EXPECT_EQ(tile::kernel().body, fastest);
     }
+  std::vector<Body> ran;
+  for_each_body([&] {
+    ran.push_back(tile::kernel().body);
+    ASSERT_TRUE(tile::force_body(Body::kDefault));
+    EXPECT_EQ(tile::kernel().body, Body::kDefault);
+  });
+  std::vector<Body> runnable;
+  for (int b = 0; b <= static_cast<int>(fastest); ++b) runnable.push_back(static_cast<Body>(b));
+  EXPECT_EQ(ran, runnable);
+  EXPECT_EQ(tile::kernel().body, fastest);
 }
 
 // ---------------------------------------------------------------- conv ----
@@ -522,18 +560,21 @@ TEST(LaneCountDeterminism, TrainingDigestsBitIdenticalAcrossLaneCounts) {
   cfg.max_rounds = 4;
   cfg.seed = 43;
 
+  // One reference for every body too: the bodies differ in speed only.
   std::string reference;
-  for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-    cfg.threads = threads;
-    fl::AirFedGA mech;
-    const fl::Metrics metrics = mech.run(cfg);
-    ASSERT_FALSE(metrics.empty());
-    if (reference.empty()) {
-      reference = metrics.digest();
-    } else {
-      EXPECT_EQ(metrics.digest(), reference) << "@" << threads << " lanes";
+  for_each_body([&] {
+    for (const std::size_t threads : {1UL, 2UL, 4UL}) {
+      cfg.threads = threads;
+      fl::AirFedGA mech;
+      const fl::Metrics metrics = mech.run(cfg);
+      ASSERT_FALSE(metrics.empty());
+      if (reference.empty()) {
+        reference = metrics.digest();
+      } else {
+        EXPECT_EQ(metrics.digest(), reference) << "@" << threads << " lanes";
+      }
     }
-  }
+  });
 }
 
 }  // namespace
