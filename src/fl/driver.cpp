@@ -75,6 +75,8 @@ Driver::Driver(const FLConfig& cfg)
   obs::name_this_thread("sim");
   warm_hits_ = &registry_.counter("pool.warm_hits");
   cold_replays_ = &registry_.counter("pool.cold_replays");
+  updates_run_ = &registry_.counter("driver.updates_run");
+  updates_collected_ = &registry_.counter("driver.updates_collected");
   energy_hist_ = &registry_.histogram(
       "substrate.energy_j", {0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0});
   csi_hist_ = &registry_.histogram(
@@ -113,14 +115,19 @@ Driver::Driver(const FLConfig& cfg)
 }
 
 Driver::~Driver() {
-  // Collect any jobs a mechanism left in flight when it stopped early, so
-  // no task outlives the state it references (the pool joins right after).
+  // An early stop (budget, max_rounds, stop_at_accuracy, cancel) leaves
+  // jobs nothing will read. Queued lane jobs see the flag and return
+  // without training, held jobs are dropped unrun, and only jobs already
+  // running are waited for, so no task outlives the state it references
+  // (the pool joins right after).
+  stopping_.store(true);
   for (auto& s : slots_) {
-    if (s.pending.valid()) {
-      try {
-        s.pending.get();
-      } catch (...) {  // mechanism already returned; nothing to rethrow into
-      }
+    if (!s.pending.valid() ||
+        s.pending.wait_for(std::chrono::seconds(0)) == std::future_status::deferred)
+      continue;
+    try {
+      s.pending.get();
+    } catch (...) {  // mechanism already returned; nothing to rethrow into
     }
   }
 }
@@ -222,6 +229,7 @@ void Driver::release_workers(const std::vector<std::size_t>& members) {
 
 void Driver::begin_training(const std::vector<std::size_t>& members,
                             std::span<const float> global, double deadline) {
+  if (std::isnan(deadline)) throw std::invalid_argument("Driver::begin_training: NaN deadline");
   // Snapshot the global model once: the server may install a newer version
   // while these jobs are still running (asynchronous groups), and every
   // member of the batch must train from the same w_t it was sent.
@@ -229,6 +237,11 @@ void Driver::begin_training(const std::vector<std::size_t>& members,
   const float lr = cfg_->learning_rate;
   const std::size_t steps = cfg_->local_steps;
   const std::size_t batch = cfg_->batch_size;
+  // A job goes to a lane only if an aggregation inside the budget can read
+  // it. Every other job (past the budget, or any job of a one-lane run) is
+  // held as a deferred task: it runs on the simulation thread when
+  // finish_training waits for it, and never if nothing does.
+  const bool on_lane = lanes_ > 1 && deadline <= cfg_->time_budget;
   for (auto m : members) {
     const std::size_t bound = bound_.at(m);
     if (bound != kNoSlot && slots_[bound].pending.valid())
@@ -239,20 +252,24 @@ void Driver::begin_training(const std::vector<std::size_t>& members,
     Slot& s = lease_slot(m);
     ++cycles_[m];
     Worker& w = *s.worker;
-    // The batch's virtual aggregation deadline is the scheduling key:
-    // pending jobs start earliest-deadline-first, so lanes go to the group
-    // whose barrier the simulation will reach next.
-    s.pending = pool_->submit_prioritized(deadline, [this, &w, snapshot, lr, steps, batch] {
+    auto job = [this, &w, snapshot, lr, steps, batch] {
+      if (stopping_.load()) return;  // ~Driver: nobody will read it
       // On a pool lane, the worker-thread flag already pins the ML kernels
       // underneath to their serial fallback (nesting rule: no deadlock, no
-      // oversubscription). Inline 1-lane training instead keeps the global
-      // pool's GEMM fan-out, like the seed engine — a wall-time choice
-      // only: chunked kernels write disjoint output ranges, so either
-      // schedule produces the same bits.
+      // oversubscription). A held job runs on the simulation thread and
+      // keeps the global pool's GEMM fan-out — a wall-time choice only:
+      // chunked kernels write disjoint output ranges, so either schedule
+      // produces the same bits.
       obs::Span span("worker", "worker.local_update");
+      updates_run_->add();
       ScratchLease lease(*this);
       w.local_update(lease.model(), *snapshot, lr, steps, batch);
-    });
+    };
+    // The batch's virtual aggregation deadline is the scheduling key:
+    // pending lane jobs start earliest-deadline-first, so lanes go to the
+    // group whose barrier the simulation will reach next.
+    s.pending = on_lane ? pool_->submit_prioritized(deadline, std::move(job))
+                        : std::async(std::launch::deferred, std::move(job));
   }
 }
 
@@ -261,7 +278,9 @@ void Driver::finish_training(const std::vector<std::size_t>& members) {
   const auto t0 = std::chrono::steady_clock::now();
   for (auto m : members) {
     const std::size_t slot = bound_.at(m);
-    if (slot != kNoSlot && slots_[slot].pending.valid()) slots_[slot].pending.get();
+    if (slot == kNoSlot || !slots_[slot].pending.valid()) continue;
+    updates_collected_->add();
+    slots_[slot].pending.get();
   }
   engine_stats_.barrier_seconds += util::wall_seconds_since(t0);
   ++engine_stats_.barriers;

@@ -141,6 +141,12 @@ class RunCancelled : public std::runtime_error {
 /// the simulation thread will hit next — shrinking barrier stalls instead
 /// of handing lanes out FIFO. Scheduling order never changes results (see
 /// FLConfig::threads).
+///
+/// Train only what an aggregation reads: a job goes to a lane only if its
+/// deadline is finite and inside the time budget, since only then can an
+/// aggregation collect it. Every other job — and every job of a one-lane
+/// run — is held: it trains on the simulation thread when
+/// `finish_training` waits for it, and never if nothing does.
 class Driver {
  public:
   /// Validates `cfg` and builds the run state: workers with forked RNG
@@ -148,8 +154,11 @@ class Driver {
   /// subset, and the training-lane pool.
   explicit Driver(const FLConfig& cfg);
 
-  /// Collects any jobs a mechanism left in flight (early stop), then joins
-  /// the lane pool so no task outlives the state it references.
+  /// Stops paying for jobs nothing will read (an early stop: budget,
+  /// max_rounds, stop_at_accuracy, cancel): marks the driver as stopping,
+  /// so lane jobs still queued return without training, drops held jobs
+  /// unrun, waits only for jobs already running, then joins the lane pool
+  /// so no task outlives the state it references.
   ~Driver();
 
   /// The configuration this run was built from.
@@ -213,24 +222,34 @@ class Driver {
   /// Const counterpart of substrate() (read-only queries).
   [[nodiscard]] const sim::Substrate& substrate() const { return *substrate_; }
 
-  /// Deadline value for untagged batches: they run after every tagged one.
+  /// Deadline value for untagged batches: no aggregation inside the budget
+  /// is known to read them, so they are held (see begin_training).
   static constexpr double kNoDeadline = util::ThreadPool::kNoDeadline;
 
   /// Starts local training (Eq. 4) for every worker in `members` from a
-  /// snapshot of `global`, one pool task per worker. Returns immediately;
-  /// the models become visible only after `finish_training`. A worker may
-  /// not be enqueued again before its previous job was collected.
+  /// snapshot of `global`, one job per worker. Returns immediately; the
+  /// models become visible only after `finish_training`. A worker may not
+  /// be enqueued again before its previous job was collected.
   ///
   /// `deadline` is the virtual time of the batch's next aggregation event
   /// (sync mechanisms: the round barrier; async mechanisms: the group's
-  /// upload-complete event). Pending jobs start earliest-deadline-first;
-  /// kNoDeadline restores FIFO order among untagged batches.
+  /// upload-complete event, or for a ready buffer the earliest flush). On
+  /// a multi-lane run a job with a finite `deadline <= time_budget` goes
+  /// to a lane, and lane jobs start earliest-deadline-first. Any other job
+  /// (kNoDeadline, past the budget, or any job of a one-lane run) is held:
+  /// it trains on the simulation thread when `finish_training` waits for
+  /// it, so results never depend on which path ran it. Throws
+  /// std::invalid_argument on a NaN deadline.
   void begin_training(const std::vector<std::size_t>& members, std::span<const float> global,
                       double deadline = kNoDeadline);
 
-  /// Blocks until every in-flight job for `members` completed, collecting
-  /// futures in member order (fixed-order barrier). Rethrows task errors.
-  /// Wall time spent blocked here is accumulated into engine_stats().
+  /// Blocks until every job begun for `members` completed, collecting
+  /// futures in member order (fixed-order barrier): waits for lane jobs
+  /// and runs held ones here, on the simulation thread. Rethrows task
+  /// errors. Counts each collected job in `driver.updates_collected` (each
+  /// job body that trains counts in `driver.updates_run`). Wall time spent
+  /// here is accumulated into engine_stats(); at one lane that is the
+  /// training itself.
   void finish_training(const std::vector<std::size_t>& members);
 
   /// Barrier convenience: begin + finish (synchronous-round mechanisms).
@@ -359,6 +378,13 @@ class Driver {
   obs::Counter* cold_replays_ = nullptr;  ///< cached &registry_["pool.cold_replays"]
   obs::Histogram* energy_hist_ = nullptr; ///< "substrate.energy_j" (AirComp Eq. 7)
   obs::Histogram* csi_hist_ = nullptr;    ///< "substrate.csi_err" (h / h_hat factors)
+
+  // "driver.updates_run" (bumped from lanes) and "driver.updates_collected",
+  // and the flag ~Driver sets so that lane jobs not yet started return
+  // untrained.
+  obs::Counter* updates_run_ = nullptr;
+  obs::Counter* updates_collected_ = nullptr;
+  std::atomic<bool> stopping_{false};
 
   // member_gains scratch (simulation thread only).
   std::vector<std::size_t> gain_ids_;  ///< sorted distinct members

@@ -25,8 +25,10 @@ struct MetricPoint {
 /// simulation time) and therefore vary run to run; `Metrics::bit_identical`
 /// deliberately ignores them — only simulated results must be reproducible.
 struct EngineStats {
-  double barrier_seconds = 0.0;  ///< wall time the simulation thread spent blocked in training
-                                 ///< barriers
+  /// Wall time the simulation thread spent in training barriers
+  /// (Driver::finish_training). At one lane every job is held and trains
+  /// inside its barrier, so this includes all local training.
+  double barrier_seconds = 0.0;
   double eval_seconds = 0.0;     ///< wall time spent inside Driver::evaluate
   std::size_t barriers = 0;      ///< number of finish_training barriers
   std::size_t evals = 0;         ///< number of evaluate calls

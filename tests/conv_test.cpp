@@ -41,6 +41,7 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -206,31 +207,6 @@ std::vector<float> naive_patches(const ConvCase& c, const Tensor& x) {
   return cols;
 }
 
-/// Conv2D's forward must equal sgemm over the naive patch matrix plus the
-/// bias, bit for bit.
-void check_forward(const ConvCase& c, std::size_t cout = kCout) {
-  Conv2D conv(c.cin, cout, c.k, c.pad);
-  util::Rng rng(31);
-  conv.init(rng);
-  auto params = conv.params();
-  for (float& b : params[1].value) b = static_cast<float>(rng.normal());
-  const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-  const Tensor& y = conv.forward(x);
-
-  const std::size_t np = c.oh() * c.ow(), ncols = c.ncols();
-  const std::vector<float> cols = naive_patches(c, x);
-  std::vector<float> gemm_out(cout * ncols);
-  sgemm(Trans::N, Trans::N, cout, ncols, c.rows(), params[0].value.data(), c.rows(),
-        cols.data(), ncols, 0.0f, gemm_out.data(), ncols);
-  ASSERT_EQ(y.size(), c.batch * cout * np);
-  for (std::size_t n = 0; n < c.batch; ++n)
-    for (std::size_t o = 0; o < cout; ++o)
-      for (std::size_t i = 0; i < np; ++i)
-        ASSERT_EQ(y[(n * cout + o) * np + i],
-                  gemm_out[o * ncols + n * np + i] + params[1].value[o])
-            << "sample " << n << " channel " << o << " pixel " << i;
-}
-
 /// grad_out (batch, cout, oh, ow) gathered into the (cout, batch*oh*ow)
 /// matrix the GEMMs take.
 std::vector<float> gather_gy(const ConvCase& c, std::size_t cout, const Tensor& g) {
@@ -255,59 +231,133 @@ std::vector<float> dx_reference(const ConvCase& c, std::size_t cout, const float
   return dx;
 }
 
-/// Conv2D's dW and dx must equal one sgemm each over the whole batch's
-/// naive patch matrix, and db each channel's plain sum of grad_out over
-/// samples then pixels from +0, added to its prior value: bit for bit.
-void check_backward(const ConvCase& c, std::size_t cout = kCout) {
-  Conv2D conv(c.cin, cout, c.k, c.pad);
-  util::Rng rng(37);
-  conv.init(rng);
-  auto params = conv.params();
-  for (float& g : params[1].grad) g = static_cast<float>(rng.normal());
-  const std::vector<float> db_prior(params[1].grad.begin(), params[1].grad.end());
-  const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-  conv.forward(x);
-  const Tensor g = Tensor::randn({c.batch, cout, c.oh(), c.ow()}, rng);
-  const Tensor& dx = conv.backward(g);
+/// One lowering case: a layer's parameters, its data, and what Conv2D must
+/// give for them. None of it depends on the kernel body (the bodies differ
+/// in speed only, and gemm_test checks sgemm's bits on each), so a test
+/// draws and computes it once, then runs only Conv2D per body.
+struct Lowered {
+  ConvCase c;
+  std::size_t cout;
+  std::vector<float> w, bias, db_prior;
+  Tensor x, g;
+  std::vector<float> y, dw, db, dx;
+};
 
-  const std::size_t ncols = c.ncols(), rows = c.rows();
-  const std::vector<float> gy = gather_gy(c, cout, g);
-  const std::vector<float> cols = naive_patches(c, x);
-  const std::size_t np = c.oh() * c.ow();
-  for (std::size_t o = 0; o < cout; ++o) {
+/// Draws a case's weights (Conv2D's init), bias, prior db, input and
+/// grad_out.
+Lowered draw(const ConvCase& c, std::size_t cout = kCout) {
+  Conv2D conv(c.cin, cout, c.k, c.pad);
+  util::Rng rng(31);
+  conv.init(rng);
+  Lowered r{.c = c, .cout = cout};
+  const auto w = conv.params()[0].value;
+  r.w.assign(w.begin(), w.end());
+  for (std::size_t o = 0; o < cout; ++o) r.bias.push_back(static_cast<float>(rng.normal()));
+  for (std::size_t o = 0; o < cout; ++o) r.db_prior.push_back(static_cast<float>(rng.normal()));
+  r.x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
+  r.g = Tensor::randn({c.batch, cout, c.oh(), c.ow()}, rng);
+  return r;
+}
+
+/// Fills in the expected outputs: the forward is sgemm over the naive
+/// patch matrix plus the bias; dW and dx are one sgemm each over the whole
+/// batch's patch matrix (dx scattered back by col2im); db is each
+/// channel's plain sum of grad_out over samples then pixels from +0, added
+/// to its prior value.
+Lowered& expect(Lowered& r) {
+  const ConvCase& c = r.c;
+  const std::size_t np = c.oh() * c.ow(), ncols = c.ncols(), rows = c.rows();
+  const std::vector<float> cols = naive_patches(c, r.x);
+  std::vector<float> gemm_out(r.cout * ncols);
+  sgemm(Trans::N, Trans::N, r.cout, ncols, rows, r.w.data(), rows, cols.data(), ncols, 0.0f,
+        gemm_out.data(), ncols);
+  r.y.resize(c.batch * r.cout * np);
+  for (std::size_t n = 0; n < c.batch; ++n)
+    for (std::size_t o = 0; o < r.cout; ++o)
+      for (std::size_t i = 0; i < np; ++i)
+        r.y[(n * r.cout + o) * np + i] = gemm_out[o * ncols + n * np + i] + r.bias[o];
+
+  const std::vector<float> gy = gather_gy(c, r.cout, r.g);
+  r.db = r.db_prior;
+  for (std::size_t o = 0; o < r.cout; ++o) {
     float sum = 0.0f;
     for (std::size_t n = 0; n < c.batch; ++n)
-      for (std::size_t i = 0; i < np; ++i) sum += g[(n * cout + o) * np + i];
-    float db = db_prior[o];
-    db += sum;
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(params[1].grad[o]), std::bit_cast<std::uint32_t>(db))
-        << "db " << o;
+      for (std::size_t i = 0; i < np; ++i) sum += r.g[(n * r.cout + o) * np + i];
+    r.db[o] += sum;
   }
+  r.dw.assign(r.cout * rows, 0.0f);
+  sgemm(Trans::N, Trans::T, r.cout, rows, ncols, gy.data(), ncols, cols.data(), ncols, 1.0f,
+        r.dw.data(), rows);
+  r.dx = dx_reference(c, r.cout, r.w.data(), gy);
+  return r;
+}
 
-  std::vector<float> dw(cout * rows, 0.0f);
-  sgemm(Trans::N, Trans::T, cout, rows, ncols, gy.data(), ncols, cols.data(), ncols, 1.0f,
-        dw.data(), rows);
-  for (std::size_t i = 0; i < dw.size(); ++i) ASSERT_EQ(params[0].grad[i], dw[i]) << "dW " << i;
+Lowered lowered(const ConvCase& c, std::size_t cout = kCout) {
+  Lowered r = draw(c, cout);
+  return expect(r);
+}
 
-  const std::vector<float> dx_ref = dx_reference(c, cout, params[0].value.data(), gy);
-  ASSERT_EQ(dx.shape(), x.shape());
-  for (std::size_t i = 0; i < dx_ref.size(); ++i) ASSERT_EQ(dx[i], dx_ref[i]) << "dx " << i;
+/// A fresh layer holding r's weights, bias and prior db.
+std::unique_ptr<Conv2D> layer(const Lowered& r) {
+  auto conv = std::make_unique<Conv2D>(r.c.cin, r.cout, r.c.k, r.c.pad);
+  auto params = conv->params();
+  std::copy(r.w.begin(), r.w.end(), params[0].value.begin());
+  std::copy(r.bias.begin(), r.bias.end(), params[1].value.begin());
+  std::copy(r.db_prior.begin(), r.db_prior.end(), params[1].grad.begin());
+  return conv;
+}
+
+/// Conv2D's forward must equal r.y, bit for bit.
+void check_forward(const Lowered& r) {
+  const auto conv = layer(r);
+  const Tensor& y = conv->forward(r.x);
+  const std::size_t np = r.c.oh() * r.c.ow();
+  ASSERT_EQ(y.size(), r.y.size());
+  for (std::size_t n = 0; n < r.c.batch; ++n)
+    for (std::size_t o = 0; o < r.cout; ++o)
+      for (std::size_t i = 0; i < np; ++i)
+        ASSERT_EQ(y[(n * r.cout + o) * np + i], r.y[(n * r.cout + o) * np + i])
+            << "sample " << n << " channel " << o << " pixel " << i;
+}
+
+/// Conv2D's db, dW and dx must equal r's, bit for bit.
+void check_backward(const Lowered& r) {
+  const auto conv = layer(r);
+  conv->forward(r.x);
+  const Tensor& dx = conv->backward(r.g);
+  const auto params = conv->params();
+  for (std::size_t o = 0; o < r.cout; ++o)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(params[1].grad[o]),
+              std::bit_cast<std::uint32_t>(r.db[o]))
+        << "db " << o;
+  for (std::size_t i = 0; i < r.dw.size(); ++i) ASSERT_EQ(params[0].grad[i], r.dw[i]) << "dW " << i;
+  ASSERT_EQ(dx.shape(), r.x.shape());
+  for (std::size_t i = 0; i < r.dx.size(); ++i) ASSERT_EQ(dx[i], r.dx[i]) << "dx " << i;
+}
+
+/// lowered() for each case, once.
+std::vector<Lowered> lowered_all(const std::vector<ConvCase>& cases) {
+  std::vector<Lowered> out;
+  for (const ConvCase& c : cases) out.push_back(lowered(c));
+  return out;
 }
 
 TEST(ConvLowering, ForwardEqualsSgemmOverNaivePatchMatrix) {
+  const auto cases = lowered_all(sweep());
   for_each_body([&] {
-    for (const ConvCase& c : sweep()) {
-      SCOPED_TRACE(label(c));
-      check_forward(c);
+    for (const Lowered& r : cases) {
+      SCOPED_TRACE(label(r.c));
+      check_forward(r);
     }
   });
 }
 
 TEST(ConvLowering, BackwardEqualsSgemmOverNaivePatchMatrix) {
+  const auto cases = lowered_all(sweep());
   for_each_body([&] {
-    for (const ConvCase& c : sweep()) {
-      SCOPED_TRACE(label(c));
-      check_backward(c);
+    for (const Lowered& r : cases) {
+      SCOPED_TRACE(label(r.c));
+      check_backward(r);
     }
   });
 }
@@ -337,11 +387,12 @@ std::vector<ConvCase> chunked_cases() {
 }
 
 TEST(ConvLowering, ChunkedLoweringEqualsSgemmOverNaivePatchMatrix) {
+  const auto cases = lowered_all(chunked_cases());
   for_each_body([&] {
-    for (const ConvCase& c : chunked_cases()) {
-      SCOPED_TRACE(label(c));
-      check_forward(c);
-      check_backward(c);
+    for (const Lowered& r : cases) {
+      SCOPED_TRACE(label(r.c));
+      check_forward(r);
+      check_backward(r);
     }
   });
 }
@@ -385,12 +436,16 @@ std::vector<std::pair<ConvCase, std::size_t>> tile_cases() {
 }
 
 TEST(ConvLowering, RegisterTileEdgesEqualSgemmOverNaivePatchMatrix) {
+  std::vector<Lowered> cases;
+  for (const auto& [c, cout] : tile_cases()) {
+    ASSERT_NE(c.batch * c.oh() * c.ow() % 32, 0u) << label(c);
+    cases.push_back(lowered(c, cout));
+  }
   for_each_body([&] {
-    for (const auto& [c, cout] : tile_cases()) {
-      ASSERT_NE(c.batch * c.oh() * c.ow() % 32, 0u) << label(c);
-      SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
-      check_forward(c, cout);
-      check_backward(c, cout);
+    for (const Lowered& r : cases) {
+      SCOPED_TRACE(label(r.c) + " cout=" + std::to_string(r.cout));
+      check_forward(r);
+      check_backward(r);
     }
   });
 }
@@ -400,14 +455,16 @@ TEST(ConvLowering, RegisterTileEdgesEqualSgemmOverNaivePatchMatrix) {
 // piece. cin from 1 to 8 puts the last tile anywhere from one row to full,
 // and cout covers one-row, balanced and two-panel tiles.
 TEST(ConvLowering, WindowRowTilesEqualSgemmOverNaivePatchMatrix) {
+  std::vector<Lowered> cases;
+  for (std::size_t k : {3, 5})
+    for (std::size_t cin = 1; cin <= 8; ++cin)
+      for (std::size_t cout : {1, 6, 13, 15})
+        cases.push_back(lowered({k, k / 2, cin, 2, 6, 7}, cout));
   for_each_body([&] {
-    for (std::size_t k : {3, 5})
-      for (std::size_t cin = 1; cin <= 8; ++cin)
-        for (std::size_t cout : {1, 6, 13, 15}) {
-          const ConvCase c{k, k / 2, cin, 2, 6, 7};
-          SCOPED_TRACE(label(c) + " cout=" + std::to_string(cout));
-          check_backward(c, cout);
-        }
+    for (const Lowered& r : cases) {
+      SCOPED_TRACE(label(r.c) + " cout=" + std::to_string(r.cout));
+      check_backward(r);
+    }
   });
 }
 
@@ -415,29 +472,25 @@ TEST(ConvLowering, WindowRowTilesEqualSgemmOverNaivePatchMatrix) {
 // only to the pixels its output pixel reaches, so dx must keep every other
 // pixel's bits too, NaN payloads included.
 TEST(ConvLowering, DxWithANonFiniteWeightEqualsCol2imBitwise) {
+  std::vector<Lowered> cases;
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()})
+    for (const ConvCase& c : {ConvCase{3, 1, 2, 2, 6, 9}, ConvCase{5, 2, 3, 1, 8, 8},
+                              ConvCase{3, 0, 1, 2, 7, 5}}) {
+      Lowered r = draw(c);
+      r.w[(kCout / 2) * c.rows() + c.rows() / 2] = bad;
+      cases.push_back(std::move(expect(r)));
+    }
   for_each_body([&] {
-    for (const float bad : {std::numeric_limits<float>::infinity(),
-                            std::numeric_limits<float>::quiet_NaN()}) {
-      for (const ConvCase& c : {ConvCase{3, 1, 2, 2, 6, 9}, ConvCase{5, 2, 3, 1, 8, 8},
-                                ConvCase{3, 0, 1, 2, 7, 5}}) {
-        SCOPED_TRACE(label(c));
-        Conv2D conv(c.cin, kCout, c.k, c.pad);
-        util::Rng rng(73);
-        conv.init(rng);
-        auto params = conv.params();
-        params[0].value[(kCout / 2) * c.rows() + c.rows() / 2] = bad;
-        const Tensor x = Tensor::randn({c.batch, c.cin, c.h, c.w}, rng);
-        conv.forward(x);
-        const Tensor g = Tensor::randn({c.batch, kCout, c.oh(), c.ow()}, rng);
-        const Tensor& dx = conv.backward(g);
-
-        const std::vector<float> dx_ref =
-            dx_reference(c, kCout, params[0].value.data(), gather_gy(c, kCout, g));
-        ASSERT_EQ(dx.size(), dx_ref.size());
-        for (std::size_t i = 0; i < dx_ref.size(); ++i)
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(dx[i]), std::bit_cast<std::uint32_t>(dx_ref[i]))
-              << "dx " << i;
-      }
+    for (const Lowered& r : cases) {
+      SCOPED_TRACE(label(r.c));
+      const auto conv = layer(r);
+      conv->forward(r.x);
+      const Tensor& dx = conv->backward(r.g);
+      ASSERT_EQ(dx.size(), r.dx.size());
+      for (std::size_t i = 0; i < r.dx.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(dx[i]), std::bit_cast<std::uint32_t>(r.dx[i]))
+            << "dx " << i;
     }
   });
 }

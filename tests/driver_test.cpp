@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "fl/driver.hpp"
+#include "ml/dense.hpp"
 #include "ml/zoo.hpp"
 
 namespace airfedga::fl {
@@ -223,6 +232,152 @@ TEST(Driver, MnistImagePresetWorksEndToEnd) {
   const auto w = d.initial_model();
   const auto r = d.evaluate(w);
   EXPECT_GT(r.loss, 0.0);
+}
+
+// ---- held jobs and early stops -------------------------------------------
+
+/// Counts local updates and can hold them: every training-mode forward of
+/// a model built by `gated_softmax` bumps `forwards`, then waits until
+/// `open`.
+struct UpdateGate {
+  std::atomic<int> forwards{0};
+  std::mutex mutex;
+  bool open = true;  // guarded by mutex
+  std::condition_variable cv;
+
+  void release() {
+    {
+      std::scoped_lock lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// Identity layer in front of the model: one forward per local step.
+class GateLayer : public ml::Layer {
+ public:
+  explicit GateLayer(std::shared_ptr<UpdateGate> gate) : gate_(std::move(gate)) {}
+  const ml::Tensor& forward(const ml::Tensor& x) override {
+    if (training()) {
+      gate_->forwards.fetch_add(1);
+      std::unique_lock lock(gate_->mutex);
+      gate_->cv.wait(lock, [&] { return gate_->open; });
+    }
+    return x;
+  }
+  const ml::Tensor& backward(const ml::Tensor& grad_out) override { return grad_out; }
+  [[nodiscard]] std::string name() const override { return "gate"; }
+
+ private:
+  std::shared_ptr<UpdateGate> gate_;
+};
+
+ml::ModelFactory gated_softmax(const std::shared_ptr<UpdateGate>& gate) {
+  return [gate] {
+    ml::Model m;
+    m.add(std::make_unique<GateLayer>(gate));
+    m.add(std::make_unique<ml::Dense>(16, 4));
+    return m;
+  };
+}
+
+std::uint64_t counter(Driver& d, const char* name) { return d.registry().counter(name).value(); }
+
+TEST(DriverEarlyStop, DestroyingRunsNoQueuedLaneJob) {
+  // 40 jobs inside the budget queue on two lanes; the driver is destroyed
+  // without collecting them. Only the two jobs the lanes already started
+  // may train: the others return untrained once the driver is stopping.
+  auto gate = std::make_shared<UpdateGate>();
+  Env env;
+  env.cfg.population = 40;
+  env.cfg.threads = 2;
+  env.cfg.model_factory = gated_softmax(gate);
+  auto d = std::make_unique<Driver>(env.cfg);
+  const auto w0 = d->initial_model();
+  std::vector<std::size_t> everyone(40);
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  {
+    std::scoped_lock lock(gate->mutex);
+    gate->open = false;
+  }
+  d->begin_training(everyone, w0, /*deadline=*/1.0);
+  while (gate->forwards.load() < 2) std::this_thread::yield();  // both lanes hold a job
+  // ~Driver marks the driver as stopping before it waits for anything; the
+  // held jobs are let go 100 ms after it starts, long after that mark.
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    gate->release();
+  });
+  d.reset();
+  opener.join();
+  EXPECT_EQ(gate->forwards.load(), 2);
+}
+
+TEST(DriverEarlyStop, DestroyingDropsHeldJobsUnrun) {
+  // Past the budget on two lanes, and any deadline on one lane, a job is
+  // held until collected; a driver destroyed first never trains it.
+  for (std::size_t threads : {1UL, 2UL}) {
+    auto gate = std::make_shared<UpdateGate>();
+    Env env;
+    env.cfg.threads = threads;
+    env.cfg.time_budget = 100.0;
+    env.cfg.model_factory = gated_softmax(gate);
+    {
+      Driver d(env.cfg);
+      const auto w0 = d.initial_model();
+      d.begin_training({0, 1, 2}, w0, /*deadline=*/threads == 1 ? 1.0 : 101.0);
+      d.begin_training({3, 4}, w0);  // untagged
+      EXPECT_EQ(counter(d, "driver.updates_run"), 0u);
+    }
+    EXPECT_EQ(gate->forwards.load(), 0) << threads << " lanes";
+  }
+}
+
+TEST(DriverHeldJobs, TrainWhenCollectedAndMatchTheLanePath) {
+  // A group's aggregation deadline and the event time the loop computes
+  // for it can round an ulp apart; when that lands a deadline just past
+  // the budget, the job is held and trains inside finish_training. Its
+  // model must be bit for bit the one a lane would have produced.
+  Env env;
+  env.cfg.threads = 2;
+  env.cfg.time_budget = 100.0;
+  env.cfg.batch_size = 8;  // stochastic batches: the worker RNG must advance alike
+  env.cfg.local_steps = 2;
+  const std::vector<std::size_t> members = {0, 2, 5, 7};
+  const double past = std::nextafter(env.cfg.time_budget, std::numeric_limits<double>::infinity());
+  std::vector<std::vector<float>> models;
+  for (double deadline : {env.cfg.time_budget, past, Driver::kNoDeadline}) {
+    Driver d(env.cfg);
+    const auto w0 = d.initial_model();
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      d.begin_training(members, w0, deadline);
+      d.finish_training(members);
+      d.release_workers(members);
+    }
+    EXPECT_EQ(counter(d, "driver.updates_run"), 2 * members.size()) << deadline;
+    EXPECT_EQ(counter(d, "driver.updates_collected"), 2 * members.size()) << deadline;
+    std::vector<float> all;
+    for (auto m : members) {
+      const auto w = d.worker(m).local_model();
+      all.insert(all.end(), w.begin(), w.end());
+    }
+    models.push_back(std::move(all));
+  }
+  ASSERT_FALSE(models[0].empty());
+  for (std::size_t i = 1; i < models.size(); ++i) {
+    ASSERT_EQ(models[i].size(), models[0].size());
+    EXPECT_EQ(std::memcmp(models[i].data(), models[0].data(), models[0].size() * sizeof(float)), 0)
+        << "deadline case " << i;
+  }
+}
+
+TEST(DriverHeldJobs, NaNDeadlineIsRejected) {
+  Env env;
+  env.cfg.threads = 1;  // held path: the check must not hide behind a serial config
+  Driver d(env.cfg);
+  const auto w0 = d.initial_model();
+  EXPECT_THROW(d.begin_training({0}, w0, std::nan("")), std::invalid_argument);
 }
 
 }  // namespace

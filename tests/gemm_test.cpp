@@ -61,28 +61,52 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b, std:
 class SgemmShapes
     : public testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t>> {};
 
+/// One operand layout of a shape: A and B stored for (ta, tb), a nonzero
+/// starting C (which exercises beta), and the label failures print.
+struct Layout {
+  std::size_t m, n, k;
+  Trans ta, tb;
+  float beta;
+  std::vector<float> a, b, c0;
+  [[nodiscard]] std::size_t lda() const { return ta == Trans::N ? k : m; }
+  [[nodiscard]] std::size_t ldb() const { return tb == Trans::N ? n : k; }
+  [[nodiscard]] std::string label() const {
+    return "m=" + std::to_string(m) + " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+           " ta=" + (ta == Trans::N ? "N" : "T") + " tb=" + (tb == Trans::N ? "N" : "T") +
+           " beta=" + std::to_string(beta);
+  }
+  /// c0 after `gemm` (sgemm or a scalar oracle with its signature).
+  template <typename Gemm>
+  [[nodiscard]] std::vector<float> run(Gemm gemm) const {
+    auto c = c0;
+    gemm(ta, tb, m, n, k, a.data(), lda(), b.data(), ldb(), beta, c.data(), n);
+    return c;
+  }
+};
+
+/// The eight layouts (ta x tb x beta) of the test's shape. The operands
+/// and the scalar oracles do not depend on the kernel body, so each test
+/// builds them once and runs only sgemm per body.
+std::vector<Layout> layouts(const std::tuple<std::size_t, std::size_t, std::size_t>& shape) {
+  const auto [m, n, k] = shape;
+  std::vector<Layout> out;
+  for (const Trans ta : {Trans::N, Trans::T})
+    for (const Trans tb : {Trans::N, Trans::T})
+      for (const float beta : {0.0f, 1.0f})
+        out.push_back({m, n, k, ta, tb, beta,
+                       ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1),
+                       tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2),
+                       random_matrix(m, n, 3)});
+  return out;
+}
+
 TEST_P(SgemmShapes, AllVariantsMatchScalarReference) {
+  const auto cases = layouts(GetParam());
+  std::vector<std::vector<float>> refs;
+  for (const auto& l : cases) refs.push_back(l.run(sgemm_reference));
   for_each_body([&] {
-    const auto [m, n, k] = GetParam();
-    for (const Trans ta : {Trans::N, Trans::T}) {
-      for (const Trans tb : {Trans::N, Trans::T}) {
-        for (const float beta : {0.0f, 1.0f}) {
-          const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
-          const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
-          const std::size_t lda = ta == Trans::N ? k : m;
-          const std::size_t ldb = tb == Trans::N ? n : k;
-          auto c = random_matrix(m, n, 3);  // nonzero start exercises beta
-          auto c_ref = c;
-          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c.data(), n);
-          sgemm_reference(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c_ref.data(), n);
-          expect_close(c, c_ref, k,
-                       "m=" + std::to_string(m) + " n=" + std::to_string(n) +
-                           " k=" + std::to_string(k) + " ta=" + (ta == Trans::N ? "N" : "T") +
-                           " tb=" + (tb == Trans::N ? "N" : "T") +
-                           " beta=" + std::to_string(beta));
-        }
-      }
-    }
+    for (std::size_t i = 0; i < cases.size(); ++i)
+      expect_close(cases[i].run(sgemm), refs[i], cases[i].k, cases[i].label());
   });
 }
 
@@ -106,27 +130,15 @@ INSTANTIATE_TEST_SUITE_P(
 // (65x257x257 runs 4 tiles at grain 1); fixed disjoint C ranges must give
 // the serial bits on every edge shape and operand layout.
 TEST_P(SgemmShapes, FanOutEqualsSerialBitwise) {
+  const auto cases = layouts(GetParam());
   for_each_body([&] {
-    const auto [m, n, k] = GetParam();
-    for (const Trans ta : {Trans::N, Trans::T}) {
-      for (const Trans tb : {Trans::N, Trans::T}) {
-        for (const float beta : {0.0f, 1.0f}) {
-          const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
-          const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
-          const std::size_t lda = ta == Trans::N ? k : m;
-          const std::size_t ldb = tb == Trans::N ? n : k;
-          const auto c0 = random_matrix(m, n, 3);
-          auto serial = c0, fanned = c0;
-          {
-            util::ThreadPool::SerialRegion region;
-            sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, serial.data(), n);
-          }
-          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, fanned.data(), n);
-          EXPECT_EQ(fanned, serial)
-              << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
-              << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
-        }
+    for (const auto& l : cases) {
+      std::vector<float> serial;
+      {
+        util::ThreadPool::SerialRegion region;
+        serial = l.run(sgemm);
       }
+      EXPECT_EQ(l.run(sgemm), serial) << l.label();
     }
   });
 }
@@ -160,25 +172,12 @@ std::vector<std::uint32_t> bits(const std::vector<float>& v) {
 // shape and operand layout: the independent oracle for the register tile,
 // which Conv2D's tests cannot be, since Conv2D runs the same tile.
 TEST_P(SgemmShapes, MatchesFmaChainModelBitwise) {
+  const auto cases = layouts(GetParam());
+  std::vector<std::vector<std::uint32_t>> models;
+  for (const auto& l : cases) models.push_back(bits(l.run(sgemm_model)));
   for_each_body([&] {
-    const auto [m, n, k] = GetParam();
-    for (const Trans ta : {Trans::N, Trans::T}) {
-      for (const Trans tb : {Trans::N, Trans::T}) {
-        for (const float beta : {0.0f, 1.0f}) {
-          const auto a = ta == Trans::N ? random_matrix(m, k, 1) : random_matrix(k, m, 1);
-          const auto b = tb == Trans::N ? random_matrix(k, n, 2) : random_matrix(n, k, 2);
-          const std::size_t lda = ta == Trans::N ? k : m;
-          const std::size_t ldb = tb == Trans::N ? n : k;
-          auto c = random_matrix(m, n, 3);
-          auto model = c;
-          sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, c.data(), n);
-          sgemm_model(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, model.data(), n);
-          EXPECT_EQ(bits(c), bits(model))
-              << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::N ? "N" : "T")
-              << " tb=" << (tb == Trans::N ? "N" : "T") << " beta=" << beta;
-        }
-      }
-    }
+    for (std::size_t i = 0; i < cases.size(); ++i)
+      EXPECT_EQ(bits(cases[i].run(sgemm)), models[i]) << cases[i].label();
   });
 }
 

@@ -339,5 +339,54 @@ TEST(LoopDigests, EveryPortedMechanismMatchesItsPreRefactorDigest) {
     }
 }
 
+// Every local update the engine trains is one an aggregation collects. At
+// one lane every job is held until its barrier collects it, so the counts
+// agree exactly. On two lanes a job with a deadline inside the budget may
+// start before the run stops; at most one job per lane is then running.
+// Semi-async gets only the one-lane check: a ready buffer's deadline tag
+// is only a lower bound on the flush that collects the update. (FedAsync
+// is timer-triggered: its tag is its aggregation event's time.)
+TEST(LoopEngine, TrainsOnlyWhatAnAggregationCollects) {
+  struct Case {
+    const char* label;
+    bool deadline_exact;
+    std::function<Metrics(const FLConfig&)> run;
+  };
+  const std::vector<Case> cases = {
+      {"fedavg", true, [](const FLConfig& c) { return FedAvg().run(c); }},
+      {"airfedavg", true, [](const FLConfig& c) { return AirFedAvg().run(c); }},
+      {"dynamic", true,
+       [](const FLConfig& c) {
+         return DynamicAirComp(MechanismConfig{.selection_quantile = 0.5}).run(c);
+       }},
+      {"tifl", true, [](const FLConfig& c) { return TiFL(MechanismConfig{.tiers = 3}).run(c); }},
+      {"fedasync", true, [](const FLConfig& c) { return FedAsync().run(c); }},
+      {"semiasync", false, [](const FLConfig& c) { return SemiAsync().run(c); }},
+      {"airfedga", true, [](const FLConfig& c) { return AirFedGA().run(c); }},
+  };
+  const auto counter = [](const Metrics& m, const std::string& name) {
+    for (const auto& [key, value] : m.obs_snapshot().counters)
+      if (key == name) return value;
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  for (const auto& c : cases)
+    for (std::size_t lanes : {1UL, 2UL}) {
+      if (lanes > 1 && !c.deadline_exact) continue;
+      Fixture f;
+      f.cfg.threads = lanes;
+      f.cfg.time_budget = 150.0;  // the run stops on its budget, mid-cycle
+      f.cfg.max_rounds = 1000000;
+      const Metrics m = c.run(f.cfg);
+      const std::uint64_t run = counter(m, "driver.updates_run");
+      const std::uint64_t collected = counter(m, "driver.updates_collected");
+      EXPECT_GT(collected, 0u) << c.label;
+      if (lanes == 1)
+        EXPECT_EQ(run, collected) << c.label;
+      else
+        EXPECT_LE(run, collected + lanes) << c.label;
+    }
+}
+
 }  // namespace
 }  // namespace airfedga::fl
