@@ -227,7 +227,7 @@ struct StepResult {
   double gflops = 0;  ///< analytic forward GEMM flops / step time (lower bound)
   std::size_t allocs_per_step = 0;  ///< on a pool lane: parallel_for runs serially
   std::size_t bytes_per_step = 0;
-  std::size_t fanout_allocs_per_step = 0;  ///< on the global pool, as inline 1-lane training
+  std::size_t fanout_allocs_per_step = 0;  ///< on the global pool, as 1-lane training
   std::size_t eval_workspace_floats = 0;   ///< arena floats one eval-batch forward leaves
 };
 
@@ -254,10 +254,10 @@ StepResult bench_train_step(const std::string& preset_name, double budget_ms) {
   // Heap traffic per steady-state step, on both schedules a step runs on.
   // On a pool lane, where multi-lane runs train, the nesting rule runs
   // parallel_for serially; gemm_test checks that this allocates nothing.
-  // Inline 1-lane training (threads = 1) and the timed steps below fan out
-  // on the global pool instead; its parallel_for dispatch reuses the
-  // caller's latch and queues chunks without closures, so that allocates
-  // nothing either (CI gates both columns).
+  // 1-lane training (threads = 1, on the simulation thread) and the timed
+  // steps below fan out on the global pool instead; its parallel_for
+  // dispatch reuses the caller's latch and queues chunks without closures,
+  // so that allocates nothing either (CI gates both columns).
   struct Traffic {
     std::size_t allocs, bytes;
   };
@@ -426,12 +426,12 @@ int main(int argc, char** argv) {
   }
   ts.print(std::cout);
   std::printf(
-      "(ms/step: mean of steps fanned out on the global pool, as inline 1-lane training runs "
+      "(ms/step: mean of steps fanned out on the global pool, as 1-lane training runs "
       "them; serial min ms: the fastest single step with serial kernels, the figure to compare "
       "across commits on a shared host.\n allocs/step and bytes/step: a step on a pool lane, "
       "where parallel_for runs serially; "
       "must be 0 in steady state — gemm_test enforces it.\n fan-out allocs/step: a step on the "
-      "global pool, as inline 1-lane training and ms/step run it; must be 0 too.\n eval ws "
+      "global pool, as 1-lane training and ms/step run it; must be 0 too.\n eval ws "
       "floats: workspace arena floats one eval-batch forward leaves on its thread)\n");
 
   if (const std::string* path = flags.get("json")) {

@@ -87,11 +87,12 @@ Driver::Driver(const FLConfig& cfg)
   bound_.assign(population_, kNoSlot);
   cycles_.assign(population_, 0);
 
-  // Execution engine: lanes_ concurrent training slots. A single lane runs
-  // tasks inline on the simulation thread (no pool threads), which is the
-  // reference serial schedule; more lanes spread workers across a private
-  // pool. At most one leased scratch model is live per lane, so memory
-  // stays O(lanes), not O(workers).
+  // Execution engine: lanes_ concurrent training slots. A single lane has
+  // no pool threads: every job is held and trains on the simulation thread
+  // when its barrier collects it, which is the reference serial schedule;
+  // more lanes spread workers across a private pool. At most one leased
+  // scratch model is live per lane, so memory stays O(lanes), not
+  // O(workers).
   lanes_ = resolve_lanes(cfg.threads);
   // The pool recycles down to this many slots: enough that warm
   // reuse covers back-to-back cohorts (RNG replay makes the recycling

@@ -379,9 +379,9 @@ class Driver {
   obs::Histogram* energy_hist_ = nullptr; ///< "substrate.energy_j" (AirComp Eq. 7)
   obs::Histogram* csi_hist_ = nullptr;    ///< "substrate.csi_err" (h / h_hat factors)
 
-  // "driver.updates_run" (bumped from lanes) and "driver.updates_collected",
-  // and the flag ~Driver sets so that lane jobs not yet started return
-  // untrained.
+  // "driver.updates_run" (bumped by job bodies, on a lane or the
+  // simulation thread) and "driver.updates_collected", and the flag ~Driver
+  // sets so that lane jobs not yet started return untrained.
   obs::Counter* updates_run_ = nullptr;
   obs::Counter* updates_collected_ = nullptr;
   std::atomic<bool> stopping_{false};

@@ -70,8 +70,8 @@ class RangeFn {
 /// ranges, so chunking never changes floating-point results.
 class ThreadPool {
  public:
-  /// Creates a pool with `num_threads` workers; 0 workers means every
-  /// submitted task runs inline on the calling thread.
+  /// Creates a pool with `num_threads` workers. A 0-worker pool runs
+  /// `parallel_for` serially on the caller and accepts no submissions.
   explicit ThreadPool(std::size_t num_threads);
 
   /// Drains remaining tasks and joins all workers.
@@ -80,7 +80,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;             ///< non-copyable (owns threads)
   ThreadPool& operator=(const ThreadPool&) = delete;  ///< non-copyable (owns threads)
 
-  /// Number of worker threads (0 for an inline pool).
+  /// Number of worker threads (0 for a serial pool).
   [[nodiscard]] std::size_t size() const { return threads_.size(); }
 
   /// Scheduling key for tasks with no deadline: they run after every
@@ -105,24 +105,21 @@ class ThreadPool {
   void parallel_for(std::size_t n, RangeFn fn, std::size_t grain = 1024);
 
   /// Schedules `f` with scheduling key `deadline` (lower runs first, FIFO
-  /// among equal keys) and returns a future for its result. On a pool with
-  /// 0 workers the task runs inline on the calling thread (the future is
-  /// ready on return), so serial configurations need no special casing at
-  /// call sites. Exceptions propagate through `future::get()`. NaN keys
-  /// are rejected on every pool size (they would corrupt the heap's strict
-  /// weak ordering), so a bad key cannot hide behind a serial config.
+  /// among equal keys) and returns a future for its result. Exceptions
+  /// propagate through `future::get()`. Throws std::invalid_argument on a
+  /// NaN key (it would corrupt the heap's strict weak ordering) and
+  /// std::logic_error on a 0-worker pool, where nothing would ever run the
+  /// task (a serial caller runs its work itself, as the Driver's held jobs
+  /// do).
   template <typename F>
   auto submit_prioritized(double deadline, F&& f)
       -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     if (std::isnan(deadline)) throw std::invalid_argument("ThreadPool: NaN scheduling key");
+    if (threads_.empty()) throw std::logic_error("ThreadPool: submit on a pool with no workers");
     using R = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> fut = task->get_future();
-    if (threads_.empty()) {
-      (*task)();
-    } else {
-      enqueue(deadline, [task] { (*task)(); });
-    }
+    enqueue(deadline, [task] { (*task)(); });
     return fut;
   }
 

@@ -478,7 +478,7 @@ TEST(ZeroAllocation, SteadyStateLocalUpdateDoesNotTouchTheHeap) {
 }
 
 TEST(ZeroAllocation, ParallelForDispatchDoesNotTouchTheHeap) {
-  // Inline 1-lane training fans its GEMMs out from the simulation thread;
+  // 1-lane training fans its GEMMs out from the simulation thread;
   // once the task queue has grown, dispatching the chunks allocates nothing.
   util::ThreadPool pool(3);
   std::vector<float> out(4096, 0.0f);

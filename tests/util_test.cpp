@@ -651,15 +651,13 @@ TEST(ThreadPool, SubmitReturnsResultThroughFuture) {
   EXPECT_EQ(f2.get(), "ok");
 }
 
-TEST(ThreadPool, SubmitOnZeroWorkerPoolRunsInline) {
+TEST(ThreadPool, SubmitOnZeroWorkerPoolThrows) {
+  // No thread would ever run the task, so its future could never be ready.
   ThreadPool pool(0);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  auto f = pool.submit([&] { ran_on = std::this_thread::get_id(); });
-  // Inline execution: the task already ran on the calling thread.
-  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  f.get();
-  EXPECT_EQ(ran_on, caller);
+  bool ran = false;
+  EXPECT_THROW(pool.submit([&] { ran = true; }), std::logic_error);
+  EXPECT_THROW(pool.submit_prioritized(5.0, [&] { ran = true; }), std::logic_error);
+  EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, SubmitPropagatesExceptions) {
@@ -808,19 +806,12 @@ TEST(ThreadPool, RejectsNaNSchedulingKey) {
   EXPECT_THROW(
       pool.submit_prioritized(std::numeric_limits<double>::quiet_NaN(), [] {}),
       std::invalid_argument);
-  // Same contract on a 0-worker (inline) pool: a bad key must not hide
+  // The key is checked first, on every pool size: a bad key must not hide
   // behind the serial configuration.
-  ThreadPool inline_pool(0);
+  ThreadPool serial_pool(0);
   EXPECT_THROW(
-      inline_pool.submit_prioritized(std::numeric_limits<double>::quiet_NaN(), [] {}),
+      serial_pool.submit_prioritized(std::numeric_limits<double>::quiet_NaN(), [] {}),
       std::invalid_argument);
-}
-
-TEST(ThreadPool, PrioritizedSubmitOnZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  auto f = pool.submit_prioritized(5.0, [] { return 17; });
-  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(f.get(), 17);
 }
 
 TEST(SplitMix, MixesDistinctInputs) {
