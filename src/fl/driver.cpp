@@ -6,6 +6,7 @@
 #include <cmath>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -77,6 +78,7 @@ Driver::Driver(const FLConfig& cfg)
   cold_replays_ = &registry_.counter("pool.cold_replays");
   updates_run_ = &registry_.counter("driver.updates_run");
   updates_collected_ = &registry_.counter("driver.updates_collected");
+  updates_helped_ = &registry_.counter("driver.updates_helped");
   energy_hist_ = &registry_.histogram(
       "substrate.energy_j", {0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0});
   csi_hist_ = &registry_.histogram(
@@ -90,8 +92,10 @@ Driver::Driver(const FLConfig& cfg)
   // Execution engine: lanes_ concurrent training slots. A single lane has
   // no pool threads: every job is held and trains on the simulation thread
   // when its barrier collects it, which is the reference serial schedule;
-  // more lanes spread workers across a private pool. At most one leased
-  // scratch model is live per lane, so memory stays O(lanes), not
+  // more lanes spread workers across a private pool, and a barrier trains
+  // its jobs no lane has started while the lanes keep going. At most one
+  // leased scratch model is live per training thread (each lane, plus the
+  // simulation thread on a multi-lane run), so memory stays O(lanes), not
   // O(workers).
   lanes_ = resolve_lanes(cfg.threads);
   // The pool recycles down to this many slots: enough that warm
@@ -99,7 +103,7 @@ Driver::Driver(const FLConfig& cfg)
   // pattern digest-neutral, so a machine-dependent lane count here is
   // safe).
   pool_target_ = std::max({2 * lanes_, 2 * cfg.cohort_size, std::size_t{16}});
-  const std::size_t n_scratch = std::min(lanes_, population_);
+  const std::size_t n_scratch = std::min(lanes_ > 1 ? lanes_ + 1 : 1, population_);
   scratch_free_.reserve(n_scratch);
   for (std::size_t i = 0; i < n_scratch; ++i)
     scratch_free_.push_back(std::make_unique<ml::Model>(cfg.model_factory()));
@@ -117,17 +121,18 @@ Driver::Driver(const FLConfig& cfg)
 
 Driver::~Driver() {
   // An early stop (budget, max_rounds, stop_at_accuracy, cancel) leaves
-  // jobs nothing will read. Queued lane jobs see the flag and return
-  // without training, held jobs are dropped unrun, and only jobs already
-  // running are waited for, so no task outlives the state it references
-  // (the pool joins right after).
-  stopping_.store(true);
+  // jobs nothing will read. Claiming each one, before waiting for any,
+  // turns its queued lane task into a no-op and drops a held job unrun; a
+  // lost claim means a lane is running the job, and only those are waited
+  // for, so no job body outlives the state it references (the pool joins
+  // right after, running the no-ops, which touch only their shared job
+  // state).
+  for (auto& s : slots_)
+    if (s.job && s.job->claim()) s.job.reset();
   for (auto& s : slots_) {
-    if (!s.pending.valid() ||
-        s.pending.wait_for(std::chrono::seconds(0)) == std::future_status::deferred)
-      continue;
+    if (!s.job) continue;
     try {
-      s.pending.get();
+      s.lane_task.get();
     } catch (...) {  // mechanism already returned; nothing to rethrow into
     }
   }
@@ -136,9 +141,11 @@ Driver::~Driver() {
 std::unique_ptr<ml::Model> Driver::acquire_scratch() {
   std::scoped_lock lock(scratch_mutex_);
   if (scratch_free_.empty()) {
-    // Reachable when evaluation helpers overlap in-flight training (both
-    // hold leases); a fresh model keeps the engine correct at the cost of
-    // one allocation, and the free list grows to cover the overlap.
+    // The constructor pre-allocates one model per training thread (each
+    // lane, and the simulation thread inside a barrier), so this is
+    // reachable only when evaluation helpers overlap in-flight training
+    // (both hold leases); a fresh model keeps the engine correct at the
+    // cost of one allocation, and the free list grows to cover the overlap.
     return std::make_unique<ml::Model>(cfg_->model_factory());
   }
   auto m = std::move(scratch_free_.back());
@@ -221,11 +228,29 @@ void Driver::release_workers(const std::vector<std::size_t>& members) {
     if (slot == kNoSlot)
       throw std::logic_error("Driver::release_workers: worker was never materialized");
     Slot& s = slots_[slot];
-    if (!s.leased) continue;          // already released (repeat member)
-    if (s.pending.valid()) continue;  // retraining already; keep the lease
+    if (!s.leased) continue;  // already released (repeat member)
+    if (s.job) continue;      // retraining already; keep the lease
     s.leased = false;
     released_.push_back(slot);
   }
+}
+
+Driver::Slot* Driver::in_flight(std::size_t m) {
+  const std::size_t slot = bound_.at(m);
+  return slot != kNoSlot && slots_[slot].job ? &slots_[slot] : nullptr;
+}
+
+void Driver::train(const TrainJob& job) {
+  // On a pool lane, and in a multi-lane barrier's SerialRegion, the ML
+  // kernels underneath take their serial fallback (nesting rule: no
+  // deadlock, no oversubscription). A one-lane barrier keeps the global
+  // pool's GEMM fan-out — a wall-time choice only: chunked kernels write
+  // disjoint output ranges, so either schedule produces the same bits.
+  obs::Span span("worker", "worker.local_update");
+  updates_run_->add();
+  ScratchLease lease(*this);
+  job.worker->local_update(lease.model(), *job.snapshot, cfg_->learning_rate, cfg_->local_steps,
+                           cfg_->batch_size);
 }
 
 void Driver::begin_training(const std::vector<std::size_t>& members,
@@ -235,53 +260,57 @@ void Driver::begin_training(const std::vector<std::size_t>& members,
   // while these jobs are still running (asynchronous groups), and every
   // member of the batch must train from the same w_t it was sent.
   auto snapshot = std::make_shared<const std::vector<float>>(global.begin(), global.end());
-  const float lr = cfg_->learning_rate;
-  const std::size_t steps = cfg_->local_steps;
-  const std::size_t batch = cfg_->batch_size;
-  // A job goes to a lane only if an aggregation inside the budget can read
-  // it. Every other job (past the budget, or any job of a one-lane run) is
-  // held as a deferred task: it runs on the simulation thread when
-  // finish_training waits for it, and never if nothing does.
+  // A job is offered to a lane only if an aggregation inside the budget can
+  // read it. Every other job (past the budget, or any job of a one-lane
+  // run) is held: it trains on the simulation thread when finish_training
+  // collects it, and never if nothing does.
   const bool on_lane = lanes_ > 1 && deadline <= cfg_->time_budget;
   for (auto m : members) {
-    const std::size_t bound = bound_.at(m);
-    if (bound != kNoSlot && slots_[bound].pending.valid())
+    if (in_flight(m) != nullptr)
       throw std::logic_error("Driver::begin_training: worker already has a job in flight");
     // Materialize (or warm-reuse) the worker now, on the simulation thread,
     // and count the update it is about to run so a future
     // rematerialization replays the right number of batch draws.
     Slot& s = lease_slot(m);
     ++cycles_[m];
-    Worker& w = *s.worker;
-    auto job = [this, &w, snapshot, lr, steps, batch] {
-      if (stopping_.load()) return;  // ~Driver: nobody will read it
-      // On a pool lane, the worker-thread flag already pins the ML kernels
-      // underneath to their serial fallback (nesting rule: no deadlock, no
-      // oversubscription). A held job runs on the simulation thread and
-      // keeps the global pool's GEMM fan-out — a wall-time choice only:
-      // chunked kernels write disjoint output ranges, so either schedule
-      // produces the same bits.
-      obs::Span span("worker", "worker.local_update");
-      updates_run_->add();
-      ScratchLease lease(*this);
-      w.local_update(lease.model(), *snapshot, lr, steps, batch);
-    };
+    s.job = std::make_shared<TrainJob>(*s.worker, snapshot);
     // The batch's virtual aggregation deadline is the scheduling key:
     // pending lane jobs start earliest-deadline-first, so lanes go to the
     // group whose barrier the simulation will reach next.
-    s.pending = on_lane ? pool_->submit_prioritized(deadline, std::move(job))
-                        : std::async(std::launch::deferred, std::move(job));
+    if (on_lane)
+      s.lane_task = pool_->submit_prioritized(deadline, [this, job = s.job] {
+        if (job->claim()) train(*job);
+      });
   }
 }
 
 void Driver::finish_training(const std::vector<std::size_t>& members) {
   obs::Span span("driver", "driver.barrier");
   const auto t0 = std::chrono::steady_clock::now();
+  {
+    // Train here, in member order, every job no lane has started rather
+    // than wait for a lane to reach it. On a multi-lane run the lanes keep
+    // training meanwhile, so the kernels stay serial as they are on a lane.
+    std::optional<util::ThreadPool::SerialRegion> serial;
+    if (lanes_ > 1) serial.emplace();
+    for (auto m : members) {
+      Slot* s = in_flight(m);
+      if (s == nullptr || !s->job->claim()) continue;
+      // The lane task, if any, is now a no-op: never wait for it.
+      if (s->lane_task.valid()) updates_helped_->add();
+      s->lane_task = {};
+      const auto job = std::move(s->job);
+      updates_collected_->add();
+      train(*job);
+    }
+  }
+  // What is left, lanes are running: wait for it.
   for (auto m : members) {
-    const std::size_t slot = bound_.at(m);
-    if (slot == kNoSlot || !slots_[slot].pending.valid()) continue;
+    Slot* s = in_flight(m);
+    if (s == nullptr) continue;
+    s->job.reset();
     updates_collected_->add();
-    slots_[slot].pending.get();
+    s->lane_task.get();
   }
   engine_stats_.barrier_seconds += util::wall_seconds_since(t0);
   ++engine_stats_.barriers;

@@ -81,9 +81,12 @@ struct FLConfig {
 
   /// Concurrent local-training lanes for the execution engine: 0 = one lane
   /// per hardware thread, 1 = serial (the seed behaviour), k = exactly k
-  /// lanes. Results are bit-identical for every value — each worker trains
-  /// on its own RNG stream and a leased scratch model, and all aggregation
-  /// reductions run in fixed member order on the simulation thread.
+  /// lanes. With k > 1 lanes a run computes on up to k + 1 threads while its
+  /// simulation thread is inside a training barrier: the barrier trains the
+  /// jobs it waits for that no lane has started. Results are bit-identical
+  /// for every value — each worker trains on its own RNG stream and a leased
+  /// scratch model, and all aggregation reductions run in fixed member
+  /// order on the simulation thread.
   std::size_t threads = 0;
 
   /// Turns on the observability layer for this run: trace spans/instants
@@ -146,7 +149,14 @@ class RunCancelled : public std::runtime_error {
 /// deadline is finite and inside the time budget, since only then can an
 /// aggregation collect it. Every other job — and every job of a one-lane
 /// run — is held: it trains on the simulation thread when
-/// `finish_training` waits for it, and never if nothing does.
+/// `finish_training` collects it, and never if nothing does.
+///
+/// The barrier trains what it waits for: every job has one claim, and the
+/// first to take it decides the job's fate. A lane or the barrier that
+/// collects the job runs it; `~Driver` drops it. `finish_training` claims
+/// and runs, in member order, each of its jobs no lane has started, and
+/// only then waits for the jobs lanes are running. A lane task whose job
+/// was claimed away is a no-op.
 class Driver {
  public:
   /// Validates `cfg` and builds the run state: workers with forked RNG
@@ -155,10 +165,10 @@ class Driver {
   explicit Driver(const FLConfig& cfg);
 
   /// Stops paying for jobs nothing will read (an early stop: budget,
-  /// max_rounds, stop_at_accuracy, cancel): marks the driver as stopping,
-  /// so lane jobs still queued return without training, drops held jobs
-  /// unrun, waits only for jobs already running, then joins the lane pool
-  /// so no task outlives the state it references.
+  /// max_rounds, stop_at_accuracy, cancel): claims every uncollected job,
+  /// so queued lane tasks become no-ops and held jobs never run, waits only
+  /// for jobs a lane is running, then joins the lane pool so no task
+  /// outlives the state it references.
   ~Driver();
 
   /// The configuration this run was built from.
@@ -234,22 +244,26 @@ class Driver {
   /// `deadline` is the virtual time of the batch's next aggregation event
   /// (sync mechanisms: the round barrier; async mechanisms: the group's
   /// upload-complete event, or for a ready buffer the earliest flush). On
-  /// a multi-lane run a job with a finite `deadline <= time_budget` goes
-  /// to a lane, and lane jobs start earliest-deadline-first. Any other job
-  /// (kNoDeadline, past the budget, or any job of a one-lane run) is held:
-  /// it trains on the simulation thread when `finish_training` waits for
-  /// it, so results never depend on which path ran it. Throws
-  /// std::invalid_argument on a NaN deadline.
+  /// a multi-lane run a job with a finite `deadline <= time_budget` is
+  /// offered to a lane, and lane jobs start earliest-deadline-first. Any
+  /// other job (kNoDeadline, past the budget, or any job of a one-lane run)
+  /// is held: no lane is offered it, and it trains on the simulation thread
+  /// when `finish_training` collects it. Results never depend on which
+  /// thread ran a job. Throws std::invalid_argument on a NaN deadline.
   void begin_training(const std::vector<std::size_t>& members, std::span<const float> global,
                       double deadline = kNoDeadline);
 
-  /// Blocks until every job begun for `members` completed, collecting
-  /// futures in member order (fixed-order barrier): waits for lane jobs
-  /// and runs held ones here, on the simulation thread. Rethrows task
-  /// errors. Counts each collected job in `driver.updates_collected` (each
-  /// job body that trains counts in `driver.updates_run`). Wall time spent
-  /// here is accumulated into engine_stats(); at one lane that is the
-  /// training itself.
+  /// Blocks until every job begun for `members` completed (fixed-order
+  /// barrier). First, in member order, it claims and runs here, on the
+  /// simulation thread, every job no lane has started: held jobs, and
+  /// queued lane jobs, whose lane tasks become no-ops (counted in
+  /// `driver.updates_helped`). On a multi-lane run it does so inside a
+  /// util::ThreadPool::SerialRegion, so the kernels stay serial as on a
+  /// lane; a one-lane run keeps the global pool's GEMM fan-out. Then it
+  /// waits for the jobs lanes are running. Rethrows task errors. Counts
+  /// each collected job in `driver.updates_collected` (each job body that
+  /// trains counts in `driver.updates_run`). Wall time spent here is
+  /// accumulated into engine_stats(); it includes the training done here.
   void finish_training(const std::vector<std::size_t>& members);
 
   /// Barrier convenience: begin + finish (synchronous-round mechanisms).
@@ -324,6 +338,25 @@ class Driver {
   core::PowerControlResult power_for_group(const std::vector<std::size_t>& members,
                                            std::span<const double> gains);
 
+  /// One training job: the worker to train and the global snapshot it
+  /// trains from, shared by its slot and by the lane task it was offered
+  /// to. `claim()` is true for exactly one caller. A lane or a barrier
+  /// that wins runs the job (`train`); ~Driver wins to drop it. A lane
+  /// task that loses touches nothing but `claimed`.
+  struct TrainJob {
+    TrainJob(Worker& w, std::shared_ptr<const std::vector<float>> global)
+        : worker(&w), snapshot(std::move(global)) {}
+    bool claim() { return !claimed.exchange(true); }
+
+    Worker* worker;
+    std::shared_ptr<const std::vector<float>> snapshot;
+    std::atomic<bool> claimed{false};
+  };
+
+  /// The one job body, run by whoever claimed the job: Eq. (4) local
+  /// training on a leased scratch model.
+  void train(const TrainJob& job);
+
   std::unique_ptr<ml::Model> acquire_scratch();
   void release_scratch(std::unique_ptr<ml::Model> m);
   ml::EvalResult evaluate_sharded(std::span<const float> model, std::size_t n,
@@ -333,18 +366,23 @@ class Driver {
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   /// One pool slot: the Worker bound to it, its owner, whether a cohort
-  /// currently holds it, and the owner's in-flight training job. The
-  /// Worker lives behind a unique_ptr so its address stays stable while
-  /// the slot vector grows (in-flight jobs reference it, and async
-  /// mechanisms hold leases across later cohort starts).
+  /// currently holds it, and the owner's in-flight training job (null once
+  /// collected) with the future of the lane task it was offered to
+  /// (invalid for a held job). The Worker lives behind a unique_ptr so its
+  /// address stays stable while the slot vector grows (in-flight jobs
+  /// reference it, and async mechanisms hold leases across later cohort
+  /// starts).
   struct Slot {
     std::unique_ptr<Worker> worker;
     std::size_t owner = kNoSlot;
     bool leased = true;
-    std::future<void> pending;
+    std::shared_ptr<TrainJob> job;
+    std::future<void> lane_task;
   };
 
   Slot& lease_slot(std::size_t i);
+  /// Worker `m`'s slot if it has a job in flight, else null.
+  Slot* in_flight(std::size_t m);
 
   const FLConfig* cfg_;
   std::size_t population_ = 0;
@@ -367,8 +405,9 @@ class Driver {
   std::vector<std::size_t> released_;    ///< FIFO of recyclable (bound, unleased) slots
   std::vector<std::size_t> cycles_;      ///< [worker] completed local updates (RNG replay)
 
-  // Execution engine state. One pre-allocated scratch model per lane,
-  // leased to training tasks.
+  // Execution engine state. Scratch models pre-allocated for every thread
+  // that can train at once (each lane, plus the simulation thread inside a
+  // barrier on a multi-lane run), leased to job bodies.
   std::size_t lanes_ = 1;
   std::mutex scratch_mutex_;
   std::vector<std::unique_ptr<ml::Model>> scratch_free_;
@@ -380,11 +419,11 @@ class Driver {
   obs::Histogram* csi_hist_ = nullptr;    ///< "substrate.csi_err" (h / h_hat factors)
 
   // "driver.updates_run" (bumped by job bodies, on a lane or the
-  // simulation thread) and "driver.updates_collected", and the flag ~Driver
-  // sets so that lane jobs not yet started return untrained.
+  // simulation thread), "driver.updates_collected" and
+  // "driver.updates_helped" (lane jobs a barrier claimed and ran).
   obs::Counter* updates_run_ = nullptr;
   obs::Counter* updates_collected_ = nullptr;
-  std::atomic<bool> stopping_{false};
+  obs::Counter* updates_helped_ = nullptr;
 
   // member_gains scratch (simulation thread only).
   std::vector<std::size_t> gain_ids_;  ///< sorted distinct members

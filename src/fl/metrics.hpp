@@ -27,7 +27,9 @@ struct MetricPoint {
 struct EngineStats {
   /// Wall time the simulation thread spent in training barriers
   /// (Driver::finish_training). At one lane every job is held and trains
-  /// inside its barrier, so this includes all local training.
+  /// inside its barrier, so this includes all local training; on more
+  /// lanes it includes the barriers' own training of jobs no lane had
+  /// started.
   double barrier_seconds = 0.0;
   double eval_seconds = 0.0;     ///< wall time spent inside Driver::evaluate
   std::size_t barriers = 0;      ///< number of finish_training barriers

@@ -219,7 +219,10 @@ ThreadPool& global_pool();
 /// `budget` 0 means the hardware concurrency; `requested` 0 means "as many
 /// as allowed" (the FLConfig::threads convention). Every job always gets at
 /// least one lane, so callers should cap `jobs` at the budget rather than
-/// rely on this function to serialize excess jobs. Because the execution
+/// rely on this function to serialize excess jobs. A run given L > 1 lanes
+/// computes on up to L + 1 threads while its simulation thread is inside a
+/// training barrier (it trains the jobs it waits for that no lane has
+/// started), so the budget bounds lanes, not threads. Because the execution
 /// engine is bit-deterministic for every lane count, clamping a run's lanes
 /// never changes its results — only its wall time.
 std::size_t lane_budget_share(std::size_t requested, std::size_t jobs, std::size_t budget = 0);

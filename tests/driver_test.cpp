@@ -238,12 +238,18 @@ TEST(Driver, MnistImagePresetWorksEndToEnd) {
 
 /// Counts local updates and can hold them: every training-mode forward of
 /// a model built by `gated_softmax` bumps `forwards`, then waits until
-/// `open`.
+/// `open` unless it runs on the thread `passes` names (none by default).
 struct UpdateGate {
   std::atomic<int> forwards{0};
+  std::thread::id passes;  // set before training starts
   std::mutex mutex;
   bool open = true;  // guarded by mutex
   std::condition_variable cv;
+
+  void close() {
+    std::scoped_lock lock(mutex);
+    open = false;
+  }
 
   void release() {
     {
@@ -261,6 +267,7 @@ class GateLayer : public ml::Layer {
   const ml::Tensor& forward(const ml::Tensor& x) override {
     if (training()) {
       gate_->forwards.fetch_add(1);
+      if (std::this_thread::get_id() == gate_->passes) return x;
       std::unique_lock lock(gate_->mutex);
       gate_->cv.wait(lock, [&] { return gate_->open; });
     }
@@ -369,6 +376,129 @@ TEST(DriverHeldJobs, TrainWhenCollectedAndMatchTheLanePath) {
     ASSERT_EQ(models[i].size(), models[0].size());
     EXPECT_EQ(std::memcmp(models[i].data(), models[0].data(), models[0].size() * sizeof(float)), 0)
         << "deadline case " << i;
+  }
+}
+
+// ---- helped jobs -----------------------------------------------------------
+
+/// Opens `gate` after 2 s unless destroyed first, so a barrier that waits
+/// for a gated lane fails its test instead of hanging it.
+class GateWatchdog {
+ public:
+  explicit GateWatchdog(std::shared_ptr<UpdateGate> gate)
+      : thread_([this, gate = std::move(gate)] {
+          std::unique_lock lock(mutex_);
+          if (!cv_.wait_for(lock, std::chrono::seconds(2), [&] { return done_; }))
+            gate->release();
+        }) {}
+  ~GateWatchdog() {
+    {
+      std::scoped_lock lock(mutex_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  GateWatchdog(const GateWatchdog&) = delete;
+  GateWatchdog& operator=(const GateWatchdog&) = delete;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool done_ = false;   // guarded by mutex_
+  std::thread thread_;  // last: starts once the members above exist
+};
+
+TEST(DriverHelpedJobs, BarrierTrainsQueuedMembersWhileLanesAreBusy) {
+  // Both lanes are held inside other workers' jobs; a barrier over members
+  // still queued behind them must train those members itself and return,
+  // not wait for a lane. Only this thread passes the gate.
+  auto gate = std::make_shared<UpdateGate>();
+  gate->passes = std::this_thread::get_id();
+  Env env;
+  env.cfg.threads = 2;
+  env.cfg.model_factory = gated_softmax(gate);
+  Driver d(env.cfg);
+  const auto w0 = d.initial_model();
+  gate->close();
+  d.begin_training({0, 1}, w0, /*deadline=*/1.0);
+  while (gate->forwards.load() < 2) std::this_thread::yield();  // both lanes hold a job
+
+  const std::vector<std::size_t> queued = {2, 3, 4, 5};
+  {
+    GateWatchdog watchdog(gate);
+    d.begin_training(queued, w0, /*deadline=*/2.0);
+    d.finish_training(queued);
+    std::scoped_lock lock(gate->mutex);
+    EXPECT_FALSE(gate->open) << "the barrier waited for a lane";
+  }
+  EXPECT_EQ(gate->forwards.load(), 6);
+  EXPECT_EQ(counter(d, "driver.updates_helped"), queued.size());
+  EXPECT_EQ(counter(d, "driver.updates_collected"), queued.size());
+  for (auto m : queued) EXPECT_TRUE(d.worker(m).has_model()) << m;
+
+  gate->release();
+  d.finish_training({0, 1});
+  EXPECT_EQ(counter(d, "driver.updates_run"), 6u);
+  EXPECT_EQ(counter(d, "driver.updates_collected"), 6u);
+  EXPECT_EQ(counter(d, "driver.updates_helped"), queued.size());
+}
+
+TEST(DriverHelpedJobs, MatchLaneAndHeldBits) {
+  // The same two training cycles, run three ways: every job on a lane,
+  // every job helped (claimed and trained by the barrier while both lanes
+  // are held by two other workers' jobs), and every job held (one lane).
+  // The local models must be the same bits.
+  const std::vector<std::size_t> members = {0, 2, 5, 7};
+  const std::vector<std::size_t> blockers = {1, 3};
+  enum class Path { kLane, kHelped, kHeld };
+  std::vector<std::vector<float>> models;
+  for (Path path : {Path::kLane, Path::kHelped, Path::kHeld}) {
+    auto gate = std::make_shared<UpdateGate>();
+    gate->passes = std::this_thread::get_id();
+    Env env;
+    env.cfg.threads = path == Path::kHeld ? 1 : 2;
+    env.cfg.batch_size = 8;  // stochastic batches: the worker RNG must advance alike
+    env.cfg.local_steps = 2;
+    env.cfg.model_factory = gated_softmax(gate);
+    Driver d(env.cfg);
+    const auto w0 = d.initial_model();
+    for (std::uint64_t cycle = 1; cycle <= 2; ++cycle) {
+      if (path == Path::kHelped) {
+        const int before = gate->forwards.load();
+        gate->close();
+        d.begin_training(blockers, w0, /*deadline=*/1.0);
+        while (gate->forwards.load() < before + 2) std::this_thread::yield();
+      }
+      d.begin_training(members, w0, /*deadline=*/2.0);
+      if (path == Path::kLane)  // a body bumps updates_run once a lane claimed it
+        while (counter(d, "driver.updates_run") < cycle * members.size())
+          std::this_thread::yield();
+      {
+        GateWatchdog watchdog(gate);
+        d.finish_training(members);
+      }
+      if (path == Path::kHelped) {
+        gate->release();
+        d.finish_training(blockers);
+        d.release_workers(blockers);
+      }
+      d.release_workers(members);
+    }
+    const std::uint64_t helped = path == Path::kHelped ? 2 * members.size() : 0;
+    EXPECT_EQ(counter(d, "driver.updates_helped"), helped) << static_cast<int>(path);
+    std::vector<float> all;
+    for (auto m : members) {
+      const auto w = d.worker(m).local_model();
+      all.insert(all.end(), w.begin(), w.end());
+    }
+    models.push_back(std::move(all));
+  }
+  ASSERT_FALSE(models[0].empty());
+  for (std::size_t i = 1; i < models.size(); ++i) {
+    ASSERT_EQ(models[i].size(), models[0].size());
+    EXPECT_EQ(std::memcmp(models[i].data(), models[0].data(), models[0].size() * sizeof(float)), 0)
+        << "path " << i;
   }
 }
 
